@@ -9,16 +9,10 @@ run over denominator-cleared integer tables instead of Scalar objects.
 
 from __future__ import annotations
 
-import random
-
 from .exact import ONE, ZERO, Scalar, format_scalar, parse_scalar, sc
 from .linalg import (Matrix, SparseEchelon, clear_denominators, rank, solve,
                      sparse_kernel, vec_add_scaled)
 from .report import Report
-
-DEFAULT_SEED = 271828
-SAMPLED_DIM_THRESHOLD = 200
-DEFAULT_SAMPLE_COUNT = 1_000_000
 
 
 class MixedAlgebras(ValueError):
@@ -357,13 +351,11 @@ def _jacobi_triple_ok(T, rational, i, j, k) -> bool:
     return not any(accp.values()) and not any(accq.values())
 
 
-def verify_lie(L: Algebra, mode: str = "auto", samples: int = DEFAULT_SAMPLE_COUNT,
-               seed: int = DEFAULT_SEED, priority_block=None) -> Report:
-    """Anticommutativity on all pairs; Jacobi by scan.
+def verify_lie(L: Algebra) -> Report:
+    """Anticommutativity on all pairs; Jacobi on every basis triple.
 
-    mode "auto": full scan below dim 200, else the mixed policy (exhaustive
-    over triples meeting priority_block, plus fixed-seed samples).
-    mode "full": always exhaustive.  mode "sampled": sampled only.
+    The Jacobi identity is trilinear and, given anticommutativity, alternating,
+    so the triples i < j < k prove it for all elements.
     """
     name = "lie(%s)" % L.name
     d = L.dim
@@ -378,37 +370,13 @@ def verify_lie(L: Algebra, mode: str = "auto", samples: int = DEFAULT_SAMPLE_COU
                 return Report(name, False, {"identity": "[x,y]=-[y,x]"},
                               witness=(i, j))
     _, T, rational = L.int_table()
-    if mode == "auto":
-        mode = "full" if d < SAMPLED_DIM_THRESHOLD else "mixed"
-    policy = {"mode": mode, "dim": d}
-    if mode == "full":
-        for i in range(d):
-            for j in range(i + 1, d):
-                for k in range(j + 1, d):
-                    if not _jacobi_triple_ok(T, rational, i, j, k):
-                        return Report(name, False, policy, witness=(i, j, k))
-        policy["triples"] = d * (d - 1) * (d - 2) // 6
-        return Report(name, True, policy)
-    checked = 0
-    if mode == "mixed" and priority_block:
-        lo, hi = priority_block
-        policy["priority_block"] = [lo, hi]
-        for i in range(lo, hi):
-            for j in range(i + 1, d):
-                for k in range(j + 1, d):
-                    if not _jacobi_triple_ok(T, rational, i, j, k):
-                        return Report(name, False, policy, witness=(i, j, k))
-                    checked += 1
-    rng = random.Random(seed)
-    policy["seed"] = seed
-    policy["samples"] = samples
-    for _ in range(samples):
-        i, j, k = sorted(rng.sample(range(d), 3))
-        if not _jacobi_triple_ok(T, rational, i, j, k):
-            return Report(name, False, policy, witness=(i, j, k))
-        checked += 1
-    policy["triples"] = checked
-    return Report(name, True, policy)
+    for i in range(d):
+        for j in range(i + 1, d):
+            for k in range(j + 1, d):
+                if not _jacobi_triple_ok(T, rational, i, j, k):
+                    return Report(name, False, {"identity": "jacobi"},
+                                  witness=(i, j, k))
+    return Report(name, True, {"dim": d, "triples": d * (d - 1) * (d - 2) // 6})
 
 
 def verify_jordan(J: Algebra) -> Report:

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from math import gcd
 
-import numpy as np
-
 from .exact import ONE, ZERO, Polynomial, Scalar, poly_lcm, sc
 
 
@@ -645,6 +643,7 @@ class BadPrime(ArithmeticError):
 
 
 def _row_mod(row: dict, ncols: int, p: int, w: int, inv_cache: dict):
+    import numpy as np
     out = np.zeros(ncols, dtype=np.float64)
     for k, v in row.items():
         dinv = inv_cache.get(v.d)
@@ -663,8 +662,10 @@ def rank_mod_p(rows, ncols: int, limit: int | None = None) -> int:
     Performs blocked Gauss elimination modulo a prime in exact float64
     integer arithmetic; the returned value never exceeds the true rank, so
     it certifies rank lower bounds exactly.  Stops early once `limit` is
-    reached, if given.
+    reached, if given.  `rows` may be a generator; it is read once, so a
+    retry after a prime that divides a denominator sees every row again.
     """
+    rows = list(rows)
     for p, w in rank_moduli():
         try:
             return _rank_mod_single(rows, ncols, p, w, limit)
@@ -674,7 +675,12 @@ def rank_mod_p(rows, ncols: int, limit: int | None = None) -> int:
 
 
 def _rank_mod_single(rows, ncols, p, w, limit):
+    import numpy as np
     cap = ncols if limit is None else min(limit, ncols)
+    # a block row minus coeffs @ pivots sums at most cap products below
+    # (p-1)**2; float64 holds every integer below 2**53 exactly
+    if cap * (p - 1) ** 2 >= 2 ** 53:
+        raise OverflowError("%d pivots mod %d overflow exact float64" % (cap, p))
     pivots = np.zeros((cap, ncols), dtype=np.float64)  # rref rows, unit pivot
     pivot_cols: list[int] = []
     inv_cache: dict = {}

@@ -17,14 +17,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import compose
-from .algebra import Algebra, Element, operator_matrix, verify_symmetric
+from .algebra import (Algebra, Element, _pair_mul, operator_matrix,
+                      verify_symmetric)
 from .exact import ONE, OMEGA, OMEGA2, ZERO, HALF, Polynomial, Scalar, sc
 from .grading import AbelianGroup, Grading, GroupHom
-from .linalg import (Matrix, SparseEchelon, inverse, rank_mod_p, rank_moduli,
-                     rref, sparse_kernel, vec_add_scaled)
+from .linalg import (Matrix, SparseEchelon, clear_denominators, inverse,
+                     rank_mod_p, rank_moduli, rref, sparse_kernel,
+                     vec_add_scaled)
 from .report import Report
 
 
@@ -259,6 +259,70 @@ def tri_spans_by_pairs(ctx: TriContext) -> bool:
     return ech.rank == ctx.n
 
 
+def triality_bracket_failures(S: Algebra):
+    """Basis quadruples (a, b, x, y) breaking the local triality relation
+    [t_{a,b}, t_{x,y}] = t_{sigma(x),y} + t_{x,sigma(y)}, sigma = sigma_{a,b}.
+
+    Both sides are linear in each of a, b, x and y, so an empty result proves
+    the relation for all elements.  As sigma_{a,b}(z) = n(a,z)b - n(b,z)a and
+    t is bilinear, the right side is n(a,x)t_{b,y} - n(b,x)t_{a,y}
+    + n(a,y)t_{x,b} - n(b,y)t_{x,a}.  One common denominator is cleared from
+    the 64 basis triples and the polar form together, which scales both sides
+    by its square, so the comparison runs exactly on integer pairs p + q*w.
+    """
+    d = S.dim
+    basis = S.basis()
+    table = {(a, b): t_xy(S, basis[a], basis[b]).flat()
+             for a in range(d) for b in range(d)}
+    table["polar"] = {(i, j): v for i, row in enumerate(S.polar.data)
+                      for j, v in enumerate(row) if v.p or v.q}
+    _, scaled = clear_denominators(table)
+    polar = scaled.pop("polar")
+    dd = d * d
+    # per triple: flat entries, and per component the sparse rows r -> [(c, p, q)]
+    rows = {}
+    for key, flat in scaled.items():
+        comps = [{} for _ in range(3)]
+        for k, (p, q) in flat.items():
+            comps[k // dd].setdefault(k % dd // d, []).append((k % d, p, q))
+        rows[key] = comps
+
+    def commutator(acc, ta, tb, sign):
+        for i in range(3):
+            base = i * dd
+            right = tb[i]
+            for r, row in ta[i].items():
+                for k, p1, q1 in row:
+                    for c, p2, q2 in right.get(k, ()):
+                        p, q = _pair_mul(p1, q1, p2, q2)
+                        m = base + r * d + c
+                        cur = acc.get(m, (0, 0))
+                        acc[m] = (cur[0] + sign * p, cur[1] + sign * q)
+
+    bad = []
+    for a in range(d):
+        for b in range(d):
+            tab = rows[(a, b)]
+            for x in range(d):
+                for y in range(d):
+                    acc: dict = {}
+                    commutator(acc, tab, rows[(x, y)], 1)
+                    commutator(acc, rows[(x, y)], tab, -1)
+                    for (u, v), coeff, sign in (
+                            ((a, x), (b, y), 1), ((b, x), (a, y), -1),
+                            ((a, y), (x, b), 1), ((b, y), (x, a), -1)):
+                        n = polar.get((u, v))
+                        if n is None:
+                            continue
+                        for m, (p2, q2) in scaled[coeff].items():
+                            p, q = _pair_mul(n[0], n[1], p2, q2)
+                            cur = acc.get(m, (0, 0))
+                            acc[m] = (cur[0] - sign * p, cur[1] - sign * q)
+                    if any(p or q for p, q in acc.values()):
+                        bad.append((a, b, x, y))
+    return bad
+
+
 # =========================================================================
 # the magic square Lie algebra
 # =========================================================================
@@ -288,9 +352,6 @@ class MagicAlgebra:
     def iota_index(self, i: int, a: int, b: int) -> int:
         return self.nt + self.ntp + i * self.S.dim * self.Sp.dim \
             + a * self.Sp.dim + b
-
-    def tri_block(self):
-        return (0, self.nt + self.ntp)
 
 
 def magic_g(S: Algebra, Sp: Algebra, tri_s: TriContext = None,
@@ -970,11 +1031,6 @@ OMEGA_BLOCK = Matrix([[ONE, ONE, ONE], [ONE, OMEGA2, OMEGA], [ONE, OMEGA, OMEGA2
 # adjoint minimal polynomials over cleared-integer tables
 # =========================================================================
 
-def _pairmul(p1, q1, p2, q2):
-    t = q1 * q2
-    return p1 * p2 - t, p1 * q2 + q1 * p2 - t
-
-
 def _ad_int_columns(L: Algebra, x: Element):
     """Columns of (D * cx) ad_x with integer-pair entries."""
     from math import lcm
@@ -1020,6 +1076,7 @@ class _ModSpan:
     """Span tracker modulo a prime; rank never exceeds the exact rank."""
 
     def __init__(self, ncols: int, p: int, w: int):
+        import numpy as np
         self.ncols = ncols
         self.p = p
         self.w = w
@@ -1027,6 +1084,7 @@ class _ModSpan:
         self.pivot_cols: list = []
 
     def _vec(self, v: dict):
+        import numpy as np
         out = np.zeros(self.ncols, dtype=np.float64)
         p, w = self.p, self.w
         for k, (a, b) in v.items():
@@ -1044,6 +1102,7 @@ class _ModSpan:
         return not self._reduce(self._vec(v)).any()
 
     def insert(self, v: dict) -> bool:
+        import numpy as np
         vec = self._reduce(self._vec(v))
         nz = np.nonzero(vec)[0]
         if nz.size == 0:

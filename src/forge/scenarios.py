@@ -7,9 +7,8 @@ import random
 from functools import lru_cache
 
 from . import compose, magic
-from .algebra import (DEFAULT_SEED, subalgebra_generated,
-                      verify_composition, verify_jordan, verify_lie,
-                      verify_symmetric)
+from .algebra import (subalgebra_generated, verify_composition,
+                      verify_jordan, verify_lie, verify_symmetric)
 from .exact import OMEGA, ONE, ZERO, Polynomial, is_squarefree, sc
 from .grading import (CAYLEY_KINDS, DECLARED_GROUPS, OKUBO_KINDS,
                       QUATERNION_KINDS, cayley_grading, grading_type,
@@ -17,6 +16,8 @@ from .grading import (CAYLEY_KINDS, DECLARED_GROUPS, OKUBO_KINDS,
                       universal_group, verify_grading)
 from .linalg import SparseEchelon, minimal_polynomial, nullspace
 from .report import Report
+
+DEFAULT_SEED = 271828
 
 
 class Claims:
@@ -152,7 +153,7 @@ def _okubo_coeff(token: str, a, b):
     return -val if neg else val
 
 
-def scenario_tables(full=False, seed=DEFAULT_SEED) -> Report:
+def scenario_tables(seed=DEFAULT_SEED) -> Report:
     cl = Claims("tables")
     C = split_cayley()
     bad = []
@@ -188,7 +189,7 @@ def scenario_tables(full=False, seed=DEFAULT_SEED) -> Report:
 # criterion 2: identity suites
 # =========================================================================
 
-def scenario_identity_suites(full=False, seed=DEFAULT_SEED) -> Report:
+def scenario_identity_suites(seed=DEFAULT_SEED) -> Report:
     cl = Claims("identity-suites")
     towers = {
         "k": compose.ground_field(),
@@ -234,7 +235,7 @@ def scenario_identity_suites(full=False, seed=DEFAULT_SEED) -> Report:
 # criterion 3: grading catalog
 # =========================================================================
 
-def scenario_grading_catalog(full=False, seed=DEFAULT_SEED) -> Report:
+def scenario_grading_catalog(seed=DEFAULT_SEED) -> Report:
     cl = Claims("grading-catalog")
     families = [("cayley", CAYLEY_KINDS, cayley_grading),
                 ("quaternion", QUATERNION_KINDS, quaternion_grading),
@@ -265,7 +266,7 @@ def scenario_grading_catalog(full=False, seed=DEFAULT_SEED) -> Report:
 # criterion 4: recognition pipeline
 # =========================================================================
 
-def scenario_recognition(full=False, seed=DEFAULT_SEED) -> Report:
+def scenario_recognition(seed=DEFAULT_SEED) -> Report:
     cl = Claims("recognition")
     P = petersson_nst()
     x = P.basis_element(0)
@@ -312,7 +313,7 @@ def scenario_recognition(full=False, seed=DEFAULT_SEED) -> Report:
 # criterion 5: triality
 # =========================================================================
 
-def scenario_triality(full=False, seed=DEFAULT_SEED) -> Report:
+def scenario_triality(seed=DEFAULT_SEED) -> Report:
     cl = Claims("triality")
     from .algebra import orthogonal_algebra
     for S in (para_split(), okubo11()):
@@ -328,45 +329,17 @@ def scenario_triality(full=False, seed=DEFAULT_SEED) -> Report:
         cl.check("pi0-bijective(%s)" % S.name, (ech.rank, o_dim), (28, 28),
                  "principle of local triality")
         cl.check_true("t-pairs-span(%s)" % S.name, magic.tri_spans_by_pairs(ctx))
-        bad = _triality_bracket_scan(S, seed)
+        bad = len(magic.triality_bracket_failures(S))
         cl.check("bracket-relation(%s)" % S.name, bad, 0,
                  "[t_{a,b}, t_{x,y}] = t_{sigma(x),y} + t_{x,sigma(y)}")
     return cl.report()
-
-
-def _triality_bracket_scan(S, seed) -> int:
-    def sigma(a, b, x):
-        na = S.polar_pair_sparse(a.sparse(), x.sparse())
-        nb = S.polar_pair_sparse(b.sparse(), x.sparse())
-        return b.scale(na) - a.scale(nb)
-
-    def holds(a, b, x, y):
-        lhs = magic.t_xy(S, a, b).commutator(magic.t_xy(S, x, y))
-        rhs = magic.t_xy(S, sigma(a, b, x), y).add(magic.t_xy(S, x, sigma(a, b, y)))
-        return all((l - r).is_zero() for l, r in zip(lhs.mats, rhs.mats))
-
-    bad = 0
-    basis = S.basis()
-    for a in basis:
-        for b in basis:
-            for x in basis:
-                for y in basis:
-                    if not holds(a, b, x, y):
-                        bad += 1
-    rng = random.Random(seed)
-    for _ in range(20):
-        els = [S.element([sc(rng.randint(-2, 2)) for _ in range(8)])
-               for _ in range(4)]
-        if not holds(*els):
-            bad += 1
-    return bad
 
 
 # =========================================================================
 # criterion 6: magic square dimensions and Jacobi
 # =========================================================================
 
-def scenario_magic_dimensions(full=False, seed=DEFAULT_SEED) -> Report:
+def scenario_magic_dimensions(seed=DEFAULT_SEED) -> Report:
     cl = Claims("magic-dimensions")
     k = compose.s1()
     s2 = compose.s2(1)
@@ -378,15 +351,13 @@ def scenario_magic_dimensions(full=False, seed=DEFAULT_SEED) -> Report:
     ]
     for nm, mag, want in cases:
         cl.check("dim-%s" % nm, mag.lie.dim, want, "Freudenthal magic square")
-        cl.check_true("jacobi-%s" % nm, verify_lie(mag.lie, mode="full").passed)
+        cl.check_true("jacobi-%s" % nm, verify_lie(mag.lie).passed)
         cl.check_true("z2x2-grading-%s" % nm, verify_grading(mag.z22).passed)
     mag8, _ = e8_pair()
     cl.check("dim-g(S8,S8)", mag8.lie.dim, 248, "Freudenthal magic square")
-    mode = "full" if full else "mixed"
-    rep = verify_lie(mag8.lie, mode=mode, seed=seed,
-                     priority_block=mag8.tri_block())
-    cl.check_true("jacobi-e8(%s)" % mode, rep.passed,
-                  "Jacobi identity scan policy on the 248-dimensional algebra",
+    rep = verify_lie(mag8.lie)
+    cl.check_true("jacobi-e8", rep.passed,
+                  "exhaustive Jacobi identity scan on the 248-dimensional algebra",
                   got=rep.details)
     cl.check_true("z2x2-grading-e8", verify_grading(mag8.z22).passed)
     th = magic.theta_matrix(f4_mag())
@@ -402,7 +373,7 @@ def scenario_magic_dimensions(full=False, seed=DEFAULT_SEED) -> Report:
 # criterion 7: the Jordan layer
 # =========================================================================
 
-def scenario_jordan_layer(full=False, seed=DEFAULT_SEED) -> Report:
+def scenario_jordan_layer(seed=DEFAULT_SEED) -> Report:
     cl = Claims("jordan-layer")
     for A in (albert_para(), albert_okubo()):
         S = A.S
@@ -434,7 +405,7 @@ def scenario_jordan_layer(full=False, seed=DEFAULT_SEED) -> Report:
 # criterion 8: type tuples
 # =========================================================================
 
-def scenario_type_tuples(full=False, seed=DEFAULT_SEED) -> Report:
+def scenario_type_tuples(seed=DEFAULT_SEED) -> Report:
     cl = Claims("type-tuples")
     PC, grPC = magic.graded_para_cayley()
     L, grL, _ = magic.orthogonal_graded(PC, grPC)
@@ -481,7 +452,7 @@ def scenario_type_tuples(full=False, seed=DEFAULT_SEED) -> Report:
 # criterion 9: the toral operator
 # =========================================================================
 
-def scenario_toral_operator(full=False, seed=DEFAULT_SEED) -> Report:
+def scenario_toral_operator(seed=DEFAULT_SEED) -> Report:
     cl = Claims("toral-operator")
     O = okubo11()
     x = O.element([-1, 0, 0, 0, 0, 0, 0, 0])
@@ -514,7 +485,7 @@ def scenario_toral_operator(full=False, seed=DEFAULT_SEED) -> Report:
 # criterion 10: Jordan gradings
 # =========================================================================
 
-def scenario_jordan_gradings(full=False, seed=DEFAULT_SEED) -> Report:
+def scenario_jordan_gradings(seed=DEFAULT_SEED) -> Report:
     cl = Claims("jordan-gradings")
     _, lie3, gr3 = magic.f4_z3_3()
     rep = magic.jordan_grading_check(lie3, gr3, cartan_mode="pairs")
@@ -548,7 +519,7 @@ def scenario_jordan_gradings(full=False, seed=DEFAULT_SEED) -> Report:
 # criterion 11: round trips
 # =========================================================================
 
-def scenario_round_trip(full=False, seed=DEFAULT_SEED) -> Report:
+def scenario_round_trip(seed=DEFAULT_SEED) -> Report:
     from .algebra import algebra_from_text
     from .grading import grading_from_text
     cl = Claims("round-trip")
@@ -581,7 +552,7 @@ def scenario_round_trip(full=False, seed=DEFAULT_SEED) -> Report:
 
 # =========================================================================
 
-def scenario_table2_symmetric(full=False, seed=DEFAULT_SEED) -> Report:
+def scenario_table2_symmetric(seed=DEFAULT_SEED) -> Report:
     cl = Claims("table2-symmetric")
     for pa, pb in ((sc(1), sc(1)), (sc(2), sc(3)), (OMEGA, sc(1))):
         O = compose.okubo(pa, pb)
@@ -592,7 +563,7 @@ def scenario_table2_symmetric(full=False, seed=DEFAULT_SEED) -> Report:
     return cl.report()
 
 
-def scenario_e8_dempwolff(full=False, seed=DEFAULT_SEED) -> Report:
+def scenario_e8_dempwolff(seed=DEFAULT_SEED) -> Report:
     cl = Claims("e8-dempwolff")
     mag8, gr8 = e8_pair()
     gr5 = magic.e8_dempwolff(mag8, gr8)

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 
+import forge
 from forge.cli import main
 
 
@@ -67,6 +71,28 @@ def test_scenario_json(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["passed"] is True
     assert all(c["passed"] for c in payload["details"]["claims"])
+
+
+def test_scenario_json_is_byte_identical(tmp_path, capsys):
+    outs = [tmp_path / "a.json", tmp_path / "b.json"]
+    for out in outs:
+        assert main(["scenario", "round-trip", "--json", "--out", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert "timings" not in json.loads(outs[0].read_text())
+    assert main(["scenario", "round-trip", "--json", "--timings"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["timings"]["wall_time_s"] >= 0
+    assert payload["details"] == json.loads(outs[0].read_text())["details"]
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # numpy is needed only by the modular rank bounds, loaded on first use
+    src = os.path.dirname(os.path.dirname(forge.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, forge.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env).stdout
+    assert out.strip() == "False"
 
 
 def test_magic_small(capsys):

@@ -185,3 +185,8 @@ def test_rank_mod_p_retries_on_bad_prime():
     p0 = rank_moduli(1)[0][0]
     rows = [{0: Scalar(1, 0, p0)}, {1: ONE}]
     assert rank_mod_p(rows, 2) == 2
+    # the retry must see the rows a generator handed to the failed attempt
+    rows = [{i: ONE} for i in range(5)]
+    rows[2] = {2: Scalar(1, 0, p0)}
+    assert rank_mod_p(rows, 5) == 5
+    assert rank_mod_p((r for r in rows), 5) == 5

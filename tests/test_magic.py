@@ -1,7 +1,7 @@
 import pytest
 
 from forge import compose, magic
-from forge.algebra import verify_jordan, verify_lie
+from forge.algebra import Algebra, verify_jordan, verify_lie
 from forge.exact import ONE, ZERO, Polynomial, is_squarefree, sc
 from forge.grading import grading_type, verify_grading
 from forge.linalg import Matrix, nullspace
@@ -245,12 +245,42 @@ def test_f4_z3_3_generic_parameters():
     assert grading_type(gr) == (0, 26)
 
 
-def test_verify_lie_sampled_mode_deterministic():
-    mag8, _ = e8_pair()
-    r1 = verify_lie(mag8.lie, mode="sampled", samples=2000, seed=99)
-    r2 = verify_lie(mag8.lie, mode="sampled", samples=2000, seed=99)
-    assert r1.passed and r2.passed
-    assert r1.details == r2.details
+def test_verify_lie_names_a_corrupted_structure_constant():
+    L = e8_pair()[0].lie
+    i, j = 0, 1
+    vec = dict(L.product(i, j))
+    vec[2] = vec.get(2, ZERO) + ONE
+    products = dict(L.products)
+    products[(i, j)] = vec
+    products[(j, i)] = {k: -v for k, v in vec.items()}
+    rep = verify_lie(Algebra(L.dim, "corrupted", products))
+    assert not rep.passed
+    assert rep.details == {"identity": "jacobi"}
+    assert {i, j} <= set(rep.witness)
+
+
+def test_triality_scan_names_a_corrupted_triple(monkeypatch):
+    intact = magic.t_xy
+    for S in (para_split(), okubo11()):
+        assert magic.triality_bracket_failures(S) == []
+        pair = (S.basis_element(2), S.basis_element(5))
+
+        def corrupted(S_, x, y):
+            t = intact(S_, x, y)
+            if (x, y) != pair:
+                return t
+            m1 = t.mats[1].copy()
+            m1.data[0][3] = m1.data[0][3] + ONE
+            return magic.TriElement((t.mats[0], m1, t.mats[2]))
+
+        monkeypatch.setattr(magic, "t_xy", corrupted)
+        bad = magic.triality_bracket_failures(S)
+        monkeypatch.setattr(magic, "t_xy", intact)
+        assert bad
+        # each failure uses t_{2,5} on the left or, through sigma, on the right
+        assert all((2, 5) in ((a, b), (x, y), (b, y), (a, y), (x, b), (x, a))
+                   for a, b, x, y in bad)
+        assert any((2, 5) in ((a, b), (x, y)) for a, b, x, y in bad)
 
 
 def test_theta_eigenspace_dims_okubo_case():
