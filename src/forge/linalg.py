@@ -350,37 +350,53 @@ def _annihilator_from_chain(chain):
     return Polynomial([-c for c in x] + [ONE])
 
 
-def minimal_polynomial_op(apply_fn, dim: int) -> Polynomial:
-    """Minimal polynomial of a linear operator given as a sparse apply.
+def _krylov_chain(apply_fn, seed: dict, dim: int):
+    """[v, Mv, ..., M^k v] up to the first vector dependent on the others."""
+    chain = [seed]
+    local = SparseEchelon(dim)
+    local.insert(seed)
+    while True:
+        chain.append(apply_fn(chain[-1]))
+        if not local.insert(chain[-1]):
+            return chain
 
-    apply_fn maps a sparse dict vector to a sparse dict vector.  Krylov
-    chains from basis seeds are combined by lcm; collected chain vectors
-    span the whole space at the end, which certifies the result (p kills
-    every chain vector, hence everything).
+
+def _poly_apply(f: Polynomial, apply_fn, v: dict) -> dict:
+    """f(M) v by Horner's rule."""
+    out: dict = {}
+    for c in reversed(f.coeffs):
+        out = apply_fn(out)
+        if c.p or c.q:
+            vec_add_scaled(out, c, v)
+    return out
+
+
+def column_apply(cols):
+    """Sparse apply of the operator whose j-th column is the sparse dict cols[j]."""
+    def apply_fn(v):
+        out: dict = {}
+        for j, c in v.items():
+            vec_add_scaled(out, c, cols[j])
+        return out
+    return apply_fn
+
+
+def minimal_polynomial_op(apply_fn, dim: int) -> Polynomial:
+    """Minimal polynomial m of a linear operator M given as a sparse apply.
+
+    apply_fn maps a sparse dict vector to a sparse dict vector.  Walks the
+    basis with f = 1: where f(M) e_j != 0 (exact Horner over Q(w)), f becomes
+    the lcm of f and the annihilator of the Krylov chain from e_j.
+    Each chain annihilator divides m, so f | m.
+    f(M) e_j = 0 holds for every basis vector e_j at the end, so m | f.
     """
-    span = SparseEchelon(dim)
-    minpoly = Polynomial([ONE])
-    for seed in range(dim):
-        if span.rank == dim:
-            break
-        if not span.reduce({seed: ONE}):
-            continue
-        chain = [{seed: ONE}]
-        local = SparseEchelon(dim)
-        local.insert(chain[0])
-        while True:
-            nxt = apply_fn(chain[-1])
-            chain.append(nxt)
-            if not local.insert(nxt):
-                break
-            if len(chain) > dim + 1:
-                raise RuntimeError("krylov chain too long")
-        ann = _annihilator_from_chain(chain)
-        if not (minpoly % ann).is_zero():
-            minpoly = poly_lcm(minpoly, ann)
-        for v in chain[:-1]:
-            span.insert(v)
-    return minpoly
+    f = Polynomial([ONE])
+    for j in range(dim):
+        seed = {j: ONE}
+        if _poly_apply(f, apply_fn, seed):
+            chain = _krylov_chain(apply_fn, seed, dim)
+            f = poly_lcm(f, _annihilator_from_chain(chain))
+    return f
 
 
 def minimal_polynomial(m: Matrix) -> Polynomial:
@@ -388,14 +404,7 @@ def minimal_polynomial(m: Matrix) -> Polynomial:
         raise NotSquare("minimal polynomial needs a square matrix")
     cols = [{i: m.data[i][j] for i in range(m.rows) if not m.data[i][j].is_zero()}
             for j in range(m.cols)]
-
-    def apply_fn(v):
-        out = {}
-        for j, c in v.items():
-            vec_add_scaled(out, c, cols[j])
-        return out
-
-    return minimal_polynomial_op(apply_fn, m.rows)
+    return minimal_polynomial_op(column_apply(cols), m.rows)
 
 
 # =========================================================================
@@ -662,13 +671,22 @@ def rank_mod_p(rows, ncols: int, limit: int | None = None) -> int:
     Performs blocked Gauss elimination modulo a prime in exact float64
     integer arithmetic; the returned value never exceeds the true rank, so
     it certifies rank lower bounds exactly.  Stops early once `limit` is
-    reached, if given.  `rows` may be a generator; it is read once, so a
-    retry after a prime that divides a denominator sees every row again.
+    reached, if given.  `rows` may be a generator; it is read lazily and the
+    rows read so far are kept, so a retry after a prime that divides a
+    denominator replays them and then goes on reading the same generator.
     """
-    rows = list(rows)
+    seen: list = []
+    rest = iter(rows)
+
+    def replay():
+        yield from seen
+        for row in rest:
+            seen.append(row)
+            yield row
+
     for p, w in rank_moduli():
         try:
-            return _rank_mod_single(rows, ncols, p, w, limit)
+            return _rank_mod_single(replay(), ncols, p, w, limit)
         except BadPrime:
             continue
     raise RuntimeError("no suitable prime found")

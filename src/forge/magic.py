@@ -20,11 +20,11 @@ from dataclasses import dataclass, field
 from . import compose
 from .algebra import (Algebra, Element, _pair_mul, operator_matrix,
                       verify_symmetric)
-from .exact import ONE, OMEGA, OMEGA2, ZERO, HALF, Polynomial, Scalar, sc
+from .exact import ONE, OMEGA, OMEGA2, ZERO, HALF, Polynomial, sc
 from .grading import AbelianGroup, Grading, GroupHom
-from .linalg import (Matrix, SparseEchelon, clear_denominators, inverse,
-                     rank_mod_p, rank_moduli, rref, sparse_kernel,
-                     vec_add_scaled)
+from .linalg import (Matrix, SparseEchelon, clear_denominators, column_apply,
+                     inverse, minimal_polynomial_op, rank_mod_p, rref,
+                     sparse_kernel, vec_add_scaled)
 from .report import Report
 
 
@@ -1028,185 +1028,19 @@ OMEGA_BLOCK = Matrix([[ONE, ONE, ONE], [ONE, OMEGA2, OMEGA], [ONE, OMEGA, OMEGA2
 
 
 # =========================================================================
-# adjoint minimal polynomials over cleared-integer tables
+# adjoint minimal polynomials
 # =========================================================================
 
-def _ad_int_columns(L: Algebra, x: Element):
-    """Columns of (D * cx) ad_x with integer-pair entries."""
-    from math import lcm
-    D, T, _ = L.int_table()
-    cx = 1
-    for c in x.coords:
-        cx = lcm(cx, c.d)
-    xi = [(i, c.p * (cx // c.d), c.q * (cx // c.d))
-          for i, c in enumerate(x.coords) if c.p or c.q]
-    cols = {}
-    for j in range(L.dim):
-        acc: dict = {}
-        for i, p1, q1 in xi:
-            lst = T.get(i, {}).get(j)
-            if lst:
-                for m, p2, q2 in lst:
-                    t = q1 * q2
-                    cur = acc.get(m)
-                    dp = p1 * p2 - t
-                    dq = p1 * q2 + q1 * p2 - t
-                    acc[m] = (dp, dq) if cur is None else (cur[0] + dp, cur[1] + dq)
-        col = tuple((m, p, q) for m, (p, q) in acc.items() if p or q)
-        if col:
-            cols[j] = col
-    return cols, D * cx
-
-
-def _apply_int(cols, v: dict) -> dict:
-    out: dict = {}
-    for j, (p1, q1) in v.items():
-        col = cols.get(j)
-        if col:
-            for m, p2, q2 in col:
-                t = q1 * q2
-                cur = out.get(m)
-                dp = p1 * p2 - t
-                dq = p1 * q2 + q1 * p2 - t
-                out[m] = (dp, dq) if cur is None else (cur[0] + dp, cur[1] + dq)
-    return {m: pq for m, pq in out.items() if pq[0] or pq[1]}
-
-
-class _ModSpan:
-    """Span tracker modulo a prime; rank never exceeds the exact rank."""
-
-    def __init__(self, ncols: int, p: int, w: int):
-        import numpy as np
-        self.ncols = ncols
-        self.p = p
-        self.w = w
-        self.pivots = np.zeros((ncols, ncols), dtype=np.float64)
-        self.pivot_cols: list = []
-
-    def _vec(self, v: dict):
-        import numpy as np
-        out = np.zeros(self.ncols, dtype=np.float64)
-        p, w = self.p, self.w
-        for k, (a, b) in v.items():
-            out[k] = (a + b * w) % p
-        return out
-
-    def _reduce(self, vec):
-        k = len(self.pivot_cols)
-        if k:
-            coeffs = vec[self.pivot_cols]
-            vec = (vec - coeffs @ self.pivots[:k]) % self.p
-        return vec
-
-    def contains(self, v: dict) -> bool:
-        return not self._reduce(self._vec(v)).any()
-
-    def insert(self, v: dict) -> bool:
-        import numpy as np
-        vec = self._reduce(self._vec(v))
-        nz = np.nonzero(vec)[0]
-        if nz.size == 0:
-            return False
-        c = int(nz[0])
-        vec = vec * pow(int(vec[c]), -1, self.p) % self.p
-        k = len(self.pivot_cols)
-        if k:
-            col = self.pivots[:k, c].copy()
-            if np.any(col):
-                self.pivots[:k] = (self.pivots[:k] - np.outer(col, vec)) % self.p
-        self.pivots[k] = vec
-        self.pivot_cols.append(c)
-        return True
-
-    @property
-    def rank(self):
-        return len(self.pivot_cols)
-
-
-def _chain_annihilator(chain, dim):
-    """Monic annihilator of a Krylov chain of integer-pair vectors."""
-    from .linalg import Matrix as _M, solve as _solve
-    cols = sorted(set().union(*[set(c) for c in chain]))
-    idx = {c: i for i, c in enumerate(cols)}
-    m = _M.zero(len(cols), len(chain) - 1)
-    for j, v in enumerate(chain[:-1]):
-        for k, (a, b) in v.items():
-            m.data[idx[k]][j] = Scalar(a, b)
-    rhs = [ZERO] * len(cols)
-    for k, (a, b) in chain[-1].items():
-        rhs[idx[k]] = Scalar(a, b)
-    x = _solve(m, rhs)
-    if x is None:
-        raise RuntimeError("chain not dependent")
-    return Polynomial([-c for c in x] + [ONE])
-
-
 def adjoint_minimal_polynomial(L: Algebra, x: Element) -> Polynomial:
-    """Exact minimal polynomial of ad_x via integer Krylov chains.
+    """Exact minimal polynomial m of ad_x = [x, -], the left multiplication by x.
 
-    The lcm of the chain annihilators kills every collected chain vector;
-    a modular rank equal to dim certifies that those vectors span, hence
-    that the lcm annihilates the whole operator.  A failed certificate
-    falls back to a fully exact spanning argument.
+    linalg.minimal_polynomial_op gets the columns [x, e_j] and returns an lcm
+    f of Krylov-chain annihilators; each divides m, so f | m.
+    It returns f only once f(ad_x) e_j = 0 holds exactly for every j, so m | f.
     """
-    dim = L.dim
-    cols, scale = _ad_int_columns(L, x)
-    p, w = rank_moduli(1)[0]
-    span = _ModSpan(dim, p, w)
-    minpoly = Polynomial([ONE])
-    for seed in range(dim):
-        if span.rank == dim:
-            break
-        sv = {seed: (1, 0)}
-        if span.contains(sv):
-            continue
-        chain = [sv]
-        local = SparseEchelon(dim)
-        local.insert({seed: ONE})
-        while True:
-            nxt = _apply_int(cols, chain[-1])
-            chain.append(nxt)
-            if not local.insert({k: Scalar(a, b) for k, (a, b) in nxt.items()}):
-                break
-            if len(chain) > dim + 1:
-                raise RuntimeError("chain too long")
-        ann = _chain_annihilator(chain, dim)
-        if not (minpoly % ann).is_zero():
-            minpoly = _lcm_poly(minpoly, ann)
-        for v in chain[:-1]:
-            span.insert(v)
-    if span.rank != dim:
-        # certificate failed; redo with the exact generic machinery
-        from .linalg import minimal_polynomial_op
-
-        def apply_fn(v):
-            out: dict = {}
-            for j, c in v.items():
-                col = cols.get(j)
-                if col:
-                    for m, a, b in col:
-                        cur = out.get(m, ZERO) + c * Scalar(a, b)
-                        if cur.p or cur.q:
-                            out[m] = cur
-                        elif m in out:
-                            del out[m]
-            return out
-
-        minpoly = minimal_polynomial_op(apply_fn, dim)
-    # minpoly is that of scale * ad_x; substitute X -> scale * X and renormalize
-    deg = minpoly.degree()
-    sinv = sc(scale).inv()
-    out, power = [], ONE
-    for i in range(deg, -1, -1):
-        out.append(minpoly.coeffs[i] * power)
-        power = power * sinv
-    out.reverse()
-    return Polynomial(out)
-
-
-def _lcm_poly(a: Polynomial, b: Polynomial) -> Polynomial:
-    from .exact import poly_lcm
-    return poly_lcm(a, b)
+    xs = x.sparse()
+    cols = [L.multiply_sparse(xs, {j: ONE}) for j in range(L.dim)]
+    return minimal_polynomial_op(column_apply(cols), L.dim)
 
 
 def is_toral(L: Algebra, elements) -> Report:

@@ -85,6 +85,17 @@ def test_scenario_json_is_byte_identical(tmp_path, capsys):
     assert payload["details"] == json.loads(outs[0].read_text())["details"]
 
 
+def test_e8_dempwolff_scenario(tmp_path):
+    outs = [tmp_path / "a.json", tmp_path / "b.json"]
+    for out in outs:
+        assert main(["scenario", "e8-dempwolff", "--json", "--out", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    claims = {c["id"]: c for c in json.loads(outs[0].read_text())["details"]["claims"]}
+    assert all(c["passed"] for c in claims.values())
+    assert claims["component-count"]["got"] == "31"
+    assert claims["component-dim"]["got"] == "8"
+
+
 def test_cli_import_leaves_numpy_unloaded():
     # numpy is needed only by the modular rank bounds, loaded on first use
     src = os.path.dirname(os.path.dirname(forge.__file__))

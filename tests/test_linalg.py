@@ -4,9 +4,11 @@ import pytest
 
 from forge.exact import OMEGA, ONE, ZERO, Polynomial, Scalar, sc
 from forge.linalg import (IntMatrix, Matrix, NotSquare, SparseEchelon,
+                          _annihilator_from_chain, _krylov_chain, column_apply,
                           int_det, inverse, lattice_row_reduce,
-                          minimal_polynomial, nullspace, rank, rank_mod_p,
-                          rref, smith_normal_form, solve, sparse_kernel)
+                          minimal_polynomial, minimal_polynomial_op, nullspace,
+                          rank, rank_mod_p, rref, smith_normal_form, solve,
+                          sparse_kernel)
 
 X = Polynomial.x
 C = Polynomial.constant
@@ -45,11 +47,42 @@ def test_solve_and_inverse():
     assert solve(Matrix([[1, 1], [1, 1]]), [sc(0), sc(1)]) is None
 
 
+def _dense_minimal_polynomial(m):
+    # least k with M^k in the span of I, M, ..., M^(k-1), by one exact solve
+    n = m.rows
+    powers = [Matrix.identity(n)]
+    while True:
+        nxt = powers[-1] * m
+        flat = Matrix([[p.data[i][j] for p in powers]
+                       for i in range(n) for j in range(n)])
+        x = solve(flat, [nxt.data[i][j] for i in range(n) for j in range(n)])
+        if x is not None:
+            return Polynomial([-c for c in x] + [ONE])
+        powers.append(nxt)
+
+
+def _op(m):
+    cols = [{i: m.data[i][j] for i in range(m.rows) if not m.data[i][j].is_zero()}
+            for j in range(m.cols)]
+    return column_apply(cols)
+
+
+def _annihilates(p, m):
+    acc, power = Matrix.zero(m.rows, m.rows), Matrix.identity(m.rows)
+    for c in p.coeffs:
+        acc = acc + power.scale(c)
+        power = power * m
+    return acc.is_zero()
+
+
 def test_minimal_polynomial_examples():
     assert minimal_polynomial(Matrix.identity(5)) == X() - C(1)
     assert minimal_polynomial(Matrix([[0, 1], [0, 0]])) == X(2)
     d = Matrix([[1, 0, 0], [0, 2, 0], [0, 0, 2]])
     assert minimal_polynomial(d) == (X() - C(1)) * (X() - C(2))
+    # e_1 is killed by the reversed polynomial 1 - 2X of the first chain's X - 2
+    d = Matrix([[2, 0], [0, Scalar(1, 0, 2)]])
+    assert minimal_polynomial(d) == (X() - C(2)) * (X() - C(Scalar(1, 0, 2)))
     with pytest.raises(NotSquare):
         minimal_polynomial(Matrix.zero(2, 3))
 
@@ -60,12 +93,31 @@ def test_minimal_polynomial_annihilates():
         n = rng.randint(1, 5)
         m = Matrix([[sc(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)])
         p = minimal_polynomial(m)
-        acc = Matrix.zero(n, n)
-        power = Matrix.identity(n)
-        for c in p.coeffs:
-            acc = acc + power.scale(c)
-            power = power * m
-        assert acc.is_zero()
+        assert _annihilates(p, m)
+        assert p == _dense_minimal_polynomial(m)
+
+
+def test_minimal_polynomial_op_later_column_seeds_nilpotent_block():
+    # diag(2) + J_2(0) + J_3(1): the chain from e_0 only sees X - 2, and the
+    # nilpotent block needs the seed e_2
+    m = Matrix([[2, 0, 0, 0, 0, 0],
+                [0, 0, 1, 0, 0, 0],
+                [0, 0, 0, 0, 0, 0],
+                [0, 0, 0, 1, 1, 0],
+                [0, 0, 0, 0, 1, 1],
+                [0, 0, 0, 0, 0, 1]])
+    apply_fn = _op(m)
+    assert _annihilator_from_chain(_krylov_chain(apply_fn, {0: ONE}, 6)) == X() - C(2)
+    got = minimal_polynomial_op(apply_fn, 6)
+    assert got == (X() - C(2)) * X(2) * (X() - C(1)) * (X() - C(1)) * (X() - C(1))
+    assert got == _dense_minimal_polynomial(m)
+    assert _annihilates(got, m)
+
+
+def test_minimal_polynomial_op_zero_and_one_by_one():
+    assert minimal_polynomial_op(lambda v: {}, 4) == X()
+    assert minimal_polynomial_op(_op(Matrix([[5]])), 1) == X() - C(5)
+    assert minimal_polynomial_op(_op(Matrix([[OMEGA]])), 1) == X() - Polynomial([OMEGA])
 
 
 def test_smith_normal_form_examples():

@@ -2,7 +2,7 @@ import pytest
 
 from forge import compose, magic
 from forge.algebra import Algebra, verify_jordan, verify_lie
-from forge.exact import ONE, ZERO, Polynomial, is_squarefree, sc
+from forge.exact import ONE, ZERO, Polynomial, Scalar, is_squarefree, sc
 from forge.grading import grading_type, verify_grading
 from forge.linalg import Matrix, nullspace
 from forge.scenarios import (albert_para, e8_pair, f4_mag, okubo11,
@@ -114,6 +114,40 @@ def test_adjoint_minimal_polynomial_matches_dense():
     fast = magic.adjoint_minimal_polynomial(L, el)
     dense = minimal_polynomial(operator_matrix(L, "left", el))
     assert fast == dense
+
+
+def test_adjoint_minimal_polynomial_non_integral_coordinates():
+    # x = (1/3) e0 + (w/2) e13 + e40 has denominators 3 and 2, and 6x is integral
+    from forge.algebra import operator_matrix
+    from forge.linalg import minimal_polynomial
+    L = f4_mag().lie
+    coords = {0: Scalar(1, 0, 3), 13: Scalar(0, 1, 2), 40: ONE}
+    x = L.element([coords.get(i, ZERO) for i in range(52)])
+    mp = magic.adjoint_minimal_polynomial(L, x)
+    assert mp == minimal_polynomial(operator_matrix(L, "left", x))
+    six_x = L.element([sc(6) * c for c in x.coords])
+    assert magic.adjoint_minimal_polynomial(L, six_x).compose_linear(sc(6)).monic() == mp
+
+
+def test_is_toral_names_a_planted_nilpotent_element():
+    mag8, gr8 = e8_pair()
+    L = mag8.lie
+    comp = magic.e8_dempwolff(mag8, gr8).components()[(0, 1, 0, 0, 0)]
+    h = [L.basis_element(k) for k in comp]
+    assert magic.is_toral(L, h).passed
+    # iota_2((x1 + x3) x y7) is nilpotent: x1 + x3 is isotropic
+    n = L.zero()
+    for a in (1, 3):
+        n = n + L.basis_element(mag8.iota_index(2, a, 7))
+    assert magic.is_toral(L, h + [n]).details["stage"] == "abelian"
+    # a Cartan subalgebra is its own centralizer: keep the part commuting with n
+    keep = [e for e in h if not L.multiply_sparse(e.sparse(), n.sparse())]
+    assert len(keep) == 6
+    rep = magic.is_toral(L, keep + [n])
+    assert not rep.passed
+    assert rep.details["stage"] == "squarefree minimal polynomial"
+    assert rep.witness == len(keep)
+    assert rep.details["minpoly"] == "X^3"
 
 
 def test_is_toral_examples():
