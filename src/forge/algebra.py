@@ -10,8 +10,8 @@ run over denominator-cleared integer tables instead of Scalar objects.
 from __future__ import annotations
 
 from .exact import ONE, ZERO, Scalar, format_scalar, parse_scalar, sc
-from .linalg import (Matrix, SparseEchelon, clear_denominators, rank, solve,
-                     sparse_kernel, vec_add_scaled)
+from .linalg import (Matrix, SparseEchelon, clear_denominators, column_apply,
+                     rank, solve, sparse_kernel, vec_add_scaled)
 from .report import Report
 
 
@@ -145,19 +145,28 @@ def algebra_from_text(text: str, name: str = "ingested") -> Algebra:
     if len(head) < 4 or head[2] != "over" or head[3] != "Q(w)":
         raise ValueError("malformed header %r" % lines[0])
     dim = int(head[1])
+    if dim < 0:
+        raise ValueError("negative dimension %d" % dim)
+
+    def index(token):
+        k = int(token)
+        if not 0 <= k < dim:
+            raise ValueError("index %d outside 0..%d" % (k, dim - 1))
+        return k
+
     products: dict = {}
     polar_entries = []
     for ln in lines[1:]:
         if ln.startswith("polar "):
             _, i, j, val = ln.split(None, 3)
-            polar_entries.append((int(i), int(j), parse_scalar(val)))
+            polar_entries.append((index(i), index(j), parse_scalar(val)))
         else:
             left, right = ln.split("->")
-            i, j = (int(t) for t in left.split())
+            i, j = (index(t) for t in left.split())
             vec = {}
             for term in right.strip().split(","):
                 k, val = term.split(":", 1)
-                vec[int(k)] = parse_scalar(val)
+                vec[index(k)] = parse_scalar(val)
             products[(i, j)] = vec
     polar = None
     if polar_entries:
@@ -230,10 +239,6 @@ class Element:
             cs = format_scalar(c)
             terms.append("%s*%s" % (cs, self.algebra.label(i)))
         return " + ".join(terms) if terms else "0"
-
-
-def multiply(a: Element, b: Element) -> Element:
-    return a * b
 
 
 # =========================================================================
@@ -448,79 +453,124 @@ def verify_jordan(J: Algebra) -> Report:
 # derived subspaces
 # =========================================================================
 
-def _matrix_from_kernel_vec(vec: dict, dim: int) -> Matrix:
-    m = Matrix.zero(dim, dim)
-    for u, v in vec.items():
-        m.data[u // dim][u % dim] = v
+def position_index(d: int, positions=None, offset: int = 0) -> dict:
+    """Unknowns offset, offset + 1, ... for the matrix positions (r, c) given,
+    by default all d*d of them in row-major order."""
+    if positions is None:
+        positions = [(r, c) for r in range(d) for c in range(d)]
+    return {p: offset + k for k, p in enumerate(positions)}
+
+
+def kernel_matrix(vec: dict, index: dict, d: int) -> Matrix:
+    """The d x d matrix holding vec[index[(r, c)]] at each indexed position."""
+    m = Matrix.zero(d, d)
+    for (r, c), k in index.items():
+        v = vec.get(k)
+        if v is not None:
+            m.data[r][c] = v
     return m
+
+
+def _unknowns_by_column(index: dict, d: int):
+    cols = [[] for _ in range(d)]
+    for (r, c), k in index.items():
+        cols[c].append((r, k))
+    return cols
+
+
+def leibniz_rows(A: Algebra, index0: dict, index1: dict = None, index2: dict = None):
+    """Rows of the linear system d0(e_a e_b) = d1(e_a) e_b + e_a d2(e_b).
+
+    Each index maps a matrix position (r, c) to an unknown; a position missing
+    from an index is held at zero.  Without index1 and index2 all three maps
+    share index0, and the kernel is Der(A).  Rows come lazily in (a, b, m)
+    order, m the output coordinate.
+    """
+    d = A.dim
+    P = [[A.product(i, j) for j in range(d)] for i in range(d)]
+    out0 = [{} for _ in range(d)]
+    for (r, c), k in index0.items():
+        out0[r][c] = k
+    in1 = _unknowns_by_column(index0 if index1 is None else index1, d)
+    in2 = _unknowns_by_column(index0 if index2 is None else index2, d)
+    for a in range(d):
+        for b in range(d):
+            pab = P[a][b]
+            for m in range(d):
+                row: dict = {}
+                for l, c in pab.items():
+                    k = out0[m].get(l)
+                    if k is not None:
+                        row[k] = row.get(k, ZERO) + c
+                for r, k in in1[a]:
+                    c = P[r][b].get(m)
+                    if c is not None:
+                        row[k] = row.get(k, ZERO) - c
+                for r, k in in2[b]:
+                    c = P[a][r].get(m)
+                    if c is not None:
+                        row[k] = row.get(k, ZERO) - c
+                row = {k: v for k, v in row.items() if v.p or v.q}
+                if row:
+                    yield row
+
+
+def skew_rows(A: Algebra, index: dict):
+    """Rows of n(d(e_a), e_b) + n(e_a, d(e_b)) = 0 for a <= b, d over index."""
+    d = A.dim
+    N = A.polar.data
+    cols = _unknowns_by_column(index, d)
+    for a in range(d):
+        for b in range(a, d):
+            row: dict = {}
+            for r, k in cols[a]:
+                v = N[r][b]
+                if v.p or v.q:
+                    row[k] = row.get(k, ZERO) + v
+            for r, k in cols[b]:
+                v = N[a][r]
+                if v.p or v.q:
+                    row[k] = row.get(k, ZERO) + v
+            row = {k: v for k, v in row.items() if v.p or v.q}
+            if row:
+                yield row
 
 
 def derivation_algebra(A: Algebra):
     """Exact basis of {d : d(xy) = d(x)y + x d(y)} as matrices."""
-    d = A.dim
-    P = [[A.product(i, j) for j in range(d)] for i in range(d)]
-
-    def rows():
-        for i in range(d):
-            for j in range(d):
-                pij = P[i][j]
-                for m in range(d):
-                    row: dict = {}
-                    for l, c in pij.items():
-                        row[m * d + l] = row.get(m * d + l, ZERO) + c
-                    for r in range(d):
-                        c = P[r][j].get(m)
-                        if c is not None:
-                            key = r * d + i
-                            row[key] = row.get(key, ZERO) - c
-                        c = P[i][r].get(m)
-                        if c is not None:
-                            key = r * d + j
-                            row[key] = row.get(key, ZERO) - c
-                    row = {k: v for k, v in row.items() if v.p or v.q}
-                    if row:
-                        yield row
-
-    kern = sparse_kernel(rows(), d * d)
-    return [_matrix_from_kernel_vec(v, d) for v in kern]
+    index = position_index(A.dim)
+    kern = sparse_kernel(leibniz_rows(A, index), A.dim ** 2)
+    return [kernel_matrix(v, index, A.dim) for v in kern]
 
 
 def orthogonal_algebra(A: Algebra):
     """Exact basis of the norm-skew maps o(A, n)."""
     if A.polar is None:
         raise MissingForm("orthogonal algebra needs a polar form")
-    d = A.dim
-    N = A.polar.data
+    index = position_index(A.dim)
+    kern = sparse_kernel(skew_rows(A, index), A.dim ** 2)
+    return [kernel_matrix(v, index, A.dim) for v in kern]
 
-    def rows():
-        for i in range(d):
-            for j in range(i, d):
-                row: dict = {}
-                for r in range(d):
-                    c = N[r][j]
-                    if c.p or c.q:
-                        key = r * d + i
-                        row[key] = row.get(key, ZERO) + c
-                    c = N[i][r]
-                    if c.p or c.q:
-                        key = r * d + j
-                        row[key] = row.get(key, ZERO) + c
-                row = {k: v for k, v in row.items() if v.p or v.q}
-                if row:
-                    yield row
 
-    kern = sparse_kernel(rows(), d * d)
-    return [_matrix_from_kernel_vec(v, d) for v in kern]
+def multiplicative_failure(A: Algebra, B: Algebra, cols, anticommutative=False):
+    """First basis pair (i, j) with f(e_i e_j) != f(e_i) f(e_j), or None.
+
+    f: A -> B is the linear map whose j-th column is the sparse dict cols[j].
+    With anticommutative, only the pairs i < j are checked.
+    """
+    f = column_apply(cols)
+    for i in range(A.dim):
+        for j in range(i + 1 if anticommutative else 0, A.dim):
+            if f(A.product(i, j)) != B.multiply_sparse(cols[i], cols[j]):
+                return i, j
+    return None
 
 
 def matrix_in_span(m: Matrix, basis, dim: int) -> bool:
     ech = SparseEchelon(dim * dim)
     for b in basis:
-        ech.insert({r * dim + c: b.data[r][c] for r in range(dim)
-                    for c in range(dim) if not b.data[r][c].is_zero()})
-    probe = {r * dim + c: m.data[r][c] for r in range(dim)
-             for c in range(dim) if not m.data[r][c].is_zero()}
-    return ech.contains(probe)
+        ech.insert(b.flat())
+    return ech.contains(m.flat())
 
 
 def subalgebra_generated(A: Algebra, gens):

@@ -26,34 +26,33 @@ from .report import Report
 from . import scenarios
 
 
-class UnknownScenario(KeyError):
-    pass
-
-
 def _parse_params(text):
     if not text:
         return ()
     return tuple(parse_scalar(t) for t in text.split(","))
 
 
+# name -> (constructor, default parameters); the two doubling towers take any
+# number of parameters, every other builder exactly as many as its defaults
 _BUILDERS = {
-    "k": lambda p: compose.ground_field(),
-    "s1": lambda p: compose.s1(),
-    "s2": lambda p: compose.s2(*(p or (1,))),
-    "quadratic": lambda p: compose.quadratic_algebra(*(p or (-1,))),
-    "mat2": lambda p: compose.split_quaternion(),
-    "split-cayley": lambda p: compose.split_cayley(),
-    "cd": lambda p: compose.cd_tower(*(p or (1, 1, 1))),
-    "para-cayley": lambda p: compose.para_hurwitz(compose.cd_tower(*(p or (1, 1, 1)))),
-    "para-split-cayley": lambda p: compose.para_hurwitz(compose.split_cayley()),
-    "okubo": lambda p: compose.okubo(*(p or (1, 1))),
-    "okubo-quat": lambda p: compose.okubo_from_quaternion(*(p or (1, 1))),
-    "p8": lambda p: compose.pseudo_octonion(),
-    "p8-nst": lambda p: compose.petersson(compose.split_cayley(),
-                                          compose.tau_automorphism("nst")),
-    "p8-omega": lambda p: compose.petersson(compose.split_cayley(),
-                                            compose.tau_automorphism("omega")),
+    "k": (compose.ground_field, ()),
+    "s1": (compose.s1, ()),
+    "s2": (compose.s2, (1,)),
+    "quadratic": (compose.quadratic_algebra, (-1,)),
+    "mat2": (compose.split_quaternion, ()),
+    "split-cayley": (compose.split_cayley, ()),
+    "cd": (compose.cd_tower, (1, 1, 1)),
+    "para-cayley": (lambda *p: compose.para_hurwitz(compose.cd_tower(*p)), (1, 1, 1)),
+    "para-split-cayley": (lambda: compose.para_hurwitz(compose.split_cayley()), ()),
+    "okubo": (compose.okubo, (1, 1)),
+    "okubo-quat": (compose.okubo_from_quaternion, (1, 1)),
+    "p8": (compose.pseudo_octonion, ()),
+    "p8-nst": (lambda: compose.petersson(compose.split_cayley(),
+                                         compose.tau_automorphism("nst")), ()),
+    "p8-omega": (lambda: compose.petersson(compose.split_cayley(),
+                                           compose.tau_automorphism("omega")), ()),
 }
+_TOWERS = ("cd", "para-cayley")
 
 
 def build_algebra(spec: str) -> Algebra:
@@ -64,7 +63,12 @@ def build_algebra(spec: str) -> Algebra:
     if name not in _BUILDERS:
         raise KeyError("unknown algebra %r (try: %s)"
                        % (name, ", ".join(sorted(_BUILDERS))))
-    return _BUILDERS[name](_parse_params(params))
+    fn, defaults = _BUILDERS[name]
+    p = _parse_params(params)
+    if p and len(p) != len(defaults) and name not in _TOWERS:
+        raise ValueError("algebra %r takes %d parameter(s), got %d"
+                         % (name, len(defaults), len(p)))
+    return fn(*(p or defaults))
 
 
 def _sink(text: str, out):

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 from .exact import MINUS_ONE, OMEGA, OMEGA2, ONE, TWO, ZERO, Scalar, sc
 from .algebra import (Algebra, Element, MissingForm, find_unity,
-                      verify_composition)
-from .linalg import Matrix, inverse, rank
+                      multiplicative_failure, operator_matrix, verify_composition)
+from .linalg import Matrix, inverse, nullspace, rank
 
 
 class NotHurwitz(ValueError):
@@ -153,9 +153,7 @@ def cd_double(B: Algebra, lam) -> Algebra:
     if find_unity(B) is None or not verify_composition(B).passed:
         raise NotHurwitz("can only double a Hurwitz algebra")
     d = B.dim
-    conj = conjugation(B)
-    conj_col = [{r: conj.data[r][j] for r in range(d)
-                 if not conj.data[r][j].is_zero()} for j in range(d)]
+    conj_col = conjugation(B).sparse_cols()
     products: dict = {}
 
     def put(i, j, vec, offset):
@@ -194,10 +192,8 @@ def cd_tower(*lams) -> Algebra:
 
 def para_hurwitz(C: Algebra) -> Algebra:
     """Same space and norm, product x . y = conj(x) conj(y)."""
-    conj = conjugation(C)
+    col = conjugation(C).sparse_cols()
     d = C.dim
-    col = [{r: conj.data[r][j] for r in range(d)
-            if not conj.data[r][j].is_zero()} for j in range(d)]
     products = {}
     for i in range(d):
         for j in range(d):
@@ -206,11 +202,6 @@ def para_hurwitz(C: Algebra) -> Algebra:
                 products[(i, j)] = vec
     return Algebra(d, "para(%s)" % C.name, products, polar=C.polar.copy(),
                    labels=C.labels)
-
-
-def para_cayley(lams=(1, 1, 1)) -> Algebra:
-    """Para-Hurwitz twist of the doubling tower CD(k, lams)."""
-    return para_hurwitz(cd_tower(*lams))
 
 
 # =========================================================================
@@ -252,26 +243,11 @@ def tau_automorphism(kind: str) -> Matrix:
 
 
 def _check_automorphism(C: Algebra, tau: Matrix):
-    d = C.dim
-    col = [{r: tau.data[r][j] for r in range(d)
-            if not tau.data[r][j].is_zero()} for j in range(d)]
-    for i in range(d):
-        for j in range(d):
-            lhs: dict = {}
-            for k, c in C.product(i, j).items():
-                for r, v in col[k].items():
-                    cur = lhs.get(r, ZERO)
-                    nv = cur + c * v
-                    if nv.p or nv.q:
-                        lhs[r] = nv
-                    elif r in lhs:
-                        del lhs[r]
-            rhs = C.multiply_sparse(col[i], col[j])
-            if lhs != rhs:
-                raise NotAutomorphism("not multiplicative at basis pair (%d,%d)"
-                                      % (i, j))
+    bad = multiplicative_failure(C, C, tau.sparse_cols())
+    if bad is not None:
+        raise NotAutomorphism("not multiplicative at basis pair (%d,%d)" % bad)
     t3 = tau * tau * tau
-    if t3 != Matrix.identity(d):
+    if t3 != Matrix.identity(C.dim):
         raise NotOrderDividing3("cube is not the identity")
 
 
@@ -279,13 +255,9 @@ def petersson(C: Algebra, tau: Matrix) -> Algebra:
     """Twist x*y = tau(conj x) tau^2(conj y) by an order-3 automorphism."""
     _check_automorphism(C, tau)
     conj = conjugation(C)
-    t1 = tau * conj
-    t2 = tau * tau * conj
+    col1 = (tau * conj).sparse_cols()
+    col2 = (tau * tau * conj).sparse_cols()
     d = C.dim
-    col1 = [{r: t1.data[r][j] for r in range(d)
-             if not t1.data[r][j].is_zero()} for j in range(d)]
-    col2 = [{r: t2.data[r][j] for r in range(d)
-             if not t2.data[r][j].is_zero()} for j in range(d)]
     products = {}
     for i in range(d):
         for j in range(d):
@@ -361,11 +333,7 @@ def okubo_from_quaternion(beta, alpha) -> Algebra:
     tau = Matrix.zero(8, 8)
     for i in range(4):
         tau.data[i][i] = ONE
-    lw = Matrix.zero(4, 4)
-    for j in range(4):
-        out = Q.multiply_sparse(w.sparse(), {j: ONE})
-        for r, c in out.items():
-            lw.data[r][j] = c
+    lw = operator_matrix(Q, "left", w)
     for i in range(4):
         for j in range(4):
             tau.data[4 + i][4 + j] = lw.data[i][j]
@@ -413,22 +381,8 @@ class AlgebraMorphism:
         return Element(self.target, self.matrix.apply(list(x.coords)))
 
     def is_multiplicative(self) -> bool:
-        d = self.source.dim
-        cols = [{r: self.matrix.data[r][j] for r in range(self.target.dim)
-                 if not self.matrix.data[r][j].is_zero()} for j in range(d)]
-        for i in range(d):
-            for j in range(d):
-                lhs: dict = {}
-                for k, c in self.source.product(i, j).items():
-                    for r, v in cols[k].items():
-                        cur = lhs.get(r, ZERO) + c * v
-                        if cur.p or cur.q:
-                            lhs[r] = cur
-                        elif r in lhs:
-                            del lhs[r]
-                if lhs != self.target.multiply_sparse(cols[i], cols[j]):
-                    return False
-        return True
+        return multiplicative_failure(self.source, self.target,
+                                      self.matrix.sparse_cols()) is None
 
     def is_invertible(self) -> bool:
         return rank(self.matrix) == self.source.dim
@@ -460,7 +414,8 @@ def complete_okubo_pair(S: Algebra, x: Element) -> Element:
         rows.append(row)
     rows.append([S.polar_pair_sparse({j: ONE}, xs) for j in range(d)])
     rows.append([S.polar_pair_sparse({j: ONE}, xx) for j in range(d)])
-    space = nullspace_matrix(Matrix(rows))
+    space = [{i: c for i, c in enumerate(v) if not c.is_zero()}
+             for v in nullspace(Matrix(rows))]
 
     def combine(base, vec, cf):
         out = dict(base)
@@ -522,14 +477,6 @@ def _to_element(S: Algebra, v: dict) -> Element:
     for k, c in v.items():
         coords[k] = c
     return Element(S, coords)
-
-
-def nullspace_matrix(m: Matrix):
-    from .linalg import nullspace as _ns
-    basis = []
-    for v in _ns(m):
-        basis.append({i: c for i, c in enumerate(v) if not c.is_zero()})
-    return basis
 
 
 def okubo_dichotomy(S: Algebra, x: Element, y: Element):

@@ -38,10 +38,6 @@ class Scalar:
     # ---- constructors -------------------------------------------------
 
     @staticmethod
-    def from_int(n: int) -> "Scalar":
-        return Scalar(n, 0, 1)
-
-    @staticmethod
     def rational(num: int, den: int = 1) -> "Scalar":
         return Scalar(num, 0, den)
 
@@ -65,14 +61,6 @@ class Scalar:
 
     def is_zero(self) -> bool:
         return self.p == 0 and self.q == 0
-
-    def is_rational(self) -> bool:
-        return self.q == 0
-
-    def as_fraction(self) -> Fraction:
-        if self.q:
-            raise ValueError("not a rational scalar: %s" % self)
-        return Fraction(self.p, self.d)
 
     # ---- arithmetic ----------------------------------------------------
 
@@ -103,11 +91,6 @@ class Scalar:
     def conj(self) -> "Scalar":
         """Image under w -> w^2."""
         return Scalar(self.p - self.q, -self.q, self.d)
-
-    def field_norm(self) -> Fraction:
-        """Norm to Q: x * conj(x) = p^2 - p q + q^2 over d^2."""
-        return Fraction(self.p * self.p - self.p * self.q + self.q * self.q,
-                        self.d * self.d)
 
     def inv(self) -> "Scalar":
         n = self.p * self.p - self.p * self.q + self.q * self.q

@@ -282,12 +282,6 @@ def coarsen(gr: Grading, hom: GroupHom) -> Grading:
                    name=gr.name + ":coarse")
 
 
-def grading_fingerprint(gr: Grading):
-    """Necessary-condition fingerprint: canonical group invariants + type."""
-    group, _, _ = universal_group(gr)
-    return (group.canonical_invariants(), grading_type(gr))
-
-
 # =========================================================================
 # catalogs
 # =========================================================================

@@ -19,6 +19,10 @@ class NotSquare(ValueError):
     pass
 
 
+class DependentVectors(ValueError):
+    pass
+
+
 # =========================================================================
 # dense matrices
 # =========================================================================
@@ -104,8 +108,15 @@ class Matrix:
             out.append(acc)
         return out
 
-    def transpose(self) -> "Matrix":
-        return Matrix([list(r) for r in zip(*self.data)]) if self.rows else Matrix([])
+    def flat(self, offset: int = 0) -> dict:
+        """Nonzero entries as a sparse vector, (r, c) keyed offset + r*cols + c."""
+        return {offset + r * self.cols + c: v for r, row in enumerate(self.data)
+                for c, v in enumerate(row) if v.p or v.q}
+
+    def sparse_cols(self):
+        """The columns as sparse dicts {row: entry}."""
+        return [{r: row[j] for r, row in enumerate(self.data) if not row[j].is_zero()}
+                for j in range(self.cols)]
 
     def is_zero(self) -> bool:
         return all(x.is_zero() for row in self.data for x in row)
@@ -325,6 +336,37 @@ def sparse_kernel(rows, ncols: int):
         ech.insert(bad)
 
 
+class SpanCoords:
+    """Exact coordinates in the span of independent sparse vectors.
+
+    rref of the vectors picks pivot positions at which their block is
+    invertible.  The coordinates of a vector are that block's inverse applied
+    to its pivot entries, and an exact recombination check confirms that the
+    vector lies in the span.
+    """
+
+    def __init__(self, vectors, ncols: int):
+        self.vectors = list(vectors)
+        n = len(self.vectors)
+        self.pivots, self.solver = [], Matrix([])
+        if n:
+            _, rk, self.pivots = rref(Matrix([[v.get(c, ZERO) for c in range(ncols)]
+                                              for v in self.vectors]))
+            if rk != n:
+                raise DependentVectors("vectors are dependent")
+            self.solver = inverse(Matrix([[v.get(r, ZERO) for v in self.vectors]
+                                          for r in self.pivots]))
+
+    def coords(self, f: dict):
+        """Dense coordinates of the sparse vector f, or None outside the span."""
+        coords = self.solver.apply([f.get(r, ZERO) for r in self.pivots])
+        check: dict = {}
+        for c, v in zip(coords, self.vectors):
+            if c.p or c.q:
+                vec_add_scaled(check, c, v)
+        return coords if check == f else None
+
+
 # =========================================================================
 # minimal polynomial
 # =========================================================================
@@ -402,9 +444,7 @@ def minimal_polynomial_op(apply_fn, dim: int) -> Polynomial:
 def minimal_polynomial(m: Matrix) -> Polynomial:
     if m.rows != m.cols:
         raise NotSquare("minimal polynomial needs a square matrix")
-    cols = [{i: m.data[i][j] for i in range(m.rows) if not m.data[i][j].is_zero()}
-            for j in range(m.cols)]
-    return minimal_polynomial_op(column_apply(cols), m.rows)
+    return minimal_polynomial_op(column_apply(m.sparse_cols()), m.rows)
 
 
 # =========================================================================
@@ -543,11 +583,6 @@ def smith_normal_form(m: IntMatrix):
             t += 1
     inv = [a[i][i] if i < cols else 0 for i in range(n)]
     return inv, IntMatrix(L), IntMatrix(R)
-
-
-def snf_diagonal(m: IntMatrix):
-    """Invariant factors only (including zeros for the free part)."""
-    return smith_normal_form(m)[0]
 
 
 def lattice_row_reduce(rows, ncols: int):

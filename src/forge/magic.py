@@ -6,11 +6,13 @@ bracket rules, the 27-dimensional Jordan algebra attached to S, and the
 induced gradings on D4, F4, E6 and E8, together with toral/Cartan and
 Jordan-grading certificates.
 
-The heavy certificates (adjoint minimal polynomials in dimension 248,
-normalizer ranks) run over denominator-cleared integer tables, with a
-modular rank bound supplying the "no bigger than exhibited" half of each
-equality; a modular rank never exceeds the exact rank, so the combined
-statements are exact.
+tri(S), Der(S) and o(S, n) are exact kernels of the rows that
+algebra.leibniz_rows and algebra.skew_rows build.  Adjoint minimal
+polynomials are exact: linalg.minimal_polynomial_op proves each one by
+f(ad_x) e_j = 0 on every basis vector.  The "no bigger than exhibited" half
+of the normalizer and derivation-dimension equalities is a rank bound mod p,
+which never exceeds the exact rank; when it falls short, an exact kernel
+decides.
 """
 
 from __future__ import annotations
@@ -18,12 +20,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import compose
-from .algebra import (Algebra, Element, _pair_mul, operator_matrix,
-                      verify_symmetric)
-from .exact import ONE, OMEGA, OMEGA2, ZERO, HALF, Polynomial, sc
+from .algebra import (Algebra, Element, _pair_mul, kernel_matrix, leibniz_rows,
+                      multiplicative_failure, operator_matrix, position_index,
+                      skew_rows, verify_symmetric)
+from .exact import MINUS_ONE, ONE, OMEGA, OMEGA2, ZERO, HALF, Polynomial, sc
 from .grading import AbelianGroup, Grading, GroupHom
-from .linalg import (Matrix, SparseEchelon, clear_denominators, column_apply,
-                     inverse, minimal_polynomial_op, rank_mod_p, rref,
+from .linalg import (DependentVectors, Matrix, SpanCoords, SparseEchelon,
+                     clear_denominators, column_apply, inverse,
+                     minimal_polynomial_op, nullspace, rank_mod_p,
                      sparse_kernel, vec_add_scaled)
 from .report import Report
 
@@ -51,15 +55,9 @@ class TriElement:
     mats: tuple
 
     def flat(self) -> dict:
-        d = self.mats[0].rows
         out = {}
         for i, m in enumerate(self.mats):
-            base = i * d * d
-            for r in range(d):
-                for c in range(d):
-                    v = m.data[r][c]
-                    if v.p or v.q:
-                        out[base + r * d + c] = v
+            out.update(m.flat(i * m.rows * m.cols))
         return out
 
     def theta(self) -> "TriElement":
@@ -78,85 +76,16 @@ class TriElement:
                                 for a, b in zip(self.mats, other.mats)))
 
 
-def _skew_rows(S: Algebra, positions, offset):
-    """Skewness constraints n(d(x), y) + n(x, d(y)) = 0 on basis pairs."""
-    d = S.dim
-    pm = S.polar.data
-    pos_index = {p: i for i, p in enumerate(positions)}
-    rows = []
-    for a in range(d):
-        for b in range(a, d):
-            row = {}
-            for r in range(d):
-                if (r, a) in pos_index:
-                    v = pm[r][b]
-                    if v.p or v.q:
-                        k = offset + pos_index[(r, a)]
-                        row[k] = row.get(k, ZERO) + v
-                if (r, b) in pos_index:
-                    v = pm[a][r]
-                    if v.p or v.q:
-                        k = offset + pos_index[(r, b)]
-                        row[k] = row.get(k, ZERO) + v
-            row = {k: v for k, v in row.items() if v.p or v.q}
-            if row:
-                rows.append(row)
-    return rows
-
-
 def _triality_kernel(S: Algebra, positions):
-    """Kernel of skewness + triality constraints over allowed matrix positions.
-
-    positions: list of three position lists, one per component.
-    """
+    """Kernel of the skewness and triality constraints, with all three
+    components supported on the same matrix positions."""
     d = S.dim
-    P = [[S.product(i, j) for j in range(d)] for i in range(d)]
-    offsets = []
-    off = 0
-    for i in range(3):
-        offsets.append(off)
-        off += len(positions[i])
-    nunknown = off
-    pos_index = [{p: i for i, p in enumerate(positions[i])} for i in range(3)]
-    rows = []
-    for i in range(3):
-        rows.extend(_skew_rows(S, positions[i], offsets[i]))
-    for a in range(d):
-        for b in range(d):
-            pab = P[a][b]
-            for m in range(d):
-                row = {}
-                for l, c in pab.items():
-                    if (m, l) in pos_index[0]:
-                        k = offsets[0] + pos_index[0][(m, l)]
-                        row[k] = row.get(k, ZERO) + c
-                for r in range(d):
-                    if (r, a) in pos_index[1]:
-                        c = P[r][b].get(m)
-                        if c is not None:
-                            k = offsets[1] + pos_index[1][(r, a)]
-                            row[k] = row.get(k, ZERO) - c
-                    if (r, b) in pos_index[2]:
-                        c = P[a][r].get(m)
-                        if c is not None:
-                            k = offsets[2] + pos_index[2][(r, b)]
-                            row[k] = row.get(k, ZERO) - c
-                row = {k: v for k, v in row.items() if v.p or v.q}
-                if row:
-                    rows.append(row)
-    kern = sparse_kernel(rows, nunknown)
-    out = []
-    for vec in kern:
-        mats = []
-        for i in range(3):
-            m = Matrix.zero(d, d)
-            for p, idx in pos_index[i].items():
-                v = vec.get(offsets[i] + idx)
-                if v is not None:
-                    m.data[p[0]][p[1]] = v
-            mats.append(m)
-        out.append(TriElement(tuple(mats)))
-    return out
+    n = len(positions)
+    index = [position_index(d, positions, i * n) for i in range(3)]
+    rows = [row for ix in index for row in skew_rows(S, ix)]
+    rows.extend(leibniz_rows(S, *index))
+    return [TriElement(tuple(kernel_matrix(v, ix, d) for ix in index))
+            for v in sparse_kernel(rows, 3 * n)]
 
 
 def tri(S: Algebra):
@@ -164,8 +93,7 @@ def tri(S: Algebra):
     if S.polar is None or not verify_symmetric(S).passed:
         raise NotSymmetricComposition("tri needs a symmetric composition algebra")
     d = S.dim
-    allpos = [(r, c) for r in range(d) for c in range(d)]
-    return _triality_kernel(S, [allpos, allpos, allpos])
+    return _triality_kernel(S, [(r, c) for r in range(d) for c in range(d)])
 
 
 def t_xy(S: Algebra, x: Element, y: Element) -> TriElement:
@@ -202,38 +130,16 @@ class TriContext:
         self.S = S
         self.basis = basis if basis is not None else tri(S)
         self.n = len(self.basis)
-        d = S.dim
-        self.flat_dim = 3 * d * d
-        flats = [t.flat() for t in self.basis]
-        if self.n:
-            mt = Matrix([[f.get(c, ZERO) for c in range(self.flat_dim)]
-                         for f in flats])
-            _, rk, pivots = rref(mt)
-            if rk != self.n:
-                raise IncompatibleInputs("supplied tri basis is dependent")
-            self.sel_rows = pivots
-            b = Matrix([[flats[j].get(r, ZERO) for j in range(self.n)]
-                        for r in self.sel_rows])
-            self.solver = inverse(b)
-        else:
-            self.sel_rows = []
-            self.solver = Matrix([])
-        self.flats = flats
+        self.flat_dim = 3 * S.dim * S.dim
+        try:
+            self.span = SpanCoords([t.flat() for t in self.basis], self.flat_dim)
+        except DependentVectors:
+            raise IncompatibleInputs("supplied tri basis is dependent")
 
     def coords(self, t: TriElement):
         """Exact coordinates of a triple in the basis; verifies membership."""
-        f = t.flat()
-        if self.n == 0:
-            if f:
-                raise IncompatibleInputs("nonzero triple in a trivial tri algebra")
-            return []
-        vsub = [f.get(r, ZERO) for r in self.sel_rows]
-        coords = self.solver.apply(vsub)
-        check: dict = {}
-        for j, c in enumerate(coords):
-            if c.p or c.q:
-                vec_add_scaled(check, c, self.flats[j])
-        if check != f:
+        coords = self.span.coords(t.flat())
+        if coords is None:
             raise IncompatibleInputs("triple outside the triality algebra")
         return coords
 
@@ -391,25 +297,19 @@ def magic_g(S: Algebra, Sp: Algebra, tri_s: TriContext = None,
     # tri acting on the iota copies
     for r, t in enumerate(ctx.basis):
         for i in range(3):
-            mi = t.mats[i]
-            for a in range(d):
-                col = [(rr, mi.data[rr][a]) for rr in range(d)
-                       if not mi.data[rr][a].is_zero()]
+            for a, col in enumerate(t.mats[i].sparse_cols()):
                 if not col:
                     continue
                 for b in range(dp):
-                    vec = {iota(i, rr, b): v for rr, v in col}
+                    vec = {iota(i, rr, b): v for rr, v in col.items()}
                     put(r, iota(i, a, b), vec)
     for r, t in enumerate(ctxp.basis):
         for i in range(3):
-            mi = t.mats[i]
-            for b in range(dp):
-                col = [(rr, mi.data[rr][b]) for rr in range(dp)
-                       if not mi.data[rr][b].is_zero()]
+            for b, col in enumerate(t.mats[i].sparse_cols()):
                 if not col:
                     continue
                 for a in range(d):
-                    vec = {iota(i, a, rr): v for rr, v in col}
+                    vec = {iota(i, a, rr): v for rr, v in col.items()}
                     put(nt + r, iota(i, a, b), vec)
 
     # iota_i x iota_{i+1} -> iota_{i+2}
@@ -521,31 +421,21 @@ def theta_matrix(mag: MagicAlgebra) -> Matrix:
 
 def is_lie_automorphism(L: Algebra, m: Matrix) -> Report:
     """[m(x), m(y)] = m([x, y]) on all basis pairs."""
-    d = L.dim
-    cols = [{r: m.data[r][j] for r in range(d) if not m.data[r][j].is_zero()}
-            for j in range(d)]
-    for i in range(d):
-        for j in range(i + 1, d):
-            lhs = L.multiply_sparse(cols[i], cols[j])
-            rhs: dict = {}
-            for k, c in L.product(i, j).items():
-                vec_add_scaled(rhs, c, cols[k])
-            if lhs != rhs:
-                return Report("automorphism(%s)" % L.name, False, witness=(i, j))
+    bad = multiplicative_failure(L, L, m.sparse_cols(), anticommutative=True)
+    if bad is not None:
+        return Report("automorphism(%s)" % L.name, False, witness=bad)
     return Report("automorphism(%s)" % L.name, True)
+
+
+def _eigenspace(m: Matrix, ev):
+    """Exact basis of ker(m - ev*I), as dense vectors."""
+    return nullspace(m - Matrix.identity(m.rows).scale(ev))
 
 
 def theta_eigenspace_dims(mag: MagicAlgebra):
     """Dimensions of the eigenspaces of the order-3 automorphism for 1, w, w^2."""
     m = theta_matrix(mag)
-    n = mag.lie.dim
-    dims = []
-    for ev in (ONE, OMEGA, OMEGA2):
-        shifted = Matrix([[m.data[r][c] - (ev if r == c else ZERO)
-                           for c in range(n)] for r in range(n)])
-        from .linalg import nullspace
-        dims.append(len(nullspace(shifted)))
-    return tuple(dims)
+    return tuple(len(_eigenspace(m, ev)) for ev in (ONE, OMEGA, OMEGA2))
 
 
 # =========================================================================
@@ -615,16 +505,6 @@ def albert(S: Algebra) -> AlbertAlgebra:
     return AlbertAlgebra(jordan, S)
 
 
-def albert_theta(A: AlbertAlgebra) -> Matrix:
-    n = A.jordan.dim
-    m = Matrix.zero(n, n)
-    for i in range(3):
-        m.data[(i + 1) % 3][i] = ONE
-        for a in range(A.S.dim):
-            m.data[A.iota_index((i + 1) % 3, a)][A.iota_index(i, a)] = ONE
-    return m
-
-
 def d_i_derivation(A: AlbertAlgebra, i: int, a: Element) -> Matrix:
     """D_i(a) = 2 [L_{iota_i(a)}, L_{e_{i+1}}] acting on the Jordan algebra."""
     J = A.jordan
@@ -677,43 +557,16 @@ def check_d_i_rules(A: AlbertAlgebra, i: int, a: Element) -> Report:
 def is_derivation(L: Algebra, m: Matrix) -> bool:
     """Leibniz rule on all basis pairs."""
     d = L.dim
-    cols = [{r: m.data[r][j] for r in range(d) if not m.data[r][j].is_zero()}
-            for j in range(d)]
+    cols = m.sparse_cols()
+    apply_m = column_apply(cols)
     for i in range(d):
         for j in range(d):
-            lhs: dict = {}
-            for k, c in L.product(i, j).items():
-                vec_add_scaled(lhs, c, cols[k])
+            lhs = apply_m(L.product(i, j))
             rhs = L.multiply_sparse(cols[i], {j: ONE})
             vec_add_scaled(rhs, ONE, L.multiply_sparse({i: ONE}, cols[j]))
             if lhs != rhs:
                 return False
     return True
-
-
-def _leibniz_rows(L: Algebra):
-    """Constraint rows whose kernel is Der(L), over unknowns m[r][c]."""
-    d = L.dim
-    P = [[L.product(i, j) for j in range(d)] for i in range(d)]
-    for i in range(d):
-        for j in range(d):
-            pij = P[i][j]
-            for m in range(d):
-                row: dict = {}
-                for l, c in pij.items():
-                    row[m * d + l] = row.get(m * d + l, ZERO) + c
-                for r in range(d):
-                    c = P[r][j].get(m)
-                    if c is not None:
-                        key = r * d + i
-                        row[key] = row.get(key, ZERO) - c
-                    c = P[i][r].get(m)
-                    if c is not None:
-                        key = r * d + j
-                        row[key] = row.get(key, ZERO) - c
-                row = {k: v for k, v in row.items() if v.p or v.q}
-                if row:
-                    yield row
 
 
 def phi_isomorphism(S: Algebra, mag: MagicAlgebra = None,
@@ -746,20 +599,20 @@ def phi_isomorphism(S: Algebra, mag: MagicAlgebra = None,
                           witness=r)
     ech = SparseEchelon(nj * nj)
     for m in images:
-        ech.insert({r * nj + c: m.data[r][c] for r in range(nj)
-                    for c in range(nj) if not m.data[r][c].is_zero()})
+        ech.insert(m.flat())
     if ech.rank != g.dim:
         return Report(name, False, {"stage": "images independent"},
                       witness=ech.rank)
     needed = nj * nj - g.dim
-    got = rank_mod_p(_leibniz_rows(J), nj * nj, limit=needed)
+    index = position_index(nj)
+    got = rank_mod_p(leibniz_rows(J, index), nj * nj, limit=needed)
     if got < needed:
         # modular bound inconclusive; fall back to the exact kernel
-        der_dim = len(sparse_kernel(list(_leibniz_rows(J)), nj * nj))
+        der_dim = len(sparse_kernel(leibniz_rows(J, index), nj * nj))
         if der_dim != g.dim:
             return Report(name, False, {"stage": "derivation dimension"},
                           witness=der_dim)
-    img_cols = [_matrix_cols(m) for m in images]
+    img_cols = [m.sparse_cols() for m in images]
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
             rhs = _commutator_cols(img_cols[i], img_cols[j])
@@ -773,29 +626,12 @@ def phi_isomorphism(S: Algebra, mag: MagicAlgebra = None,
     return Report(name, True, {"dim": g.dim})
 
 
-def _matrix_cols(m: Matrix):
-    return [{r: m.data[r][j] for r in range(m.rows)
-             if not m.data[r][j].is_zero()} for j in range(m.cols)]
-
-
-def _apply_cols(cols, v: dict) -> dict:
-    out: dict = {}
-    for j, c in v.items():
-        vec_add_scaled(out, c, cols[j])
-    return out
-
-
 def _commutator_cols(a, b):
+    apply_a, apply_b = column_apply(a), column_apply(b)
     out = []
-    for j in range(len(a)):
-        col = _apply_cols(a, b[j])
-        neg = _apply_cols(b, a[j])
-        for k, v in neg.items():
-            cur = col.get(k, ZERO) - v
-            if cur.p or cur.q:
-                col[k] = cur
-            elif k in col:
-                del col[k]
+    for ca, cb in zip(a, b):
+        col = apply_a(cb)
+        vec_add_scaled(col, MINUS_ONE, apply_b(ca))
         out.append(col)
     return out
 
@@ -834,31 +670,19 @@ def graded_tri_basis(S: Algebra, gr: Grading, theta_refine: bool = False):
     degree gains a trailing Z3 coordinate j and the elements satisfy
     theta(t) = w^j t.
     """
-    G = gr.group
-    deg = gr.degrees
-    d = S.dim
     out = []
-    total = 0
-    candidates = sorted({_diff(G, deg[r], deg[c]) for r in range(d)
-                         for c in range(d)})
-    for mu in candidates:
-        positions = [(r, c) for r in range(d) for c in range(d)
-                     if deg[r] == G.add(deg[c], mu)]
-        kern = _triality_kernel(S, [positions, positions, positions])
+    for mu, positions in _degree_positions(gr):
+        kern = _triality_kernel(S, positions)
         if not kern:
             continue
-        total += len(kern)
         if not theta_refine:
             out.append((mu, kern))
             continue
         sub = TriContext(S, kern)
         th = sub.theta_matrix()
         for j, ev in enumerate((ONE, OMEGA, OMEGA2)):
-            shifted = Matrix([[th.data[r][c] - (ev if r == c else ZERO)
-                               for c in range(sub.n)] for r in range(sub.n)])
-            from .linalg import nullspace
             eig = []
-            for v in nullspace(shifted):
+            for v in _eigenspace(th, ev):
                 t = None
                 for idx, c in enumerate(v):
                     if c.is_zero():
@@ -872,8 +696,15 @@ def graded_tri_basis(S: Algebra, gr: Grading, theta_refine: bool = False):
     return out
 
 
-def _diff(G: AbelianGroup, a, b):
-    return G.add(a, G.neg(b))
+def _degree_positions(gr: Grading):
+    """(mu, positions) for each degree mu a homogeneous map can have: the
+    matrix positions (r, c) with deg e_r = deg e_c + mu."""
+    G, deg = gr.group, gr.degrees
+    d = len(deg)
+    for mu in sorted({G.add(deg[r], G.neg(deg[c])) for r in range(d)
+                      for c in range(d)}):
+        yield mu, [(r, c) for r in range(d) for c in range(d)
+                   if deg[r] == G.add(deg[c], mu)]
 
 
 def flatten_graded_basis(graded):
@@ -889,32 +720,15 @@ def lie_algebra_on_matrices(mats, name: str) -> Algebra:
     """Lie algebra of a list of matrices under commutator, in that basis."""
     n = len(mats)
     d = mats[0].rows
-    ech = SparseEchelon(d * d)
-    flats = []
-    for m in mats:
-        f = {r * d + c: m.data[r][c] for r in range(d) for c in range(d)
-             if not m.data[r][c].is_zero()}
-        flats.append(f)
-        ech.insert(f)
-    if ech.rank != n:
+    try:
+        span = SpanCoords([m.flat() for m in mats], d * d)
+    except DependentVectors:
         raise IncompatibleInputs("matrices are dependent")
-    mt = Matrix([[f.get(c, ZERO) for c in range(d * d)] for f in flats])
-    _, rk, pivots = rref(mt)
-    b = Matrix([[flats[j].get(r, ZERO) for j in range(n)] for r in pivots])
-    solver = inverse(b)
     products = {}
     for i in range(n):
         for j in range(i + 1, n):
-            com = mats[i].commutator(mats[j])
-            f = {r * d + c: com.data[r][c] for r in range(d) for c in range(d)
-                 if not com.data[r][c].is_zero()}
-            vsub = [f.get(r, ZERO) for r in pivots]
-            coords = solver.apply(vsub)
-            check: dict = {}
-            for kk, c in enumerate(coords):
-                if c.p or c.q:
-                    vec_add_scaled(check, c, flats[kk])
-            if check != f:
+            coords = span.coords(mats[i].commutator(mats[j]).flat())
+            if coords is None:
                 raise IncompatibleInputs("commutator outside the span")
             vec = {kk: c for kk, c in enumerate(coords) if c.p or c.q}
             if vec:
@@ -936,50 +750,11 @@ def orthogonal_graded(S: Algebra, gr: Grading):
 
 def derivations_graded(S: Algebra, gr: Grading):
     """Der(S) on a homogeneous basis, graded by the grading of S."""
-    G = gr.group
-    deg = gr.degrees
-    d = S.dim
-    P = [[S.product(i, j) for j in range(d)] for i in range(d)]
     degrees, mats = [], []
-    candidates = sorted({_diff(G, deg[r], deg[c]) for r in range(d)
-                         for c in range(d)})
-    for mu in candidates:
-        positions = [(r, c) for r in range(d) for c in range(d)
-                     if deg[r] == G.add(deg[c], mu)]
-        if not positions:
-            continue
-        pos_index = {p: i for i, p in enumerate(positions)}
-        rows = []
-        for i in range(d):
-            for j in range(d):
-                pij = P[i][j]
-                for m in range(d):
-                    row: dict = {}
-                    for l, c in pij.items():
-                        if (m, l) in pos_index:
-                            k = pos_index[(m, l)]
-                            row[k] = row.get(k, ZERO) + c
-                    for r in range(d):
-                        if (r, i) in pos_index:
-                            c = P[r][j].get(m)
-                            if c is not None:
-                                k = pos_index[(r, i)]
-                                row[k] = row.get(k, ZERO) - c
-                        if (r, j) in pos_index:
-                            c = P[i][r].get(m)
-                            if c is not None:
-                                k = pos_index[(r, j)]
-                                row[k] = row.get(k, ZERO) - c
-                    row = {k: v for k, v in row.items() if v.p or v.q}
-                    if row:
-                        rows.append(row)
-        for vec in sparse_kernel(rows, len(positions)):
-            m = Matrix.zero(d, d)
-            for p, idx in pos_index.items():
-                v = vec.get(idx)
-                if v is not None:
-                    m.data[p[0]][p[1]] = v
-            mats.append(m)
+    for mu, positions in _degree_positions(gr):
+        index = position_index(S.dim, positions)
+        for vec in sparse_kernel(leibniz_rows(S, index), len(positions)):
+            mats.append(kernel_matrix(vec, index, S.dim))
             degrees.append(mu)
     L = lie_algebra_on_matrices(mats, "der(%s)" % S.name)
     return L, Grading(L, gr.group, tuple(degrees), name="induced")
@@ -1321,52 +1096,3 @@ def e8_z3_5(params=(1, 1), params2=(1, 1)):
             for b in range(8):
                 degrees.append(tuple(gr1.degrees[a]) + tuple(gr2.degrees[b]) + (j,))
     return mag, lie, Grading(lie, Z3_5, tuple(degrees), name="z3^5")
-
-
-INDUCED_TARGETS = ("o8-para-cayley", "o8-okubo", "g2", "albert-z2^5",
-                   "albert-z3^3", "f4-z2^5", "f4-z3^3", "e6-z3^3",
-                   "e8-z2^8", "e8-z3^5", "e8-dempwolff")
-
-
-def induced_grading(target: str, params=None):
-    """Dispatcher over the named graded constructions.
-
-    Returns (algebra, grading); the algebra is the graded Lie or Jordan
-    algebra carrying the grading.
-    """
-    if target == "o8-para-cayley":
-        PC, gr = graded_para_cayley(params or (1, 1, 1))
-        L, grL, _ = orthogonal_graded(PC, gr)
-        return L, grL
-    if target == "o8-okubo":
-        O, gr = graded_okubo(params or (1, 1))
-        L, grL, _ = orthogonal_graded(O, gr)
-        return L, grL
-    if target == "g2":
-        PC, gr = graded_para_cayley(params or (1, 1, 1))
-        return derivations_graded(PC, gr)
-    if target == "albert-z2^5":
-        A, gr = albert_z2_5(params or (1, 1, 1))
-        return A.jordan, gr
-    if target == "albert-z3^3":
-        return albert_z3_3(params or (1, 1))
-    if target == "f4-z2^5":
-        mag, gr = f4_z2_5(params or (1, 1, 1))
-        return mag.lie, gr
-    if target == "f4-z3^3":
-        _, lie, gr = f4_z3_3(params or (1, 1))
-        return lie, gr
-    if target == "e6-z3^3":
-        _, lie, gr = e6_z3_3(1, params or (1, 1))
-        return lie, gr
-    if target == "e8-z2^8":
-        mag, gr = e8_z2_8()
-        return mag.lie, gr
-    if target == "e8-z3^5":
-        _, lie, gr = e8_z3_5()
-        return lie, gr
-    if target == "e8-dempwolff":
-        mag, gr8 = e8_z2_8()
-        return mag.lie, e8_dempwolff(mag, gr8)
-    raise IncompatibleInputs("unknown induced grading target %r (one of %s)"
-                             % (target, ", ".join(INDUCED_TARGETS)))

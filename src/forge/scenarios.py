@@ -322,9 +322,7 @@ def scenario_triality(seed=DEFAULT_SEED) -> Report:
                  "triality algebra of an octonion-level symmetric composition algebra")
         ech = SparseEchelon(64)
         for t in ctx.basis:
-            m = t.mats[0]
-            ech.insert({r * 8 + c: m.data[r][c] for r in range(8)
-                        for c in range(8) if not m.data[r][c].is_zero()})
+            ech.insert(t.mats[0].flat())
         o_dim = len(orthogonal_algebra(S))
         cl.check("pi0-bijective(%s)" % S.name, (ech.rank, o_dim), (28, 28),
                  "principle of local triality")

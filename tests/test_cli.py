@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import forge
 from forge.cli import main
 
@@ -27,6 +29,27 @@ def test_build_round_trip(tmp_path, capsys):
 
 def test_build_unknown_is_usage_error(capsys):
     assert main(["build", "nonsense"]) == 2
+
+
+@pytest.mark.parametrize("spec, want", [("okubo:1", 2), ("s2:1,2", 1),
+                                        ("quadratic:1,2", 1), ("k:1", 0)])
+def test_build_wrong_parameter_count_is_usage_error(spec, want, capsys):
+    assert main(["build", spec]) == 2
+    assert "takes %d parameter(s)" % want in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    "dim 2 over Q(w)\n0 9 -> 1:1\n",
+    "dim 2 over Q(w)\n0 0 -> 1:1\npolar 5 5 1\n",
+    "dim -1 over Q(w)\n",
+])
+@pytest.mark.parametrize("what", ["lie", "jordan", "composition", "symmetric"])
+def test_verify_rejects_malformed_algebra_file(tmp_path, capsys, text, what):
+    path = tmp_path / "bad.alg"
+    path.write_text(text)
+    assert main(["verify", what, "--algebra", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_grade_check_type_universal(capsys):
