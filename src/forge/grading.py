@@ -174,7 +174,10 @@ def grading_from_text(text: str, algebra: Algebra) -> Grading:
         if not ln.startswith("deg "):
             raise ValueError("malformed line %r" % ln)
         left, right = ln.split("=", 1)
-        idx = int(left.split()[1])
+        _, idx = left.split()
+        idx = int(idx)
+        if not 0 <= idx < algebra.dim:
+            raise ValueError("deg index %d outside 0..%d" % (idx, algebra.dim - 1))
         degrees[idx] = tuple(int(x) for x in right.split())
     return Grading(algebra, group, tuple(degrees))
 

@@ -108,9 +108,9 @@ class Matrix:
             out.append(acc)
         return out
 
-    def flat(self, offset: int = 0) -> dict:
-        """Nonzero entries as a sparse vector, (r, c) keyed offset + r*cols + c."""
-        return {offset + r * self.cols + c: v for r, row in enumerate(self.data)
+    def flat(self) -> dict:
+        """Nonzero entries as a sparse vector, (r, c) keyed r*cols + c."""
+        return {r * self.cols + c: v for r, row in enumerate(self.data)
                 for c, v in enumerate(row) if v.p or v.q}
 
     def sparse_cols(self):

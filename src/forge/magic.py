@@ -6,6 +6,11 @@ bracket rules, the 27-dimensional Jordan algebra attached to S, and the
 induced gradings on D4, F4, E6 and E8, together with toral/Cartan and
 Jordan-grading certificates.
 
+A triality triple (d0, d1, d2) of d x d maps is one sparse dict: entry
+(r, c) of d_i sits at key i*d*d + r*d + c, and theta (d0, d1, d2) ->
+(d2, d0, d1) is the key rotation k -> k + d*d mod 3*d*d.  Triples are
+built, bracketed and solved for in that form; only matrix(i) is dense.
+
 tri(S), Der(S) and o(S, n) are exact kernels of the rows that
 algebra.leibniz_rows and algebra.skew_rows build.  Adjoint minimal
 polynomials are exact: linalg.minimal_polynomial_op proves each one by
@@ -50,30 +55,46 @@ class IncompatibleInputs(ValueError):
 
 @dataclass(frozen=True)
 class TriElement:
-    """Triple (d0, d1, d2) of matrices with d0(x*y) = d1(x)*y + x*d2(y)."""
+    """Triple (d0, d1, d2) of d x d maps with d0(x*y) = d1(x)*y + x*d2(y).
 
-    mats: tuple
+    `entries` holds the nonzero entries only: entry (r, c) of d_i sits at key
+    i*d*d + r*d + c.  theta (d0, d1, d2) -> (d2, d0, d1) is the key rotation
+    k -> k + d*d mod 3*d*d.
+    """
 
-    def flat(self) -> dict:
-        out = {}
-        for i, m in enumerate(self.mats):
-            out.update(m.flat(i * m.rows * m.cols))
-        return out
+    d: int
+    entries: dict
 
-    def theta(self) -> "TriElement":
-        d0, d1, d2 = self.mats
-        return TriElement((d2, d0, d1))
+    def matrix(self, i: int) -> Matrix:
+        """d_i as a dense matrix."""
+        d = self.d
+        m = Matrix.zero(d, d)
+        for k, v in self.entries.items():
+            if k // (d * d) == i:
+                m.data[k // d % d][k % d] = v
+        return m
 
-    def add(self, other: "TriElement") -> "TriElement":
-        return TriElement(tuple(a + b for a, b in zip(self.mats, other.mats)))
-
-    def scale(self, c) -> "TriElement":
-        c = sc(c)
-        return TriElement(tuple(m.scale(c) for m in self.mats))
+    def theta(self, power: int = 1) -> "TriElement":
+        dd = self.d * self.d
+        shift = power % 3 * dd
+        return TriElement(self.d, {(k + shift) % (3 * dd): v
+                                   for k, v in self.entries.items()})
 
     def commutator(self, other: "TriElement") -> "TriElement":
-        return TriElement(tuple(a.commutator(b)
-                                for a, b in zip(self.mats, other.mats)))
+        """Componentwise [d_i, d'_i], multiplying nonzero entries only."""
+        d = self.d
+        out: dict = {}
+        for left, right, sign in ((self, other, ONE), (other, self, MINUS_ONE)):
+            rows: dict = {}  # (i*d + r) -> [(c, entry (r, c) of right d_i)]
+            for k, v in right.entries.items():
+                rows.setdefault(k // d, []).append((k % d, v))
+            for k, v in left.entries.items():
+                r, m = divmod(k, d)
+                v = sign * v
+                for c, w in rows.get(r - r % d + m, ()):
+                    key = r * d + c
+                    out[key] = out.get(key, ZERO) + v * w
+        return TriElement(d, {k: v for k, v in out.items() if v.p or v.q})
 
 
 def _triality_kernel(S: Algebra, positions):
@@ -84,7 +105,9 @@ def _triality_kernel(S: Algebra, positions):
     index = [position_index(d, positions, i * n) for i in range(3)]
     rows = [row for ix in index for row in skew_rows(S, ix)]
     rows.extend(leibniz_rows(S, *index))
-    return [TriElement(tuple(kernel_matrix(v, ix, d) for ix in index))
+    return [TriElement(d, {i * d * d + r * d + c: v[k]
+                           for i, ix in enumerate(index)
+                           for (r, c), k in ix.items() if k in v})
             for v in sparse_kernel(rows, 3 * n)]
 
 
@@ -102,24 +125,22 @@ def t_xy(S: Algebra, x: Element, y: Element) -> TriElement:
     d = S.dim
     xs, ys = x.sparse(), y.sparse()
     half_n = S.polar_pair_sparse(xs, ys) * HALF
-    m0 = Matrix.zero(d, d)
-    m1 = Matrix.zero(d, d)
-    m2 = Matrix.zero(d, d)
+    entries = {}
     for j in range(d):
         ej = {j: ONE}
-        nx = S.polar_pair_sparse(xs, ej)
-        ny = S.polar_pair_sparse(ys, ej)
-        for r in range(d):
-            m0.data[r][j] = nx * y.coords[r] - ny * x.coords[r]
-        v1 = S.multiply_sparse(S.multiply_sparse(ys, ej), xs)   # (y e_j) x
-        v2 = S.multiply_sparse(xs, S.multiply_sparse(ej, ys))   # x (e_j y)
-        for r, c in v1.items():
-            m1.data[r][j] = -c
-        for r, c in v2.items():
-            m2.data[r][j] = -c
-        m1.data[j][j] = m1.data[j][j] + half_n
-        m2.data[j][j] = m2.data[j][j] + half_n
-    return TriElement((m0, m1, m2))
+        yx = S.multiply_sparse(S.multiply_sparse(ys, ej), xs)   # (y e_j) x
+        xy = S.multiply_sparse(xs, S.multiply_sparse(ej, ys))   # x (e_j y)
+        cols = ({}, {j: half_n}, {j: half_n})
+        # sigma_{x,y}(e_j) = n(x, e_j) y - n(y, e_j) x
+        vec_add_scaled(cols[0], S.polar_pair_sparse(xs, ej), ys)
+        vec_add_scaled(cols[0], -S.polar_pair_sparse(ys, ej), xs)
+        vec_add_scaled(cols[1], MINUS_ONE, yx)
+        vec_add_scaled(cols[2], MINUS_ONE, xy)
+        for i, col in enumerate(cols):
+            for r, v in col.items():
+                if v.p or v.q:
+                    entries[i * d * d + r * d + j] = v
+    return TriElement(d, entries)
 
 
 class TriContext:
@@ -132,13 +153,13 @@ class TriContext:
         self.n = len(self.basis)
         self.flat_dim = 3 * S.dim * S.dim
         try:
-            self.span = SpanCoords([t.flat() for t in self.basis], self.flat_dim)
+            self.span = SpanCoords([t.entries for t in self.basis], self.flat_dim)
         except DependentVectors:
             raise IncompatibleInputs("supplied tri basis is dependent")
 
     def coords(self, t: TriElement):
         """Exact coordinates of a triple in the basis; verifies membership."""
-        coords = self.span.coords(t.flat())
+        coords = self.span.coords(t.entries)
         if coords is None:
             raise IncompatibleInputs("triple outside the triality algebra")
         return coords
@@ -161,7 +182,7 @@ def tri_spans_by_pairs(ctx: TriContext) -> bool:
     for a in range(d):
         for b in range(a + 1, d):
             t = t_xy(ctx.S, ctx.S.basis_element(a), ctx.S.basis_element(b))
-            ech.insert(t.flat())
+            ech.insert(t.entries)
     return ech.rank == ctx.n
 
 
@@ -178,32 +199,27 @@ def triality_bracket_failures(S: Algebra):
     """
     d = S.dim
     basis = S.basis()
-    table = {(a, b): t_xy(S, basis[a], basis[b]).flat()
+    table = {(a, b): t_xy(S, basis[a], basis[b]).entries
              for a in range(d) for b in range(d)}
     table["polar"] = {(i, j): v for i, row in enumerate(S.polar.data)
                       for j, v in enumerate(row) if v.p or v.q}
     _, scaled = clear_denominators(table)
     polar = scaled.pop("polar")
-    dd = d * d
-    # per triple: flat entries, and per component the sparse rows r -> [(c, p, q)]
+    # per triple, entry (r, c) of d_i as (c, p, q) in row i*d + r
     rows = {}
-    for key, flat in scaled.items():
-        comps = [{} for _ in range(3)]
-        for k, (p, q) in flat.items():
-            comps[k // dd].setdefault(k % dd // d, []).append((k % d, p, q))
-        rows[key] = comps
+    for key, entries in scaled.items():
+        rows[key] = by_row = {}
+        for k, (p, q) in entries.items():
+            by_row.setdefault(k // d, []).append((k % d, p, q))
 
     def commutator(acc, ta, tb, sign):
-        for i in range(3):
-            base = i * dd
-            right = tb[i]
-            for r, row in ta[i].items():
-                for k, p1, q1 in row:
-                    for c, p2, q2 in right.get(k, ()):
-                        p, q = _pair_mul(p1, q1, p2, q2)
-                        m = base + r * d + c
-                        cur = acc.get(m, (0, 0))
-                        acc[m] = (cur[0] + sign * p, cur[1] + sign * q)
+        for r, row in ta.items():
+            for k, p1, q1 in row:
+                for c, p2, q2 in tb.get(r - r % d + k, ()):
+                    p, q = _pair_mul(p1, q1, p2, q2)
+                    m = r * d + c
+                    cur = acc.get(m, (0, 0))
+                    acc[m] = (cur[0] + sign * p, cur[1] + sign * q)
 
     bad = []
     for a in range(d):
@@ -294,23 +310,21 @@ def magic_g(S: Algebra, Sp: Algebra, tri_s: TriContext = None,
                 vec = {off + k: v for k, v in c.coords_sparse(com).items()}
                 put(off + r, off + s, vec)
 
-    # tri acting on the iota copies
-    for r, t in enumerate(ctx.basis):
-        for i in range(3):
-            for a, col in enumerate(t.mats[i].sparse_cols()):
-                if not col:
-                    continue
-                for b in range(dp):
-                    vec = {iota(i, rr, b): v for rr, v in col.items()}
-                    put(r, iota(i, a, b), vec)
-    for r, t in enumerate(ctxp.basis):
-        for i in range(3):
-            for b, col in enumerate(t.mats[i].sparse_cols()):
-                if not col:
-                    continue
-                for a in range(d):
-                    vec = {iota(i, a, rr): v for rr, v in col.items()}
-                    put(nt + r, iota(i, a, b), vec)
+    # tri(S) acts on the S factor of each iota copy, tri(S') on the S' factor.
+    # In iota(i, a, b) = iota(i, 0, 0) + a*dp + b the S index steps by dp and
+    # the S' index by 1.  The sides go by position here: nt == 0 when S = k.
+    for off, c, step, n_other, step_other in ((0, ctx, dp, dp, 1),
+                                              (nt, ctxp, 1, d, dp)):
+        n = c.S.dim
+        for r, t in enumerate(c.basis):
+            for key, v in t.entries.items():
+                i, rc = divmod(key, n * n)
+                row, col = divmod(rc, n)   # d_i(e_col) has e_row coefficient v
+                for b in range(n_other):
+                    base = iota(i, 0, 0) + b * step_other
+                    src, dst = base + col * step, base + row * step
+                    products.setdefault((off + r, src), {})[dst] = v
+                    products.setdefault((src, off + r), {})[dst] = -v
 
     # iota_i x iota_{i+1} -> iota_{i+2}
     for i in range(3):
@@ -334,21 +348,18 @@ def magic_g(S: Algebra, Sp: Algebra, tri_s: TriContext = None,
                         vec = {kk: v for kk, v in vec.items() if v.p or v.q}
                         put(iota(i, a, b), iota(j, cdx, e), vec)
 
-    # iota_i x iota_i -> tri(S) + tri(S')
-    tcoords = [[[None] * d for _ in range(d)] for _ in range(3)]
-    for a in range(d):
-        for c in range(d):
-            t = t_xy(S, S.basis_element(a), S.basis_element(c))
-            for i in range(3):
-                tcoords[i][a][c] = ctx.coords_sparse(t) if i == 0 \
-                    else ctx.coords_sparse(_theta_pow(t, i))
-    tpcoords = [[[None] * dp for _ in range(dp)] for _ in range(3)]
-    for b in range(dp):
-        for e in range(dp):
-            t = t_xy(Sp, Sp.basis_element(b), Sp.basis_element(e))
-            for i in range(3):
-                tpcoords[i][b][e] = ctxp.coords_sparse(t) if i == 0 \
-                    else ctxp.coords_sparse(_theta_pow(t, i))
+    # iota_i x iota_i -> tri(S) + tri(S'): coordinates of theta^i t_{x,y}
+    tables = []
+    for A, c in ((S, ctx), (Sp, ctxp)):
+        n = A.dim
+        tab = [[[None] * n for _ in range(n)] for _ in range(3)]
+        for a in range(n):
+            for b in range(n):
+                t = t_xy(A, A.basis_element(a), A.basis_element(b))
+                for i in range(3):
+                    tab[i][a][b] = c.coords_sparse(t.theta(i))
+        tables.append(tab)
+    tcoords, tpcoords = tables
     pm, pmp = S.polar.data, Sp.polar.data
     for i in range(3):
         for a in range(d):
@@ -392,25 +403,15 @@ def magic_g(S: Algebra, Sp: Algebra, tri_s: TriContext = None,
     return mag
 
 
-def _theta_pow(t: TriElement, i: int) -> TriElement:
-    for _ in range(i % 3):
-        t = t.theta()
-    return t
-
-
 def theta_matrix(mag: MagicAlgebra) -> Matrix:
     """The order-3 automorphism of g(S,S'): theta on the tri parts, and
     iota_i -> iota_{i+1} on the tensor parts."""
     n = mag.lie.dim
     m = Matrix.zero(n, n)
-    ts = mag.tri_s.theta_matrix()
-    for r in range(mag.nt):
-        for c in range(mag.nt):
-            m.data[r][c] = ts.data[r][c]
-    tsp = mag.tri_sp.theta_matrix()
-    for r in range(mag.ntp):
-        for c in range(mag.ntp):
-            m.data[mag.nt + r][mag.nt + c] = tsp.data[r][c]
+    for off, ctx in ((0, mag.tri_s), (mag.nt, mag.tri_sp)):
+        for r, row in enumerate(ctx.theta_matrix().data):
+            for c, v in enumerate(row):
+                m.data[off + r][off + c] = v
     d, dp = mag.S.dim, mag.Sp.dim
     for i in range(3):
         for a in range(d):
@@ -645,14 +646,10 @@ def _phi_image(mag: MagicAlgebra, A: AlbertAlgebra, r: int) -> Matrix:
     if r < nt:
         raise IncompatibleInputs("tri(k) should be trivial")
     if r < nt + ntp:
-        t = mag.tri_sp.basis[r - nt]
-        for i in range(3):
-            mi = t.mats[i]
-            for rr in range(d):
-                for cc in range(d):
-                    v = mi.data[rr][cc]
-                    if v.p or v.q:
-                        m.data[A.iota_index(i, rr)][A.iota_index(i, cc)] = v
+        for k, v in mag.tri_sp.basis[r - nt].entries.items():
+            i, rc = divmod(k, d * d)
+            rr, cc = divmod(rc, d)
+            m.data[A.iota_index(i, rr)][A.iota_index(i, cc)] = v
         return m
     pos = r - nt - ntp
     i, a = divmod(pos, d)
@@ -683,14 +680,11 @@ def graded_tri_basis(S: Algebra, gr: Grading, theta_refine: bool = False):
         for j, ev in enumerate((ONE, OMEGA, OMEGA2)):
             eig = []
             for v in _eigenspace(th, ev):
-                t = None
-                for idx, c in enumerate(v):
-                    if c.is_zero():
-                        continue
-                    term = kern[idx].scale(c)
-                    t = term if t is None else t.add(term)
-                if t is not None:
-                    eig.append(t)
+                entries: dict = {}
+                for t, c in zip(kern, v):
+                    if c.p or c.q:
+                        vec_add_scaled(entries, c, t.entries)
+                eig.append(TriElement(S.dim, entries))
             if eig:
                 out.append((mu + (j,), eig))
     return out
@@ -742,7 +736,7 @@ def orthogonal_graded(S: Algebra, gr: Grading):
     degree of the map and the theta eigenvalue (local triality transport)."""
     graded = graded_tri_basis(S, gr, theta_refine=True)
     degrees, basis = flatten_graded_basis(graded)
-    mats = [t.mats[0] for t in basis]
+    mats = [t.matrix(0) for t in basis]
     L = lie_algebra_on_matrices(mats, "o(%s)" % S.name)
     group = AbelianGroup(gr.group.free_rank, gr.group.torsion + (3,))
     return L, Grading(L, group, tuple(degrees), name="induced"), basis

@@ -322,7 +322,7 @@ def scenario_triality(seed=DEFAULT_SEED) -> Report:
                  "triality algebra of an octonion-level symmetric composition algebra")
         ech = SparseEchelon(64)
         for t in ctx.basis:
-            ech.insert(t.mats[0].flat())
+            ech.insert({k: v for k, v in t.entries.items() if k < 64})
         o_dim = len(orthogonal_algebra(S))
         cl.check("pi0-bijective(%s)" % S.name, (ech.rank, o_dim), (28, 28),
                  "principle of local triality")
@@ -456,7 +456,7 @@ def scenario_toral_operator(seed=DEFAULT_SEED) -> Report:
     x = O.element([-1, 0, 0, 0, 0, 0, 0, 0])
     y = O.element([0, 0, -1, 0, 0, 0, 0, 0])
     t = magic.t_xy(O, x, y)
-    D = t.mats[0] + t.mats[1] + t.mats[2]
+    D = t.matrix(0) + t.matrix(1) + t.matrix(2)
     mp = minimal_polynomial(D)
     X = Polynomial.x
     closed = (X(3) + Polynomial.constant(1)) * (X(3) - Polynomial.constant(1))

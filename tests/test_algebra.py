@@ -1,13 +1,14 @@
 import pytest
 
-from forge import compose
+from forge import compose, magic
 from forge.algebra import (Algebra, MixedAlgebras, MissingForm,
                            algebra_from_text, commutative_center,
                            derivation_algebra, find_unity, matrix_in_span,
                            operator_matrix, orthogonal_algebra,
                            subalgebra_generated, verify_composition,
                            verify_jordan, verify_lie, verify_symmetric)
-from forge.exact import MINUS_ONE, ONE, sc
+from forge.exact import MINUS_ONE, ONE, ZERO, sc
+from forge.linalg import vec_add_scaled
 from forge.scenarios import okubo11, para_split, split_cayley
 
 
@@ -52,6 +53,45 @@ def test_verify_symmetric():
     assert verify_symmetric(compose.okubo(2, 3)).passed
     rep = verify_symmetric(split_cayley())
     assert not rep.passed and isinstance(rep.witness, tuple)
+
+
+def _corrupted(A, k, *pairs):
+    """A copy of A with 1 added to coordinate k of each product in pairs."""
+    products = dict(A.products)
+    for i, j in pairs:
+        vec = dict(A.product(i, j))
+        vec[k] = vec.get(k, ZERO) + ONE
+        products[(i, j)] = vec
+    return Algebra(A.dim, "corrupted", products, polar=A.polar)
+
+
+def test_verify_symmetric_names_a_corrupted_structure_constant():
+    bad = _corrupted(para_split(), 1, (2, 5))   # e2 e5 = -e0 becomes -e0 + e1
+    rep = verify_symmetric(bad)
+    assert not rep.passed and {2, 5} <= set(rep.witness)
+    with pytest.raises(magic.NotSymmetricComposition):
+        magic.tri(bad)
+
+
+def _jordan_defect(J, i, j, k, l):
+    """Sum over the x-slot pairs of ((e_a e_b) e_l) e_c - (e_a e_b)(e_l e_c)."""
+    acc: dict = {}
+    for a, b, c in ((i, j, k), (j, k, i), (i, k, j)):
+        u = J.product(a, b)
+        vec_add_scaled(acc, ONE, J.multiply_sparse(J.multiply_sparse(u, {l: ONE}),
+                                                   {c: ONE}))
+        vec_add_scaled(acc, MINUS_ONE, J.multiply_sparse(u, J.product(l, c)))
+    return acc
+
+
+def test_verify_jordan_names_a_corrupted_symmetric_pair():
+    J = magic.albert(para_split()).jordan
+    bad = _corrupted(J, 0, (3, 12), (12, 3))   # still commutative
+    rep = verify_jordan(bad)
+    assert not rep.passed
+    assert rep.details == {"identity": "jordan linearized"}
+    # the witness (i, j, k, l) breaks the polarized identity in bad only
+    assert _jordan_defect(bad, *rep.witness) and not _jordan_defect(J, *rep.witness)
 
 
 def test_derivation_dimensions():

@@ -52,6 +52,18 @@ def test_verify_rejects_malformed_algebra_file(tmp_path, capsys, text, what):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("line", ["deg 99 = 1 0", "deg -1 = 1 0", "deg = 1 0"])
+def test_grade_rejects_malformed_degree_line(tmp_path, capsys, line):
+    apath, gpath = tmp_path / "okubo.alg", tmp_path / "bad.grad"
+    assert main(["build", "okubo:1,1", "--out", str(apath)]) == 0
+    gpath.write_text("group free=0 torsion=3,3\n%s\n" % line)
+    capsys.readouterr()
+    assert main(["grade", "--algebra", str(apath), "--grading", str(gpath),
+                 "--check"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_grade_check_type_universal(capsys):
     rc = main(["grade", "--family", "okubo", "--kind", "z3^2",
                "--check", "--type", "--universal", "--json"])

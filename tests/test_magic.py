@@ -4,7 +4,7 @@ from forge import compose, magic
 from forge.algebra import Algebra, derivation_algebra, verify_jordan, verify_lie
 from forge.exact import ONE, ZERO, Polynomial, Scalar, is_squarefree, sc
 from forge.grading import AbelianGroup, Grading, grading_type, verify_grading
-from forge.linalg import Matrix, nullspace
+from forge.linalg import Matrix, column_apply, nullspace, vec_add_scaled
 from forge.scenarios import (albert_para, e8_pair, f4_mag, okubo11,
                              para_split, split_cayley)
 
@@ -39,10 +39,39 @@ def test_t_xx_is_zero():
     S = para_split()
     for i in range(8):
         t = magic.t_xy(S, S.basis_element(i), S.basis_element(i))
-        assert all(m.is_zero() for m in t.mats)
-    # and the first slot vanishes for sigma_{x,x} even when scaled
+        assert not t.entries
+    # and the first slot (keys below 64) vanishes for sigma_{x,x} even when scaled
     t = magic.t_xy(S, S.basis_element(0), S.basis_element(0).scale(3))
-    assert t.mats[0].is_zero()
+    assert all(k >= 64 for k in t.entries)
+
+
+def test_sparse_triality_matches_dense_oracle():
+    for S in (para_split(), okubo11()):
+        basis = S.basis()
+        for u in range(8):
+            for v in range(8):
+                t = magic.t_xy(S, basis[u], basis[v])
+                # t_{x,y} = -t_{y,x}
+                assert magic.t_xy(S, basis[v], basis[u]).entries == \
+                    {k: -c for k, c in t.entries.items()}
+                d0, d1, d2 = (t.matrix(i).sparse_cols() for i in range(3))
+                apply0 = column_apply(d0)
+                for a in range(8):
+                    for b in range(8):
+                        rhs = S.multiply_sparse(d1[a], {b: ONE})
+                        vec_add_scaled(rhs, ONE, S.multiply_sparse({a: ONE}, d2[b]))
+                        assert apply0(S.product(a, b)) == rhs, (u, v, a, b)
+        ts = magic.tri(S)
+        assert len(ts) == 28
+        for t in ts:
+            assert t.theta(3) == t
+            assert t.theta().matrix(1) == t.matrix(0)
+            assert t.theta(2) == t.theta().theta()
+        for x in range(28):
+            for y in range(x + 1, 28):
+                com = ts[x].commutator(ts[y])
+                for i in range(3):
+                    assert com.matrix(i) == ts[x].matrix(i).commutator(ts[y].matrix(i))
 
 
 def test_magic_dimension_formula():
@@ -333,9 +362,10 @@ def test_triality_scan_names_a_corrupted_triple(monkeypatch):
             t = intact(S_, x, y)
             if (x, y) != pair:
                 return t
-            m1 = t.mats[1].copy()
-            m1.data[0][3] = m1.data[0][3] + ONE
-            return magic.TriElement((t.mats[0], m1, t.mats[2]))
+            entries = dict(t.entries)
+            k = 64 + 0 * 8 + 3  # entry (0, 3) of d1
+            entries[k] = entries.get(k, ZERO) + ONE
+            return magic.TriElement(t.d, entries)
 
         monkeypatch.setattr(magic, "t_xy", corrupted)
         bad = magic.triality_bracket_failures(S)
