@@ -166,8 +166,14 @@ def grading_from_text(text: str, algebra: Algebra) -> Grading:
         key, val = tok.split("=", 1)
         if key == "free":
             free = int(val)
+            if free < 0:
+                raise ValueError("negative free rank %d" % free)
         elif key == "torsion":
             torsion = tuple(int(x) for x in val.split(",")) if val != "-" else ()
+            if any(m < 2 for m in torsion):
+                raise ValueError("torsion moduli must be at least 2, got %s" % val)
+        else:
+            raise ValueError("unknown group header key %r" % key)
     group = AbelianGroup(free, torsion)
     degrees = [group.zero()] * algebra.dim
     for ln in lines[1:]:

@@ -1,6 +1,6 @@
 import pytest
 
-from forge import compose, magic
+from forge import algebra, compose, magic
 from forge.algebra import (Algebra, MixedAlgebras, MissingForm,
                            algebra_from_text, commutative_center,
                            derivation_algebra, find_unity, matrix_in_span,
@@ -40,6 +40,25 @@ def test_verify_composition():
     broken._cache.clear()
     rep = verify_composition(broken)
     assert not rep.passed and rep.witness is not None
+
+
+def _composition_defect(A, i, j, k, l):
+    """n(e_i e_j, e_k e_l) + n(e_k e_j, e_i e_l) - n(e_i, e_k) n(e_j, e_l)."""
+    N = A.polar.data
+    return (A.polar_pair_sparse(A.product(i, j), A.product(k, l))
+            + A.polar_pair_sparse(A.product(k, j), A.product(i, l))
+            - N[i][k] * N[j][l])
+
+
+def test_verify_composition_names_a_corrupted_product():
+    C = split_cayley()
+    bad = _corrupted(C, 0, (2, 3))      # u1 u2 gains an e1 term
+    rep = verify_composition(bad)
+    assert not rep.passed
+    i, j, k, l = rep.witness
+    assert (2, 3) in ((i, j), (k, l), (k, j), (i, l))
+    assert not _composition_defect(bad, *rep.witness).is_zero()
+    assert _composition_defect(C, *rep.witness).is_zero()
 
 
 def test_verify_composition_needs_form():
@@ -155,6 +174,52 @@ def test_verify_lie_counterexample():
     })
     rep = verify_lie(bad)
     assert not rep.passed and rep.witness == (0, 1, 2)
+
+
+def _sl2():
+    # e0 = e, e1 = f, e2 = h: [e, f] = h, [h, e] = 2e, [h, f] = -2f
+    two = sc(2)
+    return Algebra(3, "sl2", {
+        (0, 1): {2: ONE}, (1, 0): {2: MINUS_ONE},
+        (2, 0): {0: two}, (0, 2): {0: -two},
+        (2, 1): {1: -two}, (1, 2): {1: two},
+    })
+
+
+def _not_jacobi():
+    # anticommutative but not Jacobi, as in test_verify_lie_counterexample
+    return Algebra(3, "bad", {
+        (0, 1): {2: ONE}, (1, 0): {2: MINUS_ONE},
+        (1, 2): {0: ONE}, (2, 1): {0: MINUS_ONE},
+        (2, 0): {0: ONE}, (0, 2): {0: MINUS_ONE},
+    })
+
+
+def _direct_sum(A, B):
+    """A + B with [A, B] = 0; the basis of B follows that of A."""
+    n = A.dim
+    products = dict(A.products)
+    for (i, j), vec in B.products.items():
+        products[(n + i, n + j)] = {n + k: c for k, c in vec.items()}
+    return Algebra(n + B.dim, "sum", products)
+
+
+@pytest.mark.parametrize("bad_first", [True, False])
+def test_verify_lie_finds_the_defect_of_one_summand(monkeypatch, bad_first):
+    lie = _sl2()
+    assert verify_lie(lie).passed
+    L = _direct_sum(_not_jacobi(), lie) if bad_first else _direct_sum(lie, _not_jacobi())
+    off = 0 if bad_first else 3
+    rep = verify_lie(L)
+    assert not rep.passed and rep.witness == (off, off + 1, off + 2)
+    # The generators of the Lie summand alone pass every triple that contains
+    # one of them, but their ad-closure is that summand, so the certificate is
+    # refused and the full scan names the defect.
+    lie_gens = tuple(range(3 - off, 6 - off))
+    assert algebra.ad_closure_rank(L, lie_gens) == 3
+    monkeypatch.setattr(algebra, "generating_set", lambda _: lie_gens)
+    rep = verify_lie(L)
+    assert not rep.passed and rep.witness == (off, off + 1, off + 2)
 
 
 def test_verify_jordan_negative():

@@ -64,6 +64,24 @@ def test_grade_rejects_malformed_degree_line(tmp_path, capsys, line):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("text", [
+    "group free=0 torsion=0\ndeg 0 = 0\n",
+    "group free=-1 torsion=3\ndeg 0 =\n",
+    "group free=1 torsion=-2\ndeg 0 = 0 0\n",
+    "group free=0 torsion=3,1\ndeg 0 = 0 0\n",
+    "group free=0 torsion=3,3 rank=2\ndeg 0 = 0 0\n",
+])
+def test_grade_rejects_malformed_group_header(tmp_path, capsys, text):
+    apath, gpath = tmp_path / "okubo.alg", tmp_path / "bad.grad"
+    assert main(["build", "okubo:1,1", "--out", str(apath)]) == 0
+    gpath.write_text(text)
+    capsys.readouterr()
+    assert main(["grade", "--algebra", str(apath), "--grading", str(gpath),
+                 "--check"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_grade_check_type_universal(capsys):
     rc = main(["grade", "--family", "okubo", "--kind", "z3^2",
                "--check", "--type", "--universal", "--json"])

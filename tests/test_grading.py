@@ -34,6 +34,20 @@ def test_non_group_grading_fails():
     assert not rep.passed and rep.witness is not None
 
 
+def test_verify_grading_names_a_wrong_degree():
+    gr = cayley_grading("z2^3", (1, 1, 1))
+    G, A = gr.group, gr.algebra
+    deg = list(gr.degrees)
+    deg[3] = G.add(deg[3], (1, 0, 0))
+    rep = verify_grading(Grading(A, G, tuple(deg)))
+    assert not rep.passed
+    assert rep.details == {"rule": "product lands outside A_{g+h}"}
+    i, j, k = rep.witness
+    assert 3 in (i, j, k) and k in A.product(i, j)
+    assert deg[k] != G.add(deg[i], deg[j])
+    assert gr.degrees[k] == G.add(gr.degrees[i], gr.degrees[j])
+
+
 def test_polar_compatibility_enforced():
     # correct product degrees but a polar pairing inside one component
     O = okubo11()

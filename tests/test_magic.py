@@ -1,7 +1,10 @@
+import math
+
 import pytest
 
-from forge import compose, magic
-from forge.algebra import Algebra, derivation_algebra, verify_jordan, verify_lie
+from forge import algebra, compose, magic
+from forge.algebra import (Algebra, ad_closure_rank, derivation_algebra,
+                           generating_set, verify_jordan, verify_lie)
 from forge.exact import ONE, ZERO, Polynomial, Scalar, is_squarefree, sc
 from forge.grading import AbelianGroup, Grading, grading_type, verify_grading
 from forge.linalg import Matrix, column_apply, nullspace, vec_add_scaled
@@ -284,6 +287,24 @@ def test_phi_tri_images_have_degree_zero():
                     assert which[row] == which[c]
 
 
+def test_phi_names_the_first_pair_a_mixed_image_breaks(monkeypatch):
+    # phi(e_32) + phi(e_40) in place of phi(e_32): the images stay independent
+    # derivations, but phi is no longer a homomorphism.  e_32 is no generator
+    # of g and no bracket of two generators involves it, so only pairs of a
+    # generator and a non-generator can see the defect, and the first failing
+    # pair in order is found by the full rescan.
+    S, A, mag = para_split(), albert_para(), f4_mag()
+    L = mag.lie
+    G = generating_set(L)
+    assert 32 not in G and all(32 not in L.product(a, b) for a in G for b in G)
+    intact = magic._phi_image
+    monkeypatch.setattr(magic, "_phi_image", lambda m, a, r: intact(m, a, r)
+                        + intact(m, a, 40) if r == 32 else intact(m, a, r))
+    rep = magic.phi_isomorphism(S, mag=mag, A=A)
+    assert not rep.passed and rep.details == {"stage": "lie homomorphism"}
+    assert rep.witness == (0, 32)
+
+
 def test_tricontext_rejects_dependent_basis():
     S = para_split()
     ts = magic.tri(S)
@@ -350,6 +371,36 @@ def test_verify_lie_names_a_corrupted_structure_constant():
     assert not rep.passed
     assert rep.details == {"identity": "jacobi"}
     assert {i, j} <= set(rep.witness)
+
+
+@pytest.mark.parametrize("build, dim, gens, triples", [
+    (lambda: magic.magic_g(compose.s1(), para_split()), 52, 5, 5885),
+    (lambda: magic.magic_g(compose.s2(1), okubo11()), 78, 7, 18921),
+    (lambda: e8_pair()[0], 248, 8, 236216),
+])
+def test_verify_lie_certificate_from_generators(build, dim, gens, triples):
+    L = build().lie
+    G = generating_set(L)
+    assert (L.dim, len(G)) == (dim, gens)
+    assert ad_closure_rank(L, G) == dim
+    # pruned: no generator can be dropped
+    assert all(ad_closure_rank(L, [h for h in G if h != g]) < dim for g in G)
+    # each triple that contains a generator is scanned once
+    assert triples == math.comb(dim, 3) - math.comb(dim - gens, 3)
+    rep = verify_lie(L)
+    assert rep.passed
+    assert rep.details == {"dim": dim, "generators": gens, "triples": triples}
+
+
+def test_closure_certificate_refuses_the_tri_block(monkeypatch):
+    mag = magic.magic_g(compose.s1(), para_split())
+    L = mag.lie
+    tri = tuple(range(mag.nt + mag.ntp))
+    # tri(S) + tri(S') is a subalgebra, so its ad-closure stops there
+    assert ad_closure_rank(L, tri) == 28 < L.dim
+    monkeypatch.setattr(algebra, "generating_set", lambda _: tri)
+    rep = verify_lie(L)
+    assert rep.passed and rep.details == {"dim": 52, "triples": 22100}
 
 
 def test_triality_scan_names_a_corrupted_triple(monkeypatch):
