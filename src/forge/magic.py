@@ -14,10 +14,11 @@ built, bracketed and solved for in that form; only matrix(i) is dense.
 tri(S), Der(S) and o(S, n) are exact kernels of the rows that
 algebra.leibniz_rows and algebra.skew_rows build.  Adjoint minimal
 polynomials are exact: linalg.minimal_polynomial_op proves each one by
-f(ad_x) e_j = 0 on every basis vector.  The "no bigger than exhibited" half
-of the normalizer and derivation-dimension equalities is a rank bound mod p,
-which never exceeds the exact rank; when it falls short, an exact kernel
-decides.
+f(ad_x) e_j = 0 on every basis vector.  A toral subalgebra is
+self-normalizing when one generic element has ad rank dim L - dim h, an
+exact rank over Q(w).  The "no bigger than exhibited" half of the
+derivation-dimension equality is a rank bound mod p, which never exceeds
+the exact rank.  When either rank falls short, an exact kernel decides.
 """
 
 from __future__ import annotations
@@ -869,8 +870,30 @@ def _normalizer_rows(L: Algebra, elements, span_ech: SparseEchelon):
                 yield row
 
 
+def _generic_rank(L: Algebra, elements) -> int:
+    """Exact rank of ad_{h0}, h0 = sum 1009^i h_i, over Q(w)."""
+    h0 = {}
+    for i, x in enumerate(elements):
+        vec_add_scaled(h0, sc(1009 ** i), x.sparse())
+    ech = SparseEchelon(L.dim)
+    for j in range(L.dim):
+        ech.insert(L.multiply_sparse({j: ONE}, h0))
+    return ech.rank
+
+
 def is_cartan(L: Algebra, elements) -> Report:
-    """Abelian + toral + self-normalizing, all certified exactly."""
+    """Abelian + toral + self-normalizing, all certified exactly.
+
+    Lemma (Humphreys, sections 8 and 15): if h is toral then N(h) = C(h).
+    Over the algebraic closure, where ranks are the same, write x in N(h) as
+    a sum of root components for h; for each root alpha != 0, [h, x_alpha]
+    lies in h and in L_alpha, so it is 0 and x_alpha = 0.  Since h is
+    abelian, h is inside C(h), which is inside ker ad_{h0} for any h0 in h,
+    so an exact rank(ad_{h0}) = dim L - dim h proves N(h) = h.  The
+    coefficients 1009^i of h0 only decide whether that one-element
+    certificate is conclusive; when it falls short, the exact kernel of the
+    normalizer rows of every h_i decides and names the normalizer dimension.
+    """
     name = "cartan(%s)" % L.name
     els = list(elements)
     k = len(els)
@@ -884,14 +907,16 @@ def is_cartan(L: Algebra, elements) -> Report:
     if span_ech.rank != k:
         return Report(name, False, {"stage": "independent span"}, witness=k)
     needed = L.dim - k
-    got = rank_mod_p(_normalizer_rows(L, els, span_ech), L.dim, limit=needed)
-    if got < needed:
+    how = {"method": "generic element", "rank": _generic_rank(L, els)}
+    if how["rank"] != needed:
         kern = sparse_kernel(list(_normalizer_rows(L, els, span_ech)), L.dim)
         if len(kern) != k:
             return Report(name, False, {"stage": "self-normalizing",
                                         "normalizer_dim": len(kern)},
                           witness=len(kern))
-    return Report(name, True, {"dim": k, "minpolys": toral.details["minpolys"]})
+        how = {"method": "normalizer kernel", "rank": needed}
+    return Report(name, True, {"dim": k, "minpolys": toral.details["minpolys"],
+                               "self_normalizing": how})
 
 
 def jordan_grading_check(L: Algebra, gr: Grading, cartan_mode: str = "pairs") -> Report:

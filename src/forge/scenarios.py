@@ -355,7 +355,8 @@ def scenario_magic_dimensions(seed=DEFAULT_SEED) -> Report:
     cl.check("dim-g(S8,S8)", mag8.lie.dim, 248, "Freudenthal magic square")
     rep = verify_lie(mag8.lie)
     cl.check_true("jacobi-e8", rep.passed,
-                  "exhaustive Jacobi identity scan on the 248-dimensional algebra",
+                  "exact ad-closure of the generators is the 248-dimensional "
+                  "algebra, and Jacobi holds on every triple with a generator",
                   got=rep.details)
     cl.check_true("z2x2-grading-e8", verify_grading(mag8.z22).passed)
     th = magic.theta_matrix(f4_mag())

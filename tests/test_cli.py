@@ -159,6 +159,18 @@ def test_cli_import_leaves_numpy_unloaded():
     assert out.strip() == "False"
 
 
+def test_e8_dempwolff_scenario_leaves_numpy_unloaded():
+    # is_cartan certifies with exact ranks only, so no modular bound runs
+    src = os.path.dirname(os.path.dirname(forge.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys; from forge.cli import main; "
+            "rc = main(['scenario', 'e8-dempwolff']); "
+            "print(rc, 'numpy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env).stdout
+    assert out.splitlines()[-1] == "0 False"
+
+
 def test_magic_small(capsys):
     rc = main(["magic", "--left", "s1", "--right", "s2:1", "--check", "jacobi",
                "--json"])

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from forge.exact import (MINUS_ONE, OMEGA, OMEGA2, ONE, ZERO, BothZero,
                          DivisionByZero, Polynomial, Scalar, ZeroPolynomial,
@@ -9,6 +10,15 @@ from forge.exact import (MINUS_ONE, OMEGA, OMEGA2, ONE, ZERO, BothZero,
 
 X = Polynomial.x
 C = Polynomial.constant
+
+# numerators up to the size of the 1009^i coefficients of is_cartan's h0
+BIG = 1009 ** 8
+ints = st.one_of(st.integers(-9, 9), st.integers(-BIG, BIG),
+                 st.sampled_from([1009 ** 7, -(1009 ** 7)]))
+scalars = st.builds(Scalar, ints, ints, st.integers(1, 1009 ** 7))
+small = st.builds(Scalar, st.integers(-5, 5), st.integers(-5, 5),
+                  st.integers(1, 4))
+polys = st.lists(small, max_size=4).map(Polynomial)
 
 
 def test_omega_relations():
@@ -111,3 +121,33 @@ def test_poly_str():
     assert str(X(3) - C(1)) == "X^3-1"
     assert str(X(6) - C(1)) == "X^6-1"
     assert str(Polynomial([])) == "0"
+
+
+@settings(max_examples=200, deadline=None)
+@given(scalars, scalars, scalars)
+def test_field_axioms_property(x, y, z):
+    assert x + y == y + x and x * y == y * x
+    assert (x + y) + z == x + (y + z)
+    assert (x * y) * z == x * (y * z)
+    assert x * (y + z) == x * y + x * z
+    assert x + ZERO == x and x * ONE == x and x + (-x) == ZERO
+    assert x - y == x + (-y)
+    if not x.is_zero():
+        assert x * x.inv() == ONE
+        assert (y / x) * x == y
+    assert x.conj().conj() == x and (x * y).conj() == x.conj() * y.conj()
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys, polys, polys)
+def test_gcd_divides_both_and_lcm_times_gcd_is_the_product(f, a, b):
+    # a common factor f makes a nontrivial gcd likely
+    a, b = f * a, f * b
+    if a.is_zero() and b.is_zero():
+        return
+    g = poly_gcd(a, b)
+    assert g.leading() == ONE
+    assert (a % g).is_zero() and (b % g).is_zero()
+    if not f.is_zero():
+        assert (g % f).is_zero()
+    assert poly_lcm(a, b) * g == (a * b).monic()

@@ -189,11 +189,64 @@ def test_is_toral_examples():
     assert rep.passed
     rep = magic.is_cartan(lie, h)
     assert rep.passed and rep.details["dim"] == 4
+    assert rep.details["self_normalizing"] == {"method": "generic element",
+                                               "rank": 48}
     # a single root vector is not self-normalizing
     mu = (1, 0, 0)
     root = [lie.basis_element(comps[mu][0])]
     rep = magic.is_cartan(lie, root)
     assert not rep.passed
+
+
+def test_is_cartan_one_element_certifies_sl2():
+    # g(k, k) is a 3-dimensional form of sl2; ad of a basis element has rank 2
+    L = magic.magic_g(compose.s1(), compose.s1()).lie
+    assert L.dim == 3
+    for i in range(3):
+        rep = magic.is_cartan(L, [L.basis_element(i)])
+        assert rep.details["self_normalizing"] == {"method": "generic element",
+                                                   "rank": 2}
+
+
+def test_is_cartan_falls_back_to_the_normalizer_kernel():
+    # a basis of the f4 Cartan subalgebra whose h0 = sum 1009^i h_i is the
+    # non-regular e_0 + e_2 (ad rank 40): the kernel still proves N(h) = h
+    _, lie, gr = magic.f4_z3_3()
+    comps = gr.components()
+    e = [lie.basis_element(i) for i in comps[(0, 0, 1)] + comps[(0, 0, 2)]]
+    h = [e[0] - e[1] - e[3]]
+    h += [e[i].scale(Scalar.rational(1, 1009 ** i)) for i in (1, 2, 3)]
+    assert magic._generic_rank(lie, h) == 40
+    rep = magic.is_cartan(lie, h)
+    assert rep.passed
+    assert rep.details["self_normalizing"] == {"method": "normalizer kernel",
+                                               "rank": 48}
+
+
+def test_is_cartan_names_the_normalizer_of_a_dempwolff_component_minus_one():
+    # 7 of the 8 elements of a Cartan subalgebra are toral and independent,
+    # but their normalizer is the whole 8-dimensional component
+    mag8, gr8 = e8_pair()
+    L = mag8.lie
+    comps = magic.e8_dempwolff(mag8, gr8).components()
+    h = [L.basis_element(i) for i in comps[(0, 1, 0, 0, 0)]]
+    assert magic.is_cartan(L, h).passed
+    for drop in range(8):
+        rep = magic.is_cartan(L, h[:drop] + h[drop + 1:])
+        assert not rep.passed
+        assert rep.details == {"stage": "self-normalizing", "normalizer_dim": 8}
+        assert rep.witness == 8
+
+
+def test_jordan_grading_check_names_a_component_that_is_not_cartan():
+    # the f4 Z3^3 grading is Jordan by pairs g_mu + g_-mu, not by components
+    _, lie, gr = magic.f4_z3_3()
+    rep = magic.jordan_grading_check(lie, gr, cartan_mode="components")
+    assert not rep.passed
+    assert rep.details == {"stage": "component cartan",
+                           "inner": {"stage": "self-normalizing",
+                                     "normalizer_dim": 4}}
+    assert rep.witness == (0, 0, 1)
 
 
 def test_iota_adjoint_annihilator():
