@@ -23,6 +23,22 @@ class MissingForm(ValueError):
     pass
 
 
+def integer_table(products: dict):
+    """(D, table, rational) with table[i][j] = ((m, p, q), ...) for D * c,
+    where products[(i, j)][m] = c; rational when every q is 0."""
+    D, scaled = clear_denominators(products)
+    table: dict = {}
+    rational = True
+    for (i, j), vec in scaled.items():
+        entries = []
+        for m, (p, q) in vec.items():
+            entries.append((m, p, q))
+            if q:
+                rational = False
+        table.setdefault(i, {})[j] = tuple(entries)
+    return D, table, rational
+
+
 class Algebra:
     """Finite-dimensional algebra given by sparse structure constants."""
 
@@ -104,20 +120,10 @@ class Algebra:
     # ---- integer tables for hot scans ------------------------------------
 
     def int_table(self):
-        """(D, table, rational) with table[j][k] = ((m, p, q), ...) for D*c."""
+        """integer_table(self.products), built once per algebra."""
         key = "int_table"
         if key not in self._cache:
-            D, scaled = clear_denominators(self.products)
-            table: dict = {}
-            rational = True
-            for (i, j), vec in scaled.items():
-                entries = []
-                for m, (p, q) in vec.items():
-                    entries.append((m, p, q))
-                    if q:
-                        rational = False
-                table.setdefault(i, {})[j] = tuple(entries)
-            self._cache[key] = (D, table, rational)
+            self._cache[key] = integer_table(self.products)
         return self._cache[key]
 
     # ---- interchange format ----------------------------------------------
@@ -163,10 +169,16 @@ def algebra_from_text(text: str, name: str = "ingested") -> Algebra:
         else:
             left, right = ln.split("->")
             i, j = (index(t) for t in left.split())
+            if (i, j) in products:
+                raise ValueError("second line for the product %d %d" % (i, j))
             vec = {}
             for term in right.strip().split(","):
                 k, val = term.split(":", 1)
-                vec[index(k)] = parse_scalar(val)
+                k = index(k)
+                if k in vec:
+                    raise ValueError("second term %d in the product %d %d"
+                                     % (k, i, j))
+                vec[k] = parse_scalar(val)
             products[(i, j)] = vec
     polar = None
     if polar_entries:
@@ -482,7 +494,15 @@ def verify_lie(L: Algebra) -> Report:
 
 
 def verify_jordan(J: Algebra) -> Report:
-    """Commutativity on pairs; full linearization of the Jordan identity."""
+    """Commutativity on pairs; full linearization of the Jordan identity.
+
+    Polarizing (x^2 o y) o x = x^2 o (y o x) gives, for every multiset
+    {i, j, k} of x-slots and every y-slot l, a sum over the three cyclic
+    substitutions; with commutativity it is column l of
+    D_ijk = sum over (a, b, c) of [L_c, L_{e_a e_b}], L_x the left
+    multiplication by x.  Each [L_c, L_m] is built once, on the integer
+    table, and the first nonzero column names the witness (i, j, k, l).
+    """
     name = "jordan(%s)" % J.name
     d = J.dim
     for i in range(d):
@@ -491,58 +511,42 @@ def verify_jordan(J: Algebra) -> Report:
             if set(a) != set(b) or any(a[m] != b[m] for m in a):
                 return Report(name, False, {"identity": "commutativity"},
                               witness=(i, j))
-    _, T, rational = J.int_table()
+    _, T, _ = J.int_table()
+    empty: dict = {}
+    comms: dict = {}
 
-    def pmul(u: dict, v: dict) -> dict:
-        # u, v sparse with integer-pair values
-        out: dict = {}
-        for a, (p1, q1) in u.items():
-            ta = T.get(a)
-            if not ta:
-                continue
-            for b, (p2, q2) in v.items():
-                lst = ta.get(b)
-                if not lst:
-                    continue
-                pp, qq = _pair_mul(p1, q1, p2, q2)
-                for m, p3, q3 in lst:
-                    np_, nq = _pair_mul(pp, qq, p3, q3)
-                    cur = out.get(m)
-                    out[m] = (np_, nq) if cur is None else (cur[0] + np_, cur[1] + nq)
-        return out
+    def comm(c, m):
+        # [L_c, L_m] as (l*d + r, p, q): entry r of e_c(e_m e_l) - e_m(e_c e_l)
+        op = comms.get((c, m))
+        if op is None:
+            acc: dict = {}
+            for outer, inner, sign in ((c, m, 1), (m, c, -1)):
+                to = T.get(outer, empty)
+                for l, lst in T.get(inner, empty).items():
+                    for w, p1, q1 in lst:
+                        for r, p2, q2 in to.get(w, ()):
+                            pp, qq = _pair_mul(sign * p1, sign * q1, p2, q2)
+                            key = l * d + r
+                            cur = acc.get(key)
+                            acc[key] = (pp, qq) if cur is None else (cur[0] + pp, cur[1] + qq)
+            op = tuple((key, p, q) for key, (p, q) in acc.items() if p or q)
+            comms[(c, m)] = op
+        return op
 
-    unit = {}
-    basis_units = [{i: (1, 0)} for i in range(d)]
-
-    def basis_prod(i, j):
-        lst = T.get(i, {}).get(j, ())
-        return {m: (p, q) for m, p, q in lst}
-
-    # full polarization of (x^2 o y) o x = x^2 o (y o x): for every multiset
-    # {i,j,k} of x-slots and every y-slot l, the three cyclic substitutions sum
-    # to zero; commutativity (already checked) collapses the remaining orders.
     for i in range(d):
         for j in range(i, d):
             for k in range(j, d):
-                pairs = ((basis_prod(i, j), k), (basis_prod(j, k), i),
-                         (basis_prod(i, k), j))
-                for l in range(d):
-                    acc: dict = {}
-                    el = basis_units[l]
-                    for u, c in pairs:
-                        if not u:
-                            continue
-                        ec = basis_units[c]
-                        for m, (p, q) in pmul(pmul(u, el), ec).items():
-                            cur = acc.get(m)
-                            acc[m] = (p, q) if cur is None else (cur[0] + p, cur[1] + q)
-                        for m, (p, q) in pmul(u, pmul(el, ec)).items():
-                            cur = acc.get(m)
-                            acc[m] = (-p, -q) if cur is None else (cur[0] - p, cur[1] - q)
-                    if any(p or q for p, q in acc.values()):
-                        return Report(name, False,
-                                      {"identity": "jordan linearized"},
-                                      witness=(i, j, k, l))
+                acc: dict = {}
+                for a, b, c in ((i, j, k), (j, k, i), (i, k, j)):
+                    for m, p1, q1 in T.get(a, empty).get(b, ()):
+                        for key, p2, q2 in comm(c, m):
+                            pp, qq = _pair_mul(p1, q1, p2, q2)
+                            cur = acc.get(key)
+                            acc[key] = (pp, qq) if cur is None else (cur[0] + pp, cur[1] + qq)
+                bad = [key for key, (p, q) in acc.items() if p or q]
+                if bad:
+                    return Report(name, False, {"identity": "jordan linearized"},
+                                  witness=(i, j, k, min(bad) // d))
     return Report(name, True, {"dim": d})
 
 

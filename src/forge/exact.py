@@ -155,7 +155,15 @@ def format_scalar(x: Scalar) -> str:
 
 
 def parse_scalar(text: str) -> Scalar:
-    """Inverse of format_scalar; exact round-trip."""
+    """Inverse of format_scalar; exact round-trip.  ValueError on bad text,
+    a zero denominator included."""
+    try:
+        return _parse_scalar(text)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in scalar %r" % text) from None
+
+
+def _parse_scalar(text: str) -> Scalar:
     s = text.strip().replace(" ", "")
     if not s:
         raise ValueError("empty scalar")

@@ -2,10 +2,10 @@
 
 Dense matrices are lists of Scalar rows.  Large kernel problems go through
 SparseEchelon (dict-of-column sparse rows) so that constraint systems with
-thousands of short rows stay cheap.  A numpy-backed modular rank bound
-(rank mod p <= rank over Q, since a nonvanishing minor mod p cannot vanish
-over Q) certifies "the kernel is no bigger than the part we exhibit" without
-a full exact elimination.
+thousands of short rows stay cheap; its rank, read until a target is met,
+certifies "the kernel is no bigger than the part we exhibit".  rank_mod_p, a
+numpy-backed modular rank bound (rank mod p <= rank over Q), is kept but no
+checker calls it.
 """
 
 from __future__ import annotations
@@ -756,6 +756,7 @@ def _rank_mod_single(rows, ncols, p, w, limit):
             if coeffs.any():
                 b = (b - coeffs @ pivots[:k_old]) % p
         new_rows: list[int] = []
+        block_rows: list[int] = []
         for r in range(b.shape[0]):
             nz = np.nonzero(b[r])[0]
             if nz.size == 0:
@@ -770,11 +771,14 @@ def _rank_mod_single(rows, ncols, p, w, limit):
             if touched.size:
                 b[touched] = (b[touched] - np.outer(col[touched], row)) % p
             k = len(pivot_cols)
-            pivots[k] = row
             pivot_cols.append(c)
             new_rows.append(k)
+            block_rows.append(r)
             if limit is not None and len(pivot_cols) >= limit:
                 return len(pivot_cols)
+        # store the block's pivots only now: later pivots of the block
+        # cleared their columns from the earlier ones in b
+        pivots[new_rows] = b[block_rows]
         # re-reduce the old pivot rows against the block's pivots in one go
         if new_rows and k_old:
             newcols = [pivot_cols[i] for i in new_rows]

@@ -16,9 +16,9 @@ algebra.leibniz_rows and algebra.skew_rows build.  Adjoint minimal
 polynomials are exact: linalg.minimal_polynomial_op proves each one by
 f(ad_x) e_j = 0 on every basis vector.  A toral subalgebra is
 self-normalizing when one generic element has ad rank dim L - dim h, an
-exact rank over Q(w).  The "no bigger than exhibited" half of the
-derivation-dimension equality is a rank bound mod p, which never exceeds
-the exact rank.  When either rank falls short, an exact kernel decides.
+exact rank over Q(w); when it falls short, an exact kernel decides.  The
+"no bigger than exhibited" half of the derivation-dimension equality is an
+exact rank over Q(w) of the Leibniz rows, read only until it is reached.
 """
 
 from __future__ import annotations
@@ -26,15 +26,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import compose
-from .algebra import (Algebra, Element, _pair_mul, generating_set, kernel_matrix,
-                      leibniz_rows, multiplicative_failure, operator_matrix,
-                      position_index, skew_rows, verify_lie, verify_symmetric)
-from .exact import MINUS_ONE, ONE, OMEGA, OMEGA2, ZERO, HALF, Polynomial, sc
+from .algebra import (Algebra, Element, _pair_mul, generating_set, integer_table,
+                      kernel_matrix, leibniz_rows, multiplicative_failure,
+                      operator_matrix, position_index, skew_rows, verify_lie,
+                      verify_symmetric)
+from .exact import MINUS_ONE, ONE, OMEGA, OMEGA2, ZERO, HALF, Polynomial, Scalar, sc
 from .grading import AbelianGroup, Grading, GroupHom
 from .linalg import (DependentVectors, Matrix, SpanCoords, SparseEchelon,
                      clear_denominators, column_apply, inverse,
-                     minimal_polynomial_op, nullspace, rank_mod_p,
-                     sparse_kernel, vec_add_scaled)
+                     minimal_polynomial_op, nullspace, sparse_kernel,
+                     vec_add_scaled)
+# not called here; perfbench's tests patch the name magic.rank_mod_p
+from .linalg import rank_mod_p  # noqa: F401
 from .report import Report
 
 
@@ -578,10 +581,11 @@ def phi_isomorphism(S: Algebra, mag: MagicAlgebra = None,
     The map sends a triality triple to the derivation fixing the diagonal and
     acting componentwise on the iota parts, and iota_i(1 x a) to D_i(a).
     Certification: every image is a derivation and the images are independent
-    (exact); the derivation space is no larger than their span (modular rank
-    bound on the Leibniz system); the map is a Lie homomorphism on all basis
-    pairs (exact), proved from the pairs that contain a generator of g once
-    g is certified Lie.
+    (exact); the derivation space is no larger than their span (an exact
+    echelon of the lazy Leibniz rows that stops at rank nj^2 - dim g, 677 for
+    the 27-dimensional J); the map is a Lie homomorphism on all basis pairs
+    (exact), proved from the pairs that contain a generator of g once g is
+    certified Lie.
     """
     if mag is None:
         mag = magic_g(compose.s1(), S)
@@ -606,15 +610,16 @@ def phi_isomorphism(S: Algebra, mag: MagicAlgebra = None,
     if ech.rank != g.dim:
         return Report(name, False, {"stage": "images independent"},
                       witness=ech.rank)
+    # rank nj^2 - dim g of the Leibniz rows bounds dim Der(J) <= dim g; if
+    # the rows run out first, the echelon holds their full rank
     needed = nj * nj - g.dim
-    index = position_index(nj)
-    got = rank_mod_p(leibniz_rows(J, index), nj * nj, limit=needed)
-    if got < needed:
-        # modular bound inconclusive; fall back to the exact kernel
-        der_dim = len(sparse_kernel(leibniz_rows(J, index), nj * nj))
-        if der_dim != g.dim:
-            return Report(name, False, {"stage": "derivation dimension"},
-                          witness=der_dim)
+    ech = SparseEchelon(nj * nj)
+    for row in leibniz_rows(J, position_index(nj)):
+        if ech.insert(row) and ech.rank == needed:
+            break
+    if ech.rank < needed:
+        return Report(name, False, {"stage": "derivation dimension"},
+                      witness=nj * nj - ech.rank)
     img_cols = [m.sparse_cols() for m in images]
     pairs = [(i, j) for i in range(g.dim) for j in range(i + 1, g.dim)]
     # For g Lie, the x with phi[x, y] = [phi x, phi y] for all y form a
@@ -777,7 +782,9 @@ def rebase_blockwise(L: Algebra, blocks, name: str = None) -> Algebra:
     blocks: list of (indices, Matrix C) where C's columns express the new
     basis vectors of the block in the old coordinates of those indices.
     Indices not covered stay fixed.  The new algebra reuses the old index
-    positions.
+    positions.  The products run on integer pairs: the new basis, its
+    inverse and L's table each get one cleared denominator, divided out at
+    the end.
     """
     d = L.dim
     col_vectors = {j: {j: ONE} for j in range(d)}
@@ -790,21 +797,37 @@ def rebase_blockwise(L: Algebra, blocks, name: str = None) -> Algebra:
                               if not C.data[r][jpos].is_zero()}
             conv[j] = {indices[r]: Ci.data[r][jpos] for r in range(n)
                        if not Ci.data[r][jpos].is_zero()}
+    dc, cols = clear_denominators(col_vectors)
+    dv, conv = clear_denominators(conv)
+    dt, T, _ = integer_table(L.products)
+    den = dc * dc * dt * dv
+    cols = [tuple((a, p, q) for a, (p, q) in cols[j].items()) for j in range(d)]
+    empty: dict = {}
     products = {}
     for i in range(d):
-        vi = col_vectors[i]
+        vi = [(T.get(a, empty), p, q) for a, p, q in cols[i]]
         for j in range(d):
-            out = L.multiply_sparse(vi, col_vectors[j])
-            if not out:
-                continue
+            vj = cols[j]
+            out: dict = {}
+            for ta, p1, q1 in vi:
+                for b, p2, q2 in vj:
+                    lst = ta.get(b)
+                    if not lst:
+                        continue
+                    pp, qq = _pair_mul(p1, q1, p2, q2)
+                    for k, p3, q3 in lst:
+                        x, y = _pair_mul(pp, qq, p3, q3)
+                        cur = out.get(k)
+                        out[k] = (x, y) if cur is None else (cur[0] + x, cur[1] + y)
             vec: dict = {}
-            for k, c in out.items():
-                for r, v in conv[k].items():
-                    cur = vec.get(r, ZERO) + c * v
-                    if cur.p or cur.q:
-                        vec[r] = cur
-                    elif r in vec:
-                        del vec[r]
+            for k, (p1, q1) in out.items():
+                if not (p1 or q1):
+                    continue
+                for r, (p2, q2) in conv[k].items():
+                    x, y = _pair_mul(p1, q1, p2, q2)
+                    cur = vec.get(r)
+                    vec[r] = (x, y) if cur is None else (cur[0] + x, cur[1] + y)
+            vec = {r: Scalar(p, q, den) for r, (p, q) in vec.items() if p or q}
             if vec:
                 products[(i, j)] = vec
     return Algebra(d, name or (L.name + ":rebased"), products, labels=None)

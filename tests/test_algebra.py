@@ -113,6 +113,32 @@ def test_verify_jordan_names_a_corrupted_symmetric_pair():
     assert _jordan_defect(bad, *rep.witness) and not _jordan_defect(J, *rep.witness)
 
 
+def _first_jordan_defect(J):
+    """Lexicographically first multiset i <= j <= k, then first l, that breaks
+    the polarized identity, by Scalar arithmetic; None if there is none."""
+    d = J.dim
+    for i in range(d):
+        for j in range(i, d):
+            for k in range(j, d):
+                for l in range(d):
+                    if _jordan_defect(J, i, j, k, l):
+                        return i, j, k, l
+    return None
+
+
+@pytest.mark.parametrize("k, pair", [(0, (0, 1)), (5, (1, 2)), (3, (3, 3)),
+                                     (2, (4, 5)), (1, (0, 5))])
+def test_verify_jordan_witness_is_the_first_failing_quadruple(k, pair):
+    J = magic.albert(compose.s1()).jordan
+    assert J.dim == 6 and _first_jordan_defect(J) is None
+    bad = _corrupted(J, k, *{pair, pair[::-1]})   # still commutative
+    want = _first_jordan_defect(bad)
+    assert want is not None
+    rep = verify_jordan(bad)
+    assert not rep.passed and rep.details == {"identity": "jordan linearized"}
+    assert rep.witness == want
+
+
 def test_derivation_dimensions():
     assert len(derivation_algebra(para_split())) == 14
     assert len(derivation_algebra(okubo11())) == 8

@@ -42,6 +42,9 @@ def test_build_wrong_parameter_count_is_usage_error(spec, want, capsys):
     "dim 2 over Q(w)\n0 9 -> 1:1\n",
     "dim 2 over Q(w)\n0 0 -> 1:1\npolar 5 5 1\n",
     "dim -1 over Q(w)\n",
+    "dim 2 over Q(w)\n0 1 -> 0:1/0\n",
+    "dim 2 over Q(w)\n0 1 -> 0:1\n0 1 -> 1:1\n",
+    "dim 2 over Q(w)\n0 1 -> 0:1,0:2\n",
 ])
 @pytest.mark.parametrize("what", ["lie", "jordan", "composition", "symmetric"])
 def test_verify_rejects_malformed_algebra_file(tmp_path, capsys, text, what):
@@ -150,7 +153,7 @@ def test_e8_dempwolff_scenario(tmp_path):
 
 
 def test_cli_import_leaves_numpy_unloaded():
-    # numpy is needed only by the modular rank bounds, loaded on first use
+    # no checker runs the modular rank bound, the only code that loads numpy
     src = os.path.dirname(os.path.dirname(forge.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     code = "import sys, forge.cli; print('numpy' in sys.modules)"
@@ -165,6 +168,18 @@ def test_e8_dempwolff_scenario_leaves_numpy_unloaded():
     env = dict(os.environ, PYTHONPATH=src)
     code = ("import sys; from forge.cli import main; "
             "rc = main(['scenario', 'e8-dempwolff']); "
+            "print(rc, 'numpy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env).stdout
+    assert out.splitlines()[-1] == "0 False"
+
+
+def test_jordan_layer_leaves_numpy_unloaded():
+    # phi_isomorphism bounds dim Der(J) by an exact rank, not a modular one
+    src = os.path.dirname(os.path.dirname(forge.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys; from forge.cli import main; "
+            "rc = main(['scenario', 'jordan-layer']); "
             "print(rc, 'numpy' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env).stdout

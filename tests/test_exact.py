@@ -74,6 +74,12 @@ def test_scalar_text_round_trip():
     assert format_scalar(Scalar(1, -1, 2)) == "1/2-1/2*w"
 
 
+@pytest.mark.parametrize("text", ["1/0", "1/0*w", "1+1/0*w", "0/0"])
+def test_parse_scalar_rejects_a_zero_denominator(text):
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_scalar(text)
+
+
 def test_poly_gcd_examples():
     assert poly_gcd(X(2) - C(1), X() - C(1)) == X() - C(1)
     assert poly_gcd(X(3) - C(1), X(2).scale(3)) == C(1)

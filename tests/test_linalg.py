@@ -8,7 +8,7 @@ from forge.linalg import (IntMatrix, Matrix, NotSquare, SparseEchelon,
                           int_det, inverse, lattice_row_reduce,
                           minimal_polynomial, minimal_polynomial_op, nullspace,
                           rank, rank_mod_p, rref, smith_normal_form, solve,
-                          sparse_kernel)
+                          sparse_kernel, vec_add_scaled)
 
 X = Polynomial.x
 C = Polynomial.constant
@@ -230,6 +230,26 @@ def test_rank_mod_p_agrees_with_exact_rank():
         got = rank_mod_p([r for r in sparse_rows if r], cols_n)
         assert got <= rank(m)
         assert got == rank(m)      # generic instances; prime is fixed
+
+
+def test_rank_mod_p_agrees_with_exact_rank_across_blocks():
+    # 300 rows in the span of 30 sparse vectors: more than one 256-row block,
+    # so the pivots of a later block meet those of an earlier one
+    rng = random.Random(71)
+    base = [{j: sc(rng.randint(-3, 3)) for j in rng.sample(range(40), 4)}
+            for _ in range(30)]
+    rows = []
+    for _ in range(300):
+        row: dict = {}
+        for v in rng.sample(base, 2):
+            vec_add_scaled(row, sc(rng.randint(1, 3)), v)
+        rows.append(row)
+    ech = SparseEchelon(40)
+    for row in rows:
+        ech.insert(row)
+    assert ech.rank == 30
+    assert rank_mod_p(rows, 40) == 30
+    assert rank_mod_p(rows, 40, limit=30) == 30
 
 
 def test_rank_mod_p_retries_on_bad_prime():

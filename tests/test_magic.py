@@ -7,7 +7,8 @@ from forge.algebra import (Algebra, ad_closure_rank, derivation_algebra,
                            generating_set, verify_jordan, verify_lie)
 from forge.exact import ONE, ZERO, Polynomial, Scalar, is_squarefree, sc
 from forge.grading import AbelianGroup, Grading, grading_type, verify_grading
-from forge.linalg import Matrix, column_apply, nullspace, vec_add_scaled
+from forge.linalg import (Matrix, column_apply, inverse, nullspace,
+                          vec_add_scaled)
 from forge.scenarios import (albert_para, e8_pair, f4_mag, okubo11,
                              para_split, split_cayley)
 
@@ -289,6 +290,25 @@ def test_rebase_blockwise_preserves_brackets():
     assert rebased.product(i0, i0) == {}
 
 
+def test_rebase_blockwise_matches_a_dense_change_of_basis():
+    # oracle: P^-1 [P e_i, P e_j] in Scalar arithmetic, P the blockwise basis
+    mag = f4_mag()
+    L, blocks = mag.lie, magic._gamma_blocks(mag)
+    P = Matrix.identity(L.dim)
+    for indices, C in blocks:
+        for r, i in enumerate(indices):
+            for c, j in enumerate(indices):
+                P.data[i][j] = C.data[r][c]
+    P_inv, cols = inverse(P), P.sparse_cols()
+    rebased = magic.rebase_blockwise(L, blocks)
+    for i in range(L.dim):
+        for j in range(L.dim):
+            out = L.multiply_sparse(cols[i], cols[j])
+            want = P_inv.apply([out.get(k, ZERO) for k in range(L.dim)])
+            assert rebased.product(i, j) == {k: c for k, c in enumerate(want)
+                                             if not c.is_zero()}
+
+
 def test_e6_dimension_and_types():
     mag, lie, gr = magic.e6_z3_3()
     assert lie.dim == 78
@@ -356,6 +376,39 @@ def test_phi_names_the_first_pair_a_mixed_image_breaks(monkeypatch):
     rep = magic.phi_isomorphism(S, mag=mag, A=A)
     assert not rep.passed and rep.details == {"stage": "lie homomorphism"}
     assert rep.witness == (0, 32)
+
+
+def _counting_leibniz_rows(monkeypatch, keep=lambda index, row: True):
+    """Patch magic.leibniz_rows to yield the rows that keep accepts and to
+    count the rows read; returns the one-element count list."""
+    read = [0]
+    intact = magic.leibniz_rows
+
+    def rows(A, index, *rest):
+        for row in intact(A, index, *rest):
+            read[0] += 1
+            if keep(index, row):
+                yield row
+    monkeypatch.setattr(magic, "leibniz_rows", rows)
+    return read
+
+
+def test_phi_derivation_bound_reads_the_rows_lazily(monkeypatch):
+    # the echelon reaches rank 27^2 - 52 = 677 after 5,913 of the 14,157 rows
+    read = _counting_leibniz_rows(monkeypatch)
+    rep = magic.phi_isomorphism(para_split(), mag=f4_mag(), A=albert_para())
+    assert rep.passed and rep.details == {"dim": 52}
+    assert 0 < read[0] <= 5913
+
+
+def test_phi_names_the_derivation_dimension_of_a_short_system(monkeypatch):
+    # No single product pair can be dropped: the other pairs' Leibniz rows
+    # still have rank 677.  Without every row that constrains the entry (3, 5)
+    # of d, that entry is free, and the rows run out at rank 676.
+    _counting_leibniz_rows(monkeypatch, lambda index, row: index[(3, 5)] not in row)
+    rep = magic.phi_isomorphism(para_split(), mag=f4_mag(), A=albert_para())
+    assert not rep.passed and rep.details == {"stage": "derivation dimension"}
+    assert rep.witness == 53
 
 
 def test_tricontext_rejects_dependent_basis():
