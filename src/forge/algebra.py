@@ -161,11 +161,14 @@ def algebra_from_text(text: str, name: str = "ingested") -> Algebra:
         return k
 
     products: dict = {}
-    polar_entries = []
+    polar_entries = {}
     for ln in lines[1:]:
         if ln.startswith("polar "):
             _, i, j, val = ln.split(None, 3)
-            polar_entries.append((index(i), index(j), parse_scalar(val)))
+            i, j = sorted((index(i), index(j)))
+            if (i, j) in polar_entries:
+                raise ValueError("second polar line for %d %d" % (i, j))
+            polar_entries[(i, j)] = parse_scalar(val)
         else:
             left, right = ln.split("->")
             i, j = (index(t) for t in left.split())
@@ -183,7 +186,7 @@ def algebra_from_text(text: str, name: str = "ingested") -> Algebra:
     polar = None
     if polar_entries:
         polar = Matrix.zero(dim, dim)
-        for i, j, v in polar_entries:
+        for (i, j), v in polar_entries.items():
             polar.data[i][j] = v
             polar.data[j][i] = v
     return Algebra(dim, name, products, polar=polar)

@@ -45,6 +45,7 @@ def test_build_wrong_parameter_count_is_usage_error(spec, want, capsys):
     "dim 2 over Q(w)\n0 1 -> 0:1/0\n",
     "dim 2 over Q(w)\n0 1 -> 0:1\n0 1 -> 1:1\n",
     "dim 2 over Q(w)\n0 1 -> 0:1,0:2\n",
+    "dim 2 over Q(w)\n0 0 -> 0:1\npolar 0 1 1\npolar 1 0 2\n",
 ])
 @pytest.mark.parametrize("what", ["lie", "jordan", "composition", "symmetric"])
 def test_verify_rejects_malformed_algebra_file(tmp_path, capsys, text, what):
