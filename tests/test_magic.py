@@ -402,9 +402,10 @@ def test_phi_derivation_bound_reads_the_rows_lazily(monkeypatch):
 
 
 def test_phi_names_the_derivation_dimension_of_a_short_system(monkeypatch):
-    # No single product pair can be dropped: the other pairs' Leibniz rows
-    # still have rank 677.  Without every row that constrains the entry (3, 5)
-    # of d, that entry is free, and the rows run out at rank 676.
+    # Dropping the rows of any one product pair is no defect: the other
+    # pairs' Leibniz rows still have rank 677.  Without every row that
+    # constrains the entry (3, 5) of d, that entry is free, and the rows run
+    # out at rank 676.
     _counting_leibniz_rows(monkeypatch, lambda index, row: index[(3, 5)] not in row)
     rep = magic.phi_isomorphism(para_split(), mag=f4_mag(), A=albert_para())
     assert not rep.passed and rep.details == {"stage": "derivation dimension"}
