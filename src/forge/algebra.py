@@ -40,14 +40,25 @@ def integer_table(products: dict):
 
 
 class Algebra:
-    """Finite-dimensional algebra given by sparse structure constants."""
+    """Finite-dimensional algebra given by sparse structure constants.
+
+    products[(i, j)] = {k: c} with every c a nonzero Scalar.  The table holds
+    one Scalar object per distinct value (a 248-dimensional table has about
+    50,000 constants but only a handful of values), which Scalars, being
+    immutable values, allow.
+    """
 
     def __init__(self, dim: int, name: str, products: dict, polar=None, labels=None):
         self.dim = dim
         self.name = name
         clean = {}
+        shared: dict = {}  # (p, q, d) -> the one Scalar of that value
         for (i, j), vec in products.items():
-            v = {k: sc(c) for k, c in vec.items() if not sc(c).is_zero()}
+            v = {}
+            for k, c in vec.items():
+                c = sc(c)
+                if c.p or c.q:
+                    v[k] = shared.setdefault((c.p, c.q, c.d), c)
             if v:
                 clean[(i, j)] = v
         self.products = clean
@@ -129,17 +140,26 @@ class Algebra:
     # ---- interchange format ----------------------------------------------
 
     def to_text(self) -> str:
+        text: dict = {}  # (p, q, d) -> formatted value, each formatted once
+
+        def fmt(v):
+            key = (v.p, v.q, v.d)
+            s = text.get(key)
+            if s is None:
+                s = text[key] = format_scalar(v)
+            return s
+
         lines = ["dim %d over Q(w)" % self.dim]
         for (i, j) in sorted(self.products):
             vec = self.products[(i, j)]
-            terms = ",".join("%d:%s" % (k, format_scalar(vec[k])) for k in sorted(vec))
+            terms = ",".join("%d:%s" % (k, fmt(vec[k])) for k in sorted(vec))
             lines.append("%d %d -> %s" % (i, j, terms))
         if self.polar is not None:
             for i in range(self.dim):
                 for j in range(i, self.dim):
                     v = self.polar.data[i][j]
                     if not v.is_zero():
-                        lines.append("polar %d %d %s" % (i, j, format_scalar(v)))
+                        lines.append("polar %d %d %s" % (i, j, fmt(v)))
         return "\n".join(lines) + "\n"
 
 
@@ -160,6 +180,14 @@ def algebra_from_text(text: str, name: str = "ingested") -> Algebra:
             raise ValueError("index %d outside 0..%d" % (k, dim - 1))
         return k
 
+    values: dict = {}  # coefficient text -> Scalar, each text parsed once
+
+    def scalar(token):
+        v = values.get(token)
+        if v is None:
+            v = values[token] = parse_scalar(token)
+        return v
+
     products: dict = {}
     polar_entries = {}
     for ln in lines[1:]:
@@ -168,7 +196,7 @@ def algebra_from_text(text: str, name: str = "ingested") -> Algebra:
             i, j = sorted((index(i), index(j)))
             if (i, j) in polar_entries:
                 raise ValueError("second polar line for %d %d" % (i, j))
-            polar_entries[(i, j)] = parse_scalar(val)
+            polar_entries[(i, j)] = scalar(val)
         else:
             left, right = ln.split("->")
             i, j = (index(t) for t in left.split())
@@ -181,7 +209,7 @@ def algebra_from_text(text: str, name: str = "ingested") -> Algebra:
                 if k in vec:
                     raise ValueError("second term %d in the product %d %d"
                                      % (k, i, j))
-                vec[k] = parse_scalar(val)
+                vec[k] = scalar(val)
             products[(i, j)] = vec
     polar = None
     if polar_entries:

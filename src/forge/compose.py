@@ -54,7 +54,13 @@ class SearchExhausted(RuntimeError):
 
 
 class NotMultiplicative(RuntimeError):
-    pass
+    """A map that should be an isomorphism is not; `pair` is the first basis
+    pair (i, j) with f(e_i e_j) != f(e_i) f(e_j), or None if the map is
+    multiplicative but not invertible."""
+
+    def __init__(self, message: str, pair=None):
+        super().__init__(message)
+        self.pair = pair
 
 
 # =========================================================================
@@ -532,6 +538,10 @@ def okubo_recognize(S: Algebra, x: Element, y: Element):
     except ValueError:
         raise HypothesesFail("derived octet is not a basis")
     morphism = AlgebraMorphism(S, model, phi)
-    if not morphism.is_multiplicative() or not morphism.is_invertible():
-        raise NotMultiplicative("recognition produced a non-isomorphism")
+    bad = multiplicative_failure(S, model, phi.sparse_cols())
+    if bad is not None:
+        raise NotMultiplicative("recognition is not multiplicative at basis "
+                                "pair (%d,%d)" % bad, bad)
+    if not morphism.is_invertible():
+        raise NotMultiplicative("recognition produced a non-invertible map")
     return alpha, beta, morphism

@@ -17,7 +17,12 @@ class DivisionByZero(ZeroDivisionError):
 
 
 class Scalar:
-    """Element of Q(w): (p + q*w)/d in lowest terms, d > 0."""
+    """Element of Q(w): (p + q*w)/d in lowest terms, d > 0.
+
+    Scalars are immutable values: p, q and d are set once, in __init__, and
+    every operation returns a new Scalar.  So one object may be shared by any
+    number of tables and vectors, and equality is by value, never identity.
+    """
 
     __slots__ = ("p", "q", "d")
 

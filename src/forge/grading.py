@@ -168,6 +168,10 @@ def grading_from_text(text: str, algebra: Algebra) -> Grading:
             free = int(val)
             if free < 0:
                 raise ValueError("negative free rank %d" % free)
+            # at most dim degrees cannot generate Z^free for free > dim
+            if free > algebra.dim:
+                raise ValueError("free rank %d exceeds the dimension %d"
+                                 % (free, algebra.dim))
         elif key == "torsion":
             torsion = tuple(int(x) for x in val.split(",")) if val != "-" else ()
             if any(m < 2 for m in torsion):
@@ -176,6 +180,7 @@ def grading_from_text(text: str, algebra: Algebra) -> Grading:
             raise ValueError("unknown group header key %r" % key)
     group = AbelianGroup(free, torsion)
     degrees = [group.zero()] * algebra.dim
+    seen = set()
     for ln in lines[1:]:
         if not ln.startswith("deg "):
             raise ValueError("malformed line %r" % ln)
@@ -184,6 +189,9 @@ def grading_from_text(text: str, algebra: Algebra) -> Grading:
         idx = int(idx)
         if not 0 <= idx < algebra.dim:
             raise ValueError("deg index %d outside 0..%d" % (idx, algebra.dim - 1))
+        if idx in seen:
+            raise ValueError("second deg line for %d" % idx)
+        seen.add(idx)
         degrees[idx] = tuple(int(x) for x in right.split())
     return Grading(algebra, group, tuple(degrees))
 

@@ -81,20 +81,20 @@ class Matrix:
         return Matrix([[c * a for a in r] for r in self.data])
 
     def __mul__(self, other: "Matrix") -> "Matrix":
+        """Row i of the product is the sum of a * (row k of other) over the
+        nonzero entries a = self[i, k]; zero entries cost nothing."""
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
-        ot = list(zip(*other.data))
+        orows = [{c: b for c, b in enumerate(row) if b.p or b.q}
+                 for row in other.data]
+        cols = range(other.cols)
         out = []
         for row in self.data:
-            orow = []
-            for col in ot:
-                acc = ZERO
-                for a, b in zip(row, col):
-                    if a.p or a.q:
-                        if b.p or b.q:
-                            acc = acc + a * b
-                orow.append(acc)
-            out.append(orow)
+            acc: dict = {}
+            for a, orow in zip(row, orows):
+                if a.p or a.q:
+                    vec_add_scaled(acc, a, orow)
+            out.append([acc.get(c, ZERO) for c in cols])
         return Matrix(out)
 
     def apply(self, vec):
@@ -340,31 +340,37 @@ class SpanCoords:
     """Exact coordinates in the span of independent sparse vectors.
 
     rref of the vectors picks pivot positions at which their block is
-    invertible.  The coordinates of a vector are that block's inverse applied
-    to its pivot entries, and an exact recombination check confirms that the
-    vector lies in the span.
+    invertible; that block's inverse is kept as sparse columns, one per pivot
+    position.  The coordinates of a vector are the sum of its nonzero pivot
+    entries times their columns, and an exact recombination check confirms
+    that the vector lies in the span.
     """
 
     def __init__(self, vectors, ncols: int):
         self.vectors = list(vectors)
         n = len(self.vectors)
-        self.pivots, self.solver = [], Matrix([])
+        self.pivots, self.columns = [], []
         if n:
             _, rk, self.pivots = rref(Matrix([[v.get(c, ZERO) for c in range(ncols)]
                                               for v in self.vectors]))
             if rk != n:
                 raise DependentVectors("vectors are dependent")
-            self.solver = inverse(Matrix([[v.get(r, ZERO) for v in self.vectors]
-                                          for r in self.pivots]))
+            self.columns = inverse(Matrix([[v.get(r, ZERO) for v in self.vectors]
+                                           for r in self.pivots])).sparse_cols()
 
     def coords(self, f: dict):
         """Dense coordinates of the sparse vector f, or None outside the span."""
-        coords = self.solver.apply([f.get(r, ZERO) for r in self.pivots])
+        sparse: dict = {}
+        for r, col in zip(self.pivots, self.columns):
+            c = f.get(r)
+            if c is not None and (c.p or c.q):
+                vec_add_scaled(sparse, c, col)
         check: dict = {}
-        for c, v in zip(coords, self.vectors):
-            if c.p or c.q:
-                vec_add_scaled(check, c, v)
-        return coords if check == f else None
+        for i, c in sparse.items():
+            vec_add_scaled(check, c, self.vectors[i])
+        if check != f:
+            return None
+        return [sparse.get(i, ZERO) for i in range(len(self.vectors))]
 
 
 # =========================================================================

@@ -306,13 +306,21 @@ def magic_g(S: Algebra, Sp: Algebra, tri_s: TriContext = None,
             products[(i, j)] = dict(vec)
             products[(j, i)] = {k: -v for k, v in vec.items()}
 
+    # When both sides are one algebra with one TriContext, the tri(S) work
+    # below (internal brackets, t_xy coordinate tables) is done once.
+    same = ctxp is ctx and Sp is S
+
+    def brackets(c):
+        basis = c.basis
+        return [(r, s, c.coords_sparse(basis[r].commutator(basis[s])))
+                for r in range(len(basis)) for s in range(r + 1, len(basis))]
+
     # tri(S) and tri(S') internal brackets (componentwise commutators)
-    for basis, off, c in ((ctx.basis, 0, ctx), (ctxp.basis, nt, ctxp)):
-        for r in range(len(basis)):
-            for s in range(r + 1, len(basis)):
-                com = basis[r].commutator(basis[s])
-                vec = {off + k: v for k, v in c.coords_sparse(com).items()}
-                put(off + r, off + s, vec)
+    tbrackets = brackets(ctx)
+    tpbrackets = tbrackets if same else brackets(ctxp)
+    for off, brs in ((0, tbrackets), (nt, tpbrackets)):
+        for r, s, coords in brs:
+            put(off + r, off + s, {off + k: v for k, v in coords.items()})
 
     # tri(S) acts on the S factor of each iota copy, tri(S') on the S' factor.
     # In iota(i, a, b) = iota(i, 0, 0) + a*dp + b the S index steps by dp and
@@ -353,8 +361,7 @@ def magic_g(S: Algebra, Sp: Algebra, tri_s: TriContext = None,
                         put(iota(i, a, b), iota(j, cdx, e), vec)
 
     # iota_i x iota_i -> tri(S) + tri(S'): coordinates of theta^i t_{x,y}
-    tables = []
-    for A, c in ((S, ctx), (Sp, ctxp)):
+    def coord_table(A, c):
         n = A.dim
         tab = [[[None] * n for _ in range(n)] for _ in range(3)]
         for a in range(n):
@@ -362,8 +369,10 @@ def magic_g(S: Algebra, Sp: Algebra, tri_s: TriContext = None,
                 t = t_xy(A, A.basis_element(a), A.basis_element(b))
                 for i in range(3):
                     tab[i][a][b] = c.coords_sparse(t.theta(i))
-        tables.append(tab)
-    tcoords, tpcoords = tables
+        return tab
+
+    tcoords = coord_table(S, ctx)
+    tpcoords = tcoords if same else coord_table(Sp, ctxp)
     pm, pmp = S.polar.data, Sp.polar.data
     for i in range(3):
         for a in range(d):
@@ -1138,14 +1147,14 @@ def e8_dempwolff(mag: MagicAlgebra, gr8: Grading):
 
 def e8_z3_5(params=(1, 1), params2=(1, 1)):
     """Z3^5 grading of g(O, O') for two Z3^2-graded Okubo algebras."""
-    O1, gr1 = graded_okubo(params)
-    O2, gr2 = graded_okubo(params2)
-    t1 = graded_tri_basis(O1, gr1, theta_refine=True)
-    t2 = graded_tri_basis(O2, gr2, theta_refine=True)
-    d1, b1 = flatten_graded_basis(t1)
-    d2, b2 = flatten_graded_basis(t2)
-    mag = magic_g(O1, O2, tri_s=TriContext(O1, b1),
-                  tri_sp=TriContext(O2, b2), name="e8w")
+    def side(params):
+        O, gr = graded_okubo(params)
+        degs, basis = flatten_graded_basis(graded_tri_basis(O, gr, theta_refine=True))
+        return O, gr, degs, TriContext(O, basis)
+
+    O1, gr1, d1, ctx1 = side(params)
+    O2, gr2, d2, ctx2 = (O1, gr1, d1, ctx1) if params2 == params else side(params2)
+    mag = magic_g(O1, O2, tri_s=ctx1, tri_sp=ctx2, name="e8w")
     lie = rebase_blockwise(mag.lie, _gamma_blocks(mag), name="e8w:z3^5")
     degrees = [(d[0], d[1], 0, 0, d[2]) for d in d1]
     degrees += [(0, 0, d[0], d[1], d[2]) for d in d2]

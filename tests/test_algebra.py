@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from forge import algebra, compose, magic
 from forge.algebra import (Algebra, MixedAlgebras, MissingForm,
@@ -7,9 +8,9 @@ from forge.algebra import (Algebra, MixedAlgebras, MissingForm,
                            operator_matrix, orthogonal_algebra,
                            subalgebra_generated, verify_composition,
                            verify_jordan, verify_lie, verify_symmetric)
-from forge.exact import MINUS_ONE, ONE, ZERO, sc
-from forge.linalg import vec_add_scaled
-from forge.scenarios import okubo11, para_split, split_cayley
+from forge.exact import MINUS_ONE, ONE, ZERO, Scalar, sc
+from forge.linalg import Matrix, vec_add_scaled
+from forge.scenarios import e8_pair, okubo11, para_split, split_cayley
 
 
 def test_multiply_examples():
@@ -259,6 +260,58 @@ def test_interchange_round_trip():
         assert back.to_text() == text
         assert back.products == A.products
         assert back.polar == A.polar
+
+
+def _scalar_objects(A):
+    return {id(c) for vec in A.products.values() for c in vec.values()}
+
+
+def test_table_holds_one_scalar_object_per_value():
+    L = e8_pair()[0].lie
+    assert sum(len(vec) for vec in L.products.values()) == 49440
+    assert len(_scalar_objects(L)) == 8
+    assert len(_scalar_objects(algebra_from_text(L.to_text()))) == 8
+    # equal constants given as distinct objects, ints and Scalars are merged
+    A = Algebra(2, "a", {(0, 0): {0: Scalar(1, 0, 2), 1: 0},
+                         (0, 1): {1: Scalar(2, 0, 4)}, (1, 0): {0: Scalar(1, 1, 2)},
+                         (1, 1): {0: 3, 1: sc(3)}})
+    assert len(_scalar_objects(A)) == 3
+    assert A.products == {(0, 0): {0: Scalar(1, 0, 2)}, (0, 1): {1: Scalar(1, 0, 2)},
+                          (1, 0): {0: Scalar(1, 1, 2)}, (1, 1): {0: sc(3), 1: sc(3)}}
+
+
+_coeffs = st.builds(Scalar, st.integers(-7, 7), st.integers(-7, 7),
+                    st.integers(1, 6))
+
+
+@st.composite
+def _sparse_algebras(draw):
+    dim = draw(st.integers(1, 5))
+    index = st.integers(0, dim - 1)
+    products = draw(st.dictionaries(st.tuples(index, index),
+                                    st.dictionaries(index, _coeffs, max_size=3),
+                                    max_size=dim * dim))
+    polar = None
+    if draw(st.booleans()):
+        polar = Matrix.zero(dim, dim)
+        for (i, j), v in draw(st.dictionaries(st.tuples(index, index), _coeffs,
+                                              max_size=dim * dim)).items():
+            polar.data[i][j] = polar.data[j][i] = v
+    return products, Algebra(dim, "random", products, polar=polar)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_sparse_algebras())
+def test_interchange_round_trip_of_random_sparse_algebras(case):
+    products, A = case
+    nonzero = {ij: {k: c for k, c in vec.items() if not c.is_zero()}
+               for ij, vec in products.items()}
+    assert A.products == {ij: vec for ij, vec in nonzero.items() if vec}
+    text = A.to_text()
+    back = algebra_from_text(text)
+    assert back.to_text() == text
+    assert back.products == A.products
+    assert back.polar == A.polar or (A.polar.is_zero() and back.polar is None)
 
 
 def test_interchange_rejects_garbage():

@@ -56,7 +56,8 @@ def test_verify_rejects_malformed_algebra_file(tmp_path, capsys, text, what):
     assert err.startswith("error:") and "Traceback" not in err
 
 
-@pytest.mark.parametrize("line", ["deg 99 = 1 0", "deg -1 = 1 0", "deg = 1 0"])
+@pytest.mark.parametrize("line", ["deg 99 = 1 0", "deg -1 = 1 0", "deg = 1 0",
+                                  "deg 0 = 1 0\ndeg 0 = 2 0"])
 def test_grade_rejects_malformed_degree_line(tmp_path, capsys, line):
     apath, gpath = tmp_path / "okubo.alg", tmp_path / "bad.grad"
     assert main(["build", "okubo:1,1", "--out", str(apath)]) == 0
@@ -74,6 +75,9 @@ def test_grade_rejects_malformed_degree_line(tmp_path, capsys, line):
     "group free=1 torsion=-2\ndeg 0 = 0 0\n",
     "group free=0 torsion=3,1\ndeg 0 = 0 0\n",
     "group free=0 torsion=3,3 rank=2\ndeg 0 = 0 0\n",
+    # free ranks above the dimension 8 are refused before any allocation
+    "group free=9 torsion=-\ndeg 0 = 1 0 0 0 0 0 0 0 0\n",
+    "group free=1999999999999 torsion=2\ndeg 0 = 1\n",
 ])
 def test_grade_rejects_malformed_group_header(tmp_path, capsys, text):
     apath, gpath = tmp_path / "okubo.alg", tmp_path / "bad.grad"

@@ -187,6 +187,25 @@ def test_recognition_on_model():
     assert iso.is_multiplicative() and iso.is_invertible()
 
 
+def test_recognition_names_the_pair_of_a_corrupted_model_product(monkeypatch):
+    okubo = compose.okubo
+
+    def corrupted(alpha, beta):
+        model = okubo(alpha, beta)
+        # x(1,1) x(-1,1) = beta x(0,-1) becomes beta x(0,-1) + x(1,0)
+        model.products[(4, 6)] = {3: sc(beta), 0: ONE}
+        return model
+
+    S = okubo(sc(2), sc(3))
+    x = S.element([-1, 0, 0, 0, 0, 0, 0, 0])
+    y = S.element([0, 0, -1, 0, 0, 0, 0, 0])
+    monkeypatch.setattr(compose, "okubo", corrupted)
+    with pytest.raises(compose.NotMultiplicative) as err:
+        compose.okubo_recognize(S, x, y)
+    assert err.value.pair == (4, 6)
+    assert "(4,6)" in str(err.value)
+
+
 def test_recognition_requires_xy_zero():
     O = okubo11()
     x = O.element([-1, 0, 0, 0, 0, 0, 0, 0])

@@ -3,8 +3,8 @@ import random
 import pytest
 
 from forge.exact import OMEGA, ONE, ZERO, Polynomial, Scalar, sc
-from forge.linalg import (IntMatrix, Matrix, NotSquare, SparseEchelon,
-                          _annihilator_from_chain, _krylov_chain, column_apply,
+from forge.linalg import (DependentVectors, IntMatrix, Matrix, NotSquare,
+                          SpanCoords, SparseEchelon, _annihilator_from_chain, _krylov_chain, column_apply,
                           int_det, inverse, lattice_row_reduce,
                           minimal_polynomial, minimal_polynomial_op, nullspace,
                           rank, rank_mod_p, rref, smith_normal_form, solve,
@@ -45,6 +45,76 @@ def test_solve_and_inverse():
     assert m.apply(x) == [ONE, sc(2)]
     assert m * inverse(m) == Matrix.identity(2)
     assert solve(Matrix([[1, 1], [1, 1]]), [sc(0), sc(1)]) is None
+
+
+def _triple_loop_product(a, b):
+    """Oracle: the textbook sum over k of a[i, k] * b[k, j]."""
+    out = []
+    for i in range(a.rows):
+        row = []
+        for j in range(b.cols):
+            acc = ZERO
+            for k in range(a.cols):
+                acc = acc + a.data[i][k] * b.data[k][j]
+            row.append(acc)
+        out.append(row)
+    return Matrix(out)
+
+
+_ENTRIES = (ZERO, ZERO, ZERO, ONE, -ONE, OMEGA, -OMEGA, Scalar(-1, -1),
+            Scalar(1, 0, 3), Scalar(-2, 0, 5), Scalar(1, 1, 2), Scalar(3, -2, 7))
+
+
+def _random_matrix(rng, rows, cols):
+    m = Matrix([[rng.choice(_ENTRIES) for _ in range(cols)] for _ in range(rows)])
+    if rows and cols:  # a zero row and a zero column
+        m.data[rng.randrange(rows)] = [ZERO] * cols
+        c = rng.randrange(cols)
+        for row in m.data:
+            row[c] = ZERO
+    return m
+
+
+def test_matrix_product_matches_triple_loop():
+    rng = random.Random(23)
+    for rows, inner, cols in ((1, 1, 1), (3, 3, 3), (2, 5, 3), (5, 2, 4),
+                              (4, 6, 1), (1, 6, 5), (7, 7, 7)):
+        for _ in range(4):
+            a = _random_matrix(rng, rows, inner)
+            b = _random_matrix(rng, inner, cols)
+            assert a * b == _triple_loop_product(a, b)
+    z = Matrix.zero(3, 2)
+    assert z * _random_matrix(rng, 2, 4) == Matrix.zero(3, 4)
+    with pytest.raises(ValueError):
+        Matrix.zero(2, 3) * Matrix.zero(2, 3)
+
+
+def test_span_coords_match_a_dense_solve():
+    rng = random.Random(29)
+    ncols = 9
+    vectors = [{0: ONE, 3: OMEGA, 7: Scalar(1, 0, 2)},
+               {1: Scalar(-2, 0, 3), 3: ONE},
+               {2: Scalar(1, 1, 2), 5: -ONE, 8: OMEGA},
+               {0: ONE, 1: ONE, 2: ONE, 6: Scalar(3, -2, 7)}]
+    span = SpanCoords(vectors, ncols)
+    columns = Matrix([[v.get(r, ZERO) for v in vectors] for r in range(ncols)])
+    for _ in range(12):
+        coeffs = [rng.choice(_ENTRIES) for _ in vectors]
+        f: dict = {}
+        for c, v in zip(coeffs, vectors):
+            if not c.is_zero():
+                vec_add_scaled(f, c, v)
+        coords = span.coords(f)
+        assert coords == coeffs
+        assert coords == solve(columns, [f.get(r, ZERO) for r in range(ncols)])
+    assert span.coords({}) == [ZERO] * 4
+    outside = {4: ONE}
+    assert solve(columns, [outside.get(r, ZERO) for r in range(ncols)]) is None
+    assert span.coords(outside) is None
+    assert span.coords({0: ONE, 4: ONE}) is None
+    with pytest.raises(DependentVectors):
+        SpanCoords(vectors + [{0: ONE, 1: Scalar(-2, 0, 3), 3: ONE + OMEGA,
+                               7: Scalar(1, 0, 2)}], ncols)
 
 
 def _dense_minimal_polynomial(m):

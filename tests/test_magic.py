@@ -86,6 +86,22 @@ def test_magic_dimension_formula():
     assert f4_mag().lie.dim == 52
 
 
+def test_magic_with_one_context_on_both_sides_builds_tri_once(monkeypatch):
+    PC = para_split()
+    calls = []
+    t_xy = magic.t_xy
+    monkeypatch.setattr(magic, "t_xy", lambda *a: calls.append(a) or t_xy(*a))
+    ctx = magic.TriContext(PC)
+    shared = magic.magic_g(PC, PC, tri_s=ctx, tri_sp=ctx)
+    assert len(calls) == 64
+    separate = magic.magic_g(PC, PC, tri_s=ctx, tri_sp=magic.TriContext(PC))
+    assert len(calls) == 64 + 128
+    assert shared.lie.dim == 248
+    assert shared.lie.to_text() == separate.lie.to_text()
+    assert shared.z22.degrees == separate.z22.degrees
+    assert shared.lie.labels == separate.lie.labels
+
+
 def test_magic_rejects_bad_inputs():
     with pytest.raises(magic.NotSymmetricComposition):
         magic.magic_g(compose.s1(), split_cayley())
