@@ -4,12 +4,14 @@ An algebra is a sparse tensor (i, j) -> sum_k c_k e_k together with an
 optional polar form of a norm.  All identity checks work by full
 multilinearization on basis tuples, which is equivalent to the quadratic or
 cubic identities in characteristic zero.  The heavy scans (Jacobi, Jordan)
-run over denominator-cleared integer tables instead of Scalar objects.
+run over denominator-cleared integer tables instead of Scalar objects, as
+does rebase_blockwise, the change to the eigenbasis of an order-3 monomial
+automorphism.
 """
 
 from __future__ import annotations
 
-from .exact import ONE, ZERO, Scalar, format_scalar, parse_scalar, sc
+from .exact import OMEGA, OMEGA2, ONE, ZERO, Scalar, format_scalar, parse_scalar, sc
 from .linalg import (Matrix, SparseEchelon, clear_denominators, column_apply,
                      rank, solve, sparse_kernel, vec_add_scaled)
 from .report import Report
@@ -20,6 +22,10 @@ class MixedAlgebras(ValueError):
 
 
 class MissingForm(ValueError):
+    pass
+
+
+class IncompatibleInputs(ValueError):
     pass
 
 
@@ -358,6 +364,17 @@ def _pair_mul(p1, q1, p2, q2):
     return p1 * p2 - t, p1 * q2 + q1 * p2 - t
 
 
+def sign_failure(A: Algebra, sign: int):
+    """First pair (i, j), i <= j, with e_j e_i != sign * e_i e_j, or None."""
+    for i in range(A.dim):
+        for j in range(i, A.dim):
+            a, b = A.product(i, j), A.product(j, i)
+            if set(a) != set(b) or any(b[m] != (a[m] if sign == 1 else -a[m])
+                                       for m in a):
+                return i, j
+    return None
+
+
 def _jacobi_triple_ok(T, rational, i, j, k) -> bool:
     if rational:
         acc: dict = {}
@@ -495,12 +512,9 @@ def verify_lie(L: Algebra) -> Report:
         vec = L.product(i, i)
         if vec:
             return Report(name, False, {"identity": "[x,x]=0"}, witness=(i, i))
-    for i in range(d):
-        for j in range(i + 1, d):
-            a, b = L.product(i, j), L.product(j, i)
-            if set(a) != set(b) or any(a[m] != -b[m] for m in a):
-                return Report(name, False, {"identity": "[x,y]=-[y,x]"},
-                              witness=(i, j))
+    bad = sign_failure(L, -1)
+    if bad is not None:
+        return Report(name, False, {"identity": "[x,y]=-[y,x]"}, witness=bad)
     _, T, rational = L.int_table()
     gens = generating_set(L)
     if ad_closure_rank(L, gens) == d:
@@ -536,12 +550,9 @@ def verify_jordan(J: Algebra) -> Report:
     """
     name = "jordan(%s)" % J.name
     d = J.dim
-    for i in range(d):
-        for j in range(i + 1, d):
-            a, b = J.product(i, j), J.product(j, i)
-            if set(a) != set(b) or any(a[m] != b[m] for m in a):
-                return Report(name, False, {"identity": "commutativity"},
-                              witness=(i, j))
+    bad = sign_failure(J, 1)
+    if bad is not None:
+        return Report(name, False, {"identity": "commutativity"}, witness=bad)
     _, T, _ = J.int_table()
     empty: dict = {}
     comms: dict = {}
@@ -696,6 +707,109 @@ def multiplicative_failure(A: Algebra, B: Algebra, cols, anticommutative=False):
             if f(A.product(i, j)) != B.multiply_sparse(cols[i], cols[j]):
                 return i, j
     return None
+
+
+_W = ((1, 0), (0, 1), (-1, -1))  # w^0, w^1, w^2 as integer pairs
+
+
+def rebase_blockwise(L: Algebra, cycles, exponents, name: str = None) -> Algebra:
+    """L on the theta-eigenbasis of the index triples that theta cycles.
+
+    theta e_{c_r} = e_{c_{r+1}} on each cycle (c0, c1, c2), and theta e_k =
+    w^exponents[k] e_k off the cycles.  The new vector at c_j is
+    u_j = sum_r w^{-rj} e_{c_r}, of exponent j; the others stay.
+    Precondition, checked exactly: L is antisymmetric or symmetric and theta
+    is an automorphism of L; else IncompatibleInputs names the failing pair.
+    Then for theta v = lambda v,
+        [u_j, v] = sum_r (w^j lambda)^{-r} theta^r [e_{c0}, v]
+                 = 3 pi_{w^j lambda}([e_{c0}, v]),
+    pi_mu the projection onto the mu-eigenspace: it keeps the coordinates of
+    exponent mu off the cycles and, on each cycle, the u_m coordinate
+    sum_r w^{rm} z_{c_r} / 3 of z with w^m = mu.  So one old product
+    z = [e_{c0}, v] gives the three rows of a cycle.  Only the pairs whose
+    row group (a cycle or one index) does not come after the column group
+    are computed; the sign fills in the rest.  The results share one Scalar
+    per numerator over 3 D, D the denominator of L's table.
+    """
+    d = L.dim
+    if len(exponents) != d or any(e not in (0, 1, 2) for e in exponents):
+        raise IncompatibleInputs("need a theta exponent 0, 1 or 2 per basis vector")
+    cycles = [tuple(c) for c in cycles]
+    place = {}  # index on a cycle -> (cycle, r)
+    for c in cycles:
+        for r, k in enumerate(c):
+            if len(c) != 3 or k in place or not 0 <= k < d or exponents[k] != r:
+                raise IncompatibleInputs("bad theta cycle %r" % (c,))
+            place[k] = (c, r)
+    anti = sign_failure(L, -1)
+    sym = anti and sign_failure(L, 1)
+    if sym:
+        raise IncompatibleInputs("%s is neither antisymmetric, see %r, nor "
+                                 "symmetric, see %r" % (L.name, anti, sym))
+    sign = 1 if anti else -1
+    theta = [{k: (ONE, OMEGA, OMEGA2)[e]} for k, e in enumerate(exponents)]
+    for c in cycles:
+        for r in range(3):
+            theta[c[r]] = {c[(r + 1) % 3]: ONE}
+    bad = multiplicative_failure(L, L, theta, anticommutative=sign == -1)
+    if bad is not None:
+        raise IncompatibleInputs("theta is not an automorphism of %s at "
+                                 "(i, j) = %r" % (L.name, bad))
+
+    D, T, _ = integer_table(L.products)
+    shared: dict = {}  # numerator pair -> its one Scalar over 3 D
+
+    def scalar(p, q):
+        c = shared.get((p, q))
+        if c is None:
+            c = shared[(p, q)] = Scalar(p, q, 3 * D)
+        return c
+
+    cols = [((k, 1, 0),) for k in range(d)]  # new vectors in old coordinates
+    for c in cycles:
+        for m in range(3):
+            cols[c[m]] = tuple((c[r],) + _W[-r * m % 3] for r in range(3))
+    groups = sorted([(k,) for k in range(d) if k not in place] + cycles, key=min)
+    products = {}
+    for g, B in enumerate(groups):
+        TB = T.get(B[0], {})
+        for C in groups[g:]:
+            for v in C:
+                z: dict = {}
+                for b, wp, wq in cols[v]:
+                    for k, p, q in TB.get(b, ()):
+                        x, y = _pair_mul(p, q, wp, wq)
+                        cur = z.get(k, (0, 0))
+                        z[k] = (cur[0] + x, cur[1] + y)
+                ev = exponents[v]
+                if len(B) == 1:
+                    rows = [(B[0], (exponents[B[0]] + ev) % 3, 1)]
+                else:
+                    rows = [(B[j], (j + ev) % 3, 3) for j in range(3)]
+                # pi_mu(z) as numerators over 3 D; off the cycles, z is zero
+                # at exponents not wanted, as theta is an automorphism
+                split = {mu: {} for _, mu, _ in rows}
+                for k, (p, q) in z.items():
+                    at = place.get(k)
+                    if at is None:
+                        vec = split.get(exponents[k])
+                        if vec is not None:
+                            vec[k] = (3 * p, 3 * q)
+                        continue
+                    c, r = at
+                    for mu, vec in split.items():
+                        wp, wq = _W[r * mu % 3]
+                        x, y = _pair_mul(p, q, wp, wq)
+                        cur = vec.get(c[mu], (0, 0))
+                        vec[c[mu]] = (cur[0] + x, cur[1] + y)
+                for i, mu, f in rows:
+                    cells = ((i, v, f),) if C is B else ((i, v, f), (v, i, sign * f))
+                    for row, col, s in cells:
+                        out = {k: scalar(s * p, s * q)
+                               for k, (p, q) in split[mu].items() if p or q}
+                        if out:
+                            products[(row, col)] = out
+    return Algebra(d, name or (L.name + ":rebased"), products, labels=None)
 
 
 def matrix_in_span(m: Matrix, basis, dim: int) -> bool:

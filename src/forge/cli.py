@@ -146,6 +146,10 @@ def cmd_verify(args) -> int:
 
 def cmd_magic(args) -> int:
     reports = []
+    if args.grade and (args.left or args.right):
+        print("error: --grade %s builds its own algebras; drop --left and --right"
+              % args.grade, file=sys.stderr)
+        return 2
     if args.grade == "z3_5":
         _, lie, grading = magic.e8_z3_5()
     elif args.grade in ("z2_8", "dempwolff"):
@@ -258,8 +262,8 @@ def make_parser() -> argparse.ArgumentParser:
     v.set_defaults(fn=cmd_verify)
 
     m = sub.add_parser("magic", help="magic-square Lie algebras")
-    m.add_argument("--left", default="para-cayley")
-    m.add_argument("--right", default="para-cayley")
+    m.add_argument("--left", help="catalog algebra (default para-cayley)")
+    m.add_argument("--right", help="catalog algebra (default para-cayley)")
     m.add_argument("--grade", choices=("z2_8", "z3_5", "dempwolff"))
     m.add_argument("--check", choices=("jacobi", "cartan", "jordan"))
     m.add_argument("--json", action="store_true")

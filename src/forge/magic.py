@@ -19,6 +19,16 @@ self-normalizing when one generic element has ad rank dim L - dim h, an
 exact rank over Q(w); when it falls short, an exact kernel decides.  The
 "no bigger than exhibited" half of the derivation-dimension equality is an
 exact rank over Q(w) of the Leibniz rows, read only until it is reached.
+
+The Z3-graded algebras (Albert, f4, e6, e8 from Okubo algebras) are built on
+the iota basis and moved by algebra.rebase_blockwise to the theta-eigenbasis
+u_j = sum_r w^{-rj} iota_r of each iota triple.  theta acts monomially: it
+cycles the triples and scales every other basis vector k by w^{e_k}.  Its
+precondition, that theta is an automorphism of the antisymmetric or
+symmetric table, is checked exactly first.  Then for a theta-eigenvector v
+of eigenvalue lambda, [u_j, v] = 3 pi_{w^j lambda}([iota_0, v]), pi_mu the
+projection onto the mu-eigenspace, so one old product gives the three new
+rows of a triple.
 """
 
 from __future__ import annotations
@@ -26,14 +36,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import compose
-from .algebra import (Algebra, Element, _pair_mul, generating_set, integer_table,
-                      kernel_matrix, leibniz_rows, multiplicative_failure,
-                      operator_matrix, position_index, skew_rows, verify_lie,
-                      verify_symmetric)
-from .exact import MINUS_ONE, ONE, OMEGA, OMEGA2, ZERO, HALF, Polynomial, Scalar, sc
+from .algebra import (Algebra, Element, IncompatibleInputs, _pair_mul,
+                      generating_set, kernel_matrix, leibniz_rows,
+                      multiplicative_failure, operator_matrix, position_index,
+                      rebase_blockwise, skew_rows, verify_lie, verify_symmetric)
+from .exact import MINUS_ONE, ONE, OMEGA, OMEGA2, ZERO, HALF, Polynomial, sc
 from .grading import AbelianGroup, Grading, GroupHom
 from .linalg import (DependentVectors, Matrix, SpanCoords, SparseEchelon,
-                     clear_denominators, column_apply, inverse,
+                     clear_denominators, column_apply,
                      minimal_polynomial_op, nullspace, sparse_kernel,
                      vec_add_scaled)
 # not called here; perfbench's tests patch the name magic.rank_mod_p
@@ -46,10 +56,6 @@ class NotSymmetricComposition(ValueError):
 
 
 class BadDimensions(ValueError):
-    pass
-
-
-class IncompatibleInputs(ValueError):
     pass
 
 
@@ -785,66 +791,6 @@ def derivations_graded(S: Algebra, gr: Grading):
     return L, Grading(L, gr.group, tuple(degrees), name="induced")
 
 
-def rebase_blockwise(L: Algebra, blocks, name: str = None) -> Algebra:
-    """Transport structure constants to a new basis given blockwise.
-
-    blocks: list of (indices, Matrix C) where C's columns express the new
-    basis vectors of the block in the old coordinates of those indices.
-    Indices not covered stay fixed.  The new algebra reuses the old index
-    positions.  The products run on integer pairs: the new basis, its
-    inverse and L's table each get one cleared denominator, divided out at
-    the end.
-    """
-    d = L.dim
-    col_vectors = {j: {j: ONE} for j in range(d)}
-    conv = {j: {j: ONE} for j in range(d)}  # old coord -> new coords
-    for indices, C in blocks:
-        n = len(indices)
-        Ci = inverse(C)
-        for jpos, j in enumerate(indices):
-            col_vectors[j] = {indices[r]: C.data[r][jpos] for r in range(n)
-                              if not C.data[r][jpos].is_zero()}
-            conv[j] = {indices[r]: Ci.data[r][jpos] for r in range(n)
-                       if not Ci.data[r][jpos].is_zero()}
-    dc, cols = clear_denominators(col_vectors)
-    dv, conv = clear_denominators(conv)
-    dt, T, _ = integer_table(L.products)
-    den = dc * dc * dt * dv
-    cols = [tuple((a, p, q) for a, (p, q) in cols[j].items()) for j in range(d)]
-    empty: dict = {}
-    products = {}
-    for i in range(d):
-        vi = [(T.get(a, empty), p, q) for a, p, q in cols[i]]
-        for j in range(d):
-            vj = cols[j]
-            out: dict = {}
-            for ta, p1, q1 in vi:
-                for b, p2, q2 in vj:
-                    lst = ta.get(b)
-                    if not lst:
-                        continue
-                    pp, qq = _pair_mul(p1, q1, p2, q2)
-                    for k, p3, q3 in lst:
-                        x, y = _pair_mul(pp, qq, p3, q3)
-                        cur = out.get(k)
-                        out[k] = (x, y) if cur is None else (cur[0] + x, cur[1] + y)
-            vec: dict = {}
-            for k, (p1, q1) in out.items():
-                if not (p1 or q1):
-                    continue
-                for r, (p2, q2) in conv[k].items():
-                    x, y = _pair_mul(p1, q1, p2, q2)
-                    cur = vec.get(r)
-                    vec[r] = (x, y) if cur is None else (cur[0] + x, cur[1] + y)
-            vec = {r: Scalar(p, q, den) for r, (p, q) in vec.items() if p or q}
-            if vec:
-                products[(i, j)] = vec
-    return Algebra(d, name or (L.name + ":rebased"), products, labels=None)
-
-
-OMEGA_BLOCK = Matrix([[ONE, ONE, ONE], [ONE, OMEGA2, OMEGA], [ONE, OMEGA, OMEGA2]])
-
-
 # =========================================================================
 # adjoint minimal polynomials
 # =========================================================================
@@ -1037,14 +983,14 @@ def albert_z3_3(params=(1, 1)):
     """Z3^3 grading of the Albert algebra of a Z3^2-graded Okubo algebra."""
     O, gr = graded_okubo(params)
     A = albert(O)
-    blocks = [([0, 1, 2], OMEGA_BLOCK)]
-    for a in range(8):
-        blocks.append(([A.iota_index(i, a) for i in range(3)], OMEGA_BLOCK))
-    J2 = rebase_blockwise(A.jordan, blocks, name=A.jordan.name + ":z3^3")
+    cycles = [(0, 1, 2)] + [tuple(A.iota_index(i, a) for i in range(3))
+                            for a in range(8)]
     degrees = [(0, 0, 0), (0, 0, 1), (0, 0, 2)]
     for j in range(3):
         for a in range(8):
             degrees.append(tuple(gr.degrees[a]) + (j,))
+    J2 = rebase_blockwise(A.jordan, cycles, [deg[-1] for deg in degrees],
+                          name=A.jordan.name + ":z3^3")
     return J2, Grading(J2, Z3_3, tuple(degrees), name="z3^3")
 
 
@@ -1062,13 +1008,10 @@ def f4_z2_5(lams=(1, 1, 1)):
     return mag, Grading(mag.lie, Z2_5, tuple(degrees), name="z2^5")
 
 
-def _gamma_blocks(mag: MagicAlgebra):
-    blocks = []
-    for a in range(mag.S.dim):
-        for b in range(mag.Sp.dim):
-            blocks.append(([mag.iota_index(i, a, b) for i in range(3)],
-                           OMEGA_BLOCK))
-    return blocks
+def _iota_cycles(mag: MagicAlgebra):
+    """The index triples (iota_0, iota_1, iota_2)(e_a x e_b) that theta cycles."""
+    return [tuple(mag.iota_index(i, a, b) for i in range(3))
+            for a in range(mag.S.dim) for b in range(mag.Sp.dim)]
 
 
 def f4_z3_3(params=(1, 1)):
@@ -1078,11 +1021,12 @@ def f4_z3_3(params=(1, 1)):
     tdeg, tbasis = flatten_graded_basis(graded)
     ctx = TriContext(O, tbasis)
     mag = magic_g(compose.s1(), O, tri_sp=ctx, name="f4(%s)" % O.name)
-    lie = rebase_blockwise(mag.lie, _gamma_blocks(mag), name=mag.lie.name + ":z3^3")
     degrees = [tuple(d) for d in tdeg]
     for j in range(3):
         for b in range(8):
             degrees.append(tuple(gr.degrees[b]) + (j,))
+    lie = rebase_blockwise(mag.lie, _iota_cycles(mag), [deg[-1] for deg in degrees],
+                           name=mag.lie.name + ":z3^3")
     return mag, lie, Grading(lie, Z3_3, tuple(degrees), name="z3^3")
 
 
@@ -1099,13 +1043,14 @@ def e6_z3_3(xi=1, params=(1, 1)):
     tdeg, tbasis = flatten_graded_basis(graded)
     ctx = TriContext(O, tbasis)
     mag = magic_g(S2, O, tri_s=ctx2, tri_sp=ctx, name="e6")
-    lie = rebase_blockwise(mag.lie, _gamma_blocks(mag), name="e6:z3^3")
     degrees = [(0, 0) + tuple(d) for d in sdeg]
     degrees += [tuple(d) for d in tdeg]
     for j in range(3):
         for a in range(2):
             for b in range(8):
                 degrees.append(tuple(gr.degrees[b]) + (j,))
+    lie = rebase_blockwise(mag.lie, _iota_cycles(mag), [deg[-1] for deg in degrees],
+                           name="e6:z3^3")
     return mag, lie, Grading(lie, Z3_3, tuple(degrees), name="z3^3")
 
 
@@ -1155,11 +1100,12 @@ def e8_z3_5(params=(1, 1), params2=(1, 1)):
     O1, gr1, d1, ctx1 = side(params)
     O2, gr2, d2, ctx2 = (O1, gr1, d1, ctx1) if params2 == params else side(params2)
     mag = magic_g(O1, O2, tri_s=ctx1, tri_sp=ctx2, name="e8w")
-    lie = rebase_blockwise(mag.lie, _gamma_blocks(mag), name="e8w:z3^5")
     degrees = [(d[0], d[1], 0, 0, d[2]) for d in d1]
     degrees += [(0, 0, d[0], d[1], d[2]) for d in d2]
     for j in range(3):
         for a in range(8):
             for b in range(8):
                 degrees.append(tuple(gr1.degrees[a]) + tuple(gr2.degrees[b]) + (j,))
+    lie = rebase_blockwise(mag.lie, _iota_cycles(mag), [deg[-1] for deg in degrees],
+                           name="e8w:z3^5")
     return mag, lie, Grading(lie, Z3_5, tuple(degrees), name="z3^5")

@@ -203,6 +203,18 @@ def test_verify_lie_counterexample():
     assert not rep.passed and rep.witness == (0, 1, 2)
 
 
+def test_sign_checks_name_the_first_pair():
+    # symmetric on (0, 1), antisymmetric on (1, 2)
+    A = Algebra(3, "mixed", {(0, 1): {2: ONE}, (1, 0): {2: ONE},
+                             (1, 2): {0: ONE}, (2, 1): {0: MINUS_ONE}})
+    assert algebra.sign_failure(A, -1) == (0, 1)
+    assert algebra.sign_failure(A, 1) == (1, 2)
+    rep = verify_lie(A)
+    assert rep.details["identity"] == "[x,y]=-[y,x]" and rep.witness == (0, 1)
+    rep = verify_jordan(A)
+    assert rep.details["identity"] == "commutativity" and rep.witness == (1, 2)
+
+
 def _sl2():
     # e0 = e, e1 = f, e2 = h: [e, f] = h, [h, e] = 2e, [h, f] = -2f
     two = sc(2)

@@ -200,6 +200,22 @@ def test_magic_small(capsys):
     assert dims[0]["details"]["dim"] == 8
 
 
+@pytest.mark.parametrize("extra", [["--left", "okubo:2,3"], ["--right", "s1"],
+                                   ["--left", "okubo:2,3", "--right", "s1"]])
+def test_magic_grade_rejects_left_and_right(extra, capsys):
+    assert main(["magic", "--grade", "z2_8"] + extra) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == ""
+
+
+def test_magic_grade_z3_5(capsys):
+    assert main(["magic", "--grade", "z3_5", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload[0]["details"]["dim"] == 248
+    types = [r for r in payload if r["name"].startswith("type(")]
+    assert types[0]["details"]["type"] == [240, 0, 0, 2]
+
+
 def test_build_nested_albert(capsys):
     assert main(["verify", "jordan", "--name", "albert:okubo:1,1"]) == 0
     assert main(["verify", "lie", "--name", "albert:okubo:1,1"]) == 1

@@ -5,7 +5,8 @@ import pytest
 from forge import algebra, compose, magic
 from forge.algebra import (Algebra, ad_closure_rank, derivation_algebra,
                            generating_set, verify_jordan, verify_lie)
-from forge.exact import ONE, ZERO, Polynomial, Scalar, is_squarefree, sc
+from forge.exact import (OMEGA, OMEGA2, ONE, ZERO, Polynomial, Scalar,
+                         is_squarefree, sc)
 from forge.grading import AbelianGroup, Grading, grading_type, verify_grading
 from forge.linalg import (Matrix, column_apply, inverse, nullspace,
                           vec_add_scaled)
@@ -297,32 +298,76 @@ def test_jordan_grading_check_rejects_unequal_dims():
     assert rep.details["stage"] in ("equal dimensions", "g_0 = 0")
 
 
+# the blockwise change of basis e_{c_r} -> u_j = sum_r w^{-rj} e_{c_r} of a cycle
+OMEGA_BLOCK = Matrix([[ONE, ONE, ONE], [ONE, OMEGA2, OMEGA], [ONE, OMEGA, OMEGA2]])
+
+
+def _theta_rebase_inputs():
+    """(L, cycles, exponents) of theta-refined tables the rebase accepts:
+    two Z3^3-graded f4 algebras on the iota basis, and an Albert algebra."""
+    for params in ((1, 1), (2, 3)):
+        mag, _, gr = magic.f4_z3_3(params)
+        yield mag.lie, magic._iota_cycles(mag), [deg[-1] for deg in gr.degrees]
+    A = magic.albert(okubo11())
+    cycles = [(0, 1, 2)] + [tuple(A.iota_index(i, a) for i in range(3))
+                            for a in range(8)]
+    yield A.jordan, cycles, [0, 1, 2] + [i for i in range(3) for _ in range(8)]
+
+
 def test_rebase_blockwise_preserves_brackets():
-    mag = f4_mag()
-    lie = rebased = magic.rebase_blockwise(mag.lie, magic._gamma_blocks(mag))
-    assert verify_lie(rebased).passed
-    # dimensions of products agree with a hand change of basis on one pair
-    i0 = mag.iota_index(0, 0, 0)
-    assert rebased.product(i0, i0) == {}
+    for L, cycles, exponents in _theta_rebase_inputs():
+        rebased = magic.rebase_blockwise(L, cycles, exponents)
+        check = verify_jordan if L.name.startswith("albert") else verify_lie
+        assert check(rebased).passed
+        # theta-eigenvectors of exponents e_i, e_j multiply to exponent e_i + e_j
+        for (i, j), vec in rebased.products.items():
+            assert {exponents[k] for k in vec} == {(exponents[i] + exponents[j]) % 3}
 
 
 def test_rebase_blockwise_matches_a_dense_change_of_basis():
     # oracle: P^-1 [P e_i, P e_j] in Scalar arithmetic, P the blockwise basis
-    mag = f4_mag()
-    L, blocks = mag.lie, magic._gamma_blocks(mag)
-    P = Matrix.identity(L.dim)
-    for indices, C in blocks:
-        for r, i in enumerate(indices):
-            for c, j in enumerate(indices):
-                P.data[i][j] = C.data[r][c]
-    P_inv, cols = inverse(P), P.sparse_cols()
-    rebased = magic.rebase_blockwise(L, blocks)
-    for i in range(L.dim):
-        for j in range(L.dim):
-            out = L.multiply_sparse(cols[i], cols[j])
-            want = P_inv.apply([out.get(k, ZERO) for k in range(L.dim)])
-            assert rebased.product(i, j) == {k: c for k, c in enumerate(want)
-                                             if not c.is_zero()}
+    for L, cycles, exponents in _theta_rebase_inputs():
+        P = Matrix.identity(L.dim)
+        for indices in cycles:
+            for r, i in enumerate(indices):
+                for c, j in enumerate(indices):
+                    P.data[i][j] = OMEGA_BLOCK.data[r][c]
+        P_inv, cols = inverse(P), P.sparse_cols()
+        rebased = magic.rebase_blockwise(L, cycles, exponents)
+        for i in range(L.dim):
+            for j in range(L.dim):
+                out = L.multiply_sparse(cols[i], cols[j])
+                want = P_inv.apply([out.get(k, ZERO) for k in range(L.dim)])
+                assert rebased.product(i, j) == {k: c for k, c in enumerate(want)
+                                                 if not c.is_zero()}
+
+
+def test_rebase_blockwise_names_a_planted_product():
+    L, cycles, exponents = next(_theta_rebase_inputs())
+    i, j = 31, 41   # iota_0(1 x e3), iota_1(1 x e5): the first pair of its theta orbit
+    products = dict(L.products)
+    wrong = dict(products.get((i, j), {}))
+    wrong[0] = wrong.get(0, ZERO) + ONE
+    products[(i, j)] = wrong
+    products[(j, i)] = {k: -c for k, c in wrong.items()}
+    planted = Algebra(L.dim, L.name, products)
+    with pytest.raises(magic.IncompatibleInputs, match=r"\(31, 41\)"):
+        magic.rebase_blockwise(planted, cycles, exponents)
+
+
+def test_rebase_blockwise_rejects_bad_theta_data():
+    L, cycles, exponents = next(_theta_rebase_inputs())
+    with pytest.raises(magic.IncompatibleInputs):
+        magic.rebase_blockwise(L, cycles, exponents[:-1])
+    with pytest.raises(magic.IncompatibleInputs):   # u_0 given exponent 1
+        magic.rebase_blockwise(L, [cycles[0][::-1]] + cycles[1:], exponents)
+
+
+def test_rebase_blockwise_rejects_a_table_neither_symmetric_nor_antisymmetric():
+    # theta is the identity here, so only the sign check can fail
+    A = Algebra(2, "lopsided", {(0, 1): {0: ONE}, (1, 0): {1: ONE}})
+    with pytest.raises(magic.IncompatibleInputs, match=r"neither.*\(0, 1\)"):
+        magic.rebase_blockwise(A, [], [0, 0])
 
 
 def test_e6_dimension_and_types():
