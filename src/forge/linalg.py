@@ -409,16 +409,6 @@ def _krylov_chain(apply_fn, seed: dict, dim: int):
             return chain
 
 
-def _poly_apply(f: Polynomial, apply_fn, v: dict) -> dict:
-    """f(M) v by Horner's rule."""
-    out: dict = {}
-    for c in reversed(f.coeffs):
-        out = apply_fn(out)
-        if c.p or c.q:
-            vec_add_scaled(out, c, v)
-    return out
-
-
 def column_apply(cols):
     """Sparse apply of the operator whose j-th column is the sparse dict cols[j]."""
     def apply_fn(v):
@@ -433,17 +423,32 @@ def minimal_polynomial_op(apply_fn, dim: int) -> Polynomial:
     """Minimal polynomial m of a linear operator M given as a sparse apply.
 
     apply_fn maps a sparse dict vector to a sparse dict vector.  Walks the
-    basis with f = 1: where f(M) e_j != 0 (exact Horner over Q(w)), f becomes
-    the lcm of f and the annihilator of the Krylov chain from e_j.
-    Each chain annihilator divides m, so f | m.
-    f(M) e_j = 0 holds for every basis vector e_j at the end, so m | f.
+    basis with f = 1.  For each e_j not yet covered it forms the orbit
+    v_k = M^k e_j, k <= deg f, and f(M) e_j = sum f_k v_k exactly over Q(w);
+    where that is nonzero, f becomes the lcm of f and the annihilator of the
+    Krylov chain from e_j.  Each chain annihilator divides m, so f | m.
+    Now f(M) e_j = 0, so an orbit vector v_k = c e_l with one entry has
+    f(M) e_l = c^-1 M^k f(M) e_j = 0, and so has every later f, a multiple
+    of this one: e_l is covered and skipped.  (A wider v_k proves nothing
+    about the basis vectors of its support.)  So f(M) e_j = 0 holds for
+    every basis vector at the end, and m | f.
     """
     f = Polynomial([ONE])
+    covered = set()
     for j in range(dim):
-        seed = {j: ONE}
-        if _poly_apply(f, apply_fn, seed):
-            chain = _krylov_chain(apply_fn, seed, dim)
+        if j in covered:
+            continue
+        orbit = [{j: ONE}]
+        while len(orbit) < len(f.coeffs) and orbit[-1]:
+            orbit.append(apply_fn(orbit[-1]))
+        out: dict = {}
+        for c, v in zip(f.coeffs, orbit):
+            if c.p or c.q:
+                vec_add_scaled(out, c, v)
+        if out:
+            chain = _krylov_chain(apply_fn, orbit[0], dim)
             f = poly_lcm(f, _annihilator_from_chain(chain))
+        covered.update(next(iter(v)) for v in orbit if len(v) == 1)
     return f
 
 

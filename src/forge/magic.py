@@ -13,10 +13,11 @@ built, bracketed and solved for in that form; only matrix(i) is dense.
 
 tri(S), Der(S) and o(S, n) are exact kernels of the rows that
 algebra.leibniz_rows and algebra.skew_rows build.  Adjoint minimal
-polynomials are exact: linalg.minimal_polynomial_op proves each one by
-f(ad_x) e_j = 0 on every basis vector.  A toral subalgebra is
-self-normalizing when one generic element has ad rank dim L - dim h, an
-exact rank over Q(w); when it falls short, an exact kernel decides.  The
+polynomials are exact: linalg.minimal_polynomial_op proves f(ad_x) e_j = 0
+for each basis vector, checked or covered by a one-entry orbit vector of a
+checked one.  A toral h is self-normalizing when the exact rank of
+x -> ([h_1, x], ..., [h_k, x]) is dim L - dim h; its columns are the ad
+columns the minimal polynomials use.  The
 "no bigger than exhibited" half of the derivation-dimension equality is an
 exact rank over Q(w) of the Leibniz rows, read only until it is reached.
 
@@ -795,20 +796,30 @@ def derivations_graded(S: Algebra, gr: Grading):
 # adjoint minimal polynomials
 # =========================================================================
 
-def adjoint_minimal_polynomial(L: Algebra, x: Element) -> Polynomial:
+def ad_columns(L: Algebra, x: Element):
+    """The columns [x, e_j] of ad_x, one sparse dict per basis vector e_j."""
+    xs = x.sparse()
+    return [L.multiply_sparse(xs, {j: ONE}) for j in range(L.dim)]
+
+
+def adjoint_minimal_polynomial(L: Algebra, x: Element, cols=None) -> Polynomial:
     """Exact minimal polynomial m of ad_x = [x, -], the left multiplication by x.
 
-    linalg.minimal_polynomial_op gets the columns [x, e_j] and returns an lcm
-    f of Krylov-chain annihilators; each divides m, so f | m.
-    It returns f only once f(ad_x) e_j = 0 holds exactly for every j, so m | f.
+    linalg.minimal_polynomial_op gets the columns [x, e_j] (cols, if built
+    already) and returns an lcm f of Krylov-chain annihilators; each divides
+    m, so f | m.  It returns f only once f(ad_x) e_j = 0 is proved exactly
+    for every j, so m | f.
     """
-    xs = x.sparse()
-    cols = [L.multiply_sparse(xs, {j: ONE}) for j in range(L.dim)]
+    if cols is None:
+        cols = ad_columns(L, x)
     return minimal_polynomial_op(column_apply(cols), L.dim)
 
 
-def is_toral(L: Algebra, elements) -> Report:
-    """Abelian span whose elements have squarefree adjoint minimal polynomials."""
+def is_toral(L: Algebra, elements, cols=None) -> Report:
+    """Abelian span whose elements have squarefree adjoint minimal polynomials.
+
+    cols, when given, holds ad_columns(L, x) for each element x.
+    """
     from .exact import is_squarefree
     name = "toral(%s)" % L.name
     els = list(elements)
@@ -818,45 +829,12 @@ def is_toral(L: Algebra, elements) -> Report:
                 return Report(name, False, {"stage": "abelian"}, witness=(i, j))
     polys = []
     for i, x in enumerate(els):
-        mp = adjoint_minimal_polynomial(L, x)
+        mp = adjoint_minimal_polynomial(L, x, None if cols is None else cols[i])
         polys.append(str(mp))
         if not is_squarefree(mp):
             return Report(name, False, {"stage": "squarefree minimal polynomial",
                                         "minpoly": str(mp)}, witness=i)
     return Report(name, True, {"minpolys": polys})
-
-
-def _normalizer_rows(L: Algebra, elements, span_ech: SparseEchelon):
-    d = L.dim
-    for h in elements:
-        hs = h.sparse()
-        wcols = []
-        for j in range(d):
-            ej = {j: ONE}
-            br = L.multiply_sparse(ej, hs)
-            wcols.append(span_ech.reduce(br))
-        coords = set()
-        for wc in wcols:
-            coords.update(wc)
-        for c in sorted(coords):
-            row = {}
-            for j, wc in enumerate(wcols):
-                v = wc.get(c)
-                if v is not None:
-                    row[j] = v
-            if row:
-                yield row
-
-
-def _generic_rank(L: Algebra, elements) -> int:
-    """Exact rank of ad_{h0}, h0 = sum 1009^i h_i, over Q(w)."""
-    h0 = {}
-    for i, x in enumerate(elements):
-        vec_add_scaled(h0, sc(1009 ** i), x.sparse())
-    ech = SparseEchelon(L.dim)
-    for j in range(L.dim):
-        ech.insert(L.multiply_sparse({j: ONE}, h0))
-    return ech.rank
 
 
 def is_cartan(L: Algebra, elements) -> Report:
@@ -865,36 +843,37 @@ def is_cartan(L: Algebra, elements) -> Report:
     Lemma (Humphreys, sections 8 and 15): if h is toral then N(h) = C(h).
     Over the algebraic closure, where ranks are the same, write x in N(h) as
     a sum of root components for h; for each root alpha != 0, [h, x_alpha]
-    lies in h and in L_alpha, so it is 0 and x_alpha = 0.  Since h is
-    abelian, h is inside C(h), which is inside ker ad_{h0} for any h0 in h,
-    so an exact rank(ad_{h0}) = dim L - dim h proves N(h) = h.  The
-    coefficients 1009^i of h0 only decide whether that one-element
-    certificate is conclusive; when it falls short, the exact kernel of the
-    normalizer rows of every h_i decides and names the normalizer dimension.
+    lies in h and in L_alpha, so it is 0 and x_alpha = 0.  So the exact rank
+    r of x -> ([h_1, x], ..., [h_k, x]) gives dim N(h) = dim C(h) = dim L - r,
+    and since h is abelian, r = dim L - dim h proves N(h) = h.  Column j of
+    that map stacks the columns [h_i, e_j] of every ad_{h_i} at offset
+    i * dim L; the same columns drive the minimal polynomials.
     """
     name = "cartan(%s)" % L.name
     els = list(elements)
-    k = len(els)
-    toral = is_toral(L, els)
+    k, d = len(els), L.dim
+    cols = [ad_columns(L, x) for x in els]
+    toral = is_toral(L, els, cols)
     if not toral.passed:
         return Report(name, False, {"stage": "toral", "inner": toral.details},
                       witness=toral.witness)
-    span_ech = SparseEchelon(L.dim)
+    span_ech = SparseEchelon(d)
     for x in els:
         span_ech.insert(x.sparse())
     if span_ech.rank != k:
         return Report(name, False, {"stage": "independent span"}, witness=k)
-    needed = L.dim - k
-    how = {"method": "generic element", "rank": _generic_rank(L, els)}
-    if how["rank"] != needed:
-        kern = sparse_kernel(list(_normalizer_rows(L, els, span_ech)), L.dim)
-        if len(kern) != k:
-            return Report(name, False, {"stage": "self-normalizing",
-                                        "normalizer_dim": len(kern)},
-                          witness=len(kern))
-        how = {"method": "normalizer kernel", "rank": needed}
+    ech = SparseEchelon(k * d)
+    for j in range(d):
+        ech.insert({i * d + m: c for i, ci in enumerate(cols)
+                    for m, c in ci[j].items()})
+    centralizer_dim = d - ech.rank
+    if centralizer_dim != k:
+        return Report(name, False, {"stage": "self-normalizing",
+                                    "normalizer_dim": centralizer_dim},
+                      witness=centralizer_dim)
     return Report(name, True, {"dim": k, "minpolys": toral.details["minpolys"],
-                               "self_normalizing": how})
+                               "self_normalizing": {"method": "centralizer",
+                                                    "rank": ech.rank}})
 
 
 def jordan_grading_check(L: Algebra, gr: Grading, cartan_mode: str = "pairs") -> Report:

@@ -216,6 +216,17 @@ def test_magic_grade_z3_5(capsys):
     assert types[0]["details"]["type"] == [240, 0, 0, 2]
 
 
+def test_magic_grade_dempwolff_check_cartan(capsys):
+    # every one of the 31 components of the Dempwolff decomposition of e8 is
+    # certified as a Cartan subalgebra
+    assert main(["magic", "--grade", "dempwolff", "--check", "cartan",
+                 "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    jordan = [r for r in payload if r["name"] == "jordan-grading(e8)"]
+    assert jordan[0]["passed"]
+    assert jordan[0]["details"] == {"components": 31, "component_dim": 8}
+
+
 def test_build_nested_albert(capsys):
     assert main(["verify", "jordan", "--name", "albert:okubo:1,1"]) == 0
     assert main(["verify", "lie", "--name", "albert:okubo:1,1"]) == 1

@@ -11,7 +11,8 @@ from forge.exact import (MINUS_ONE, OMEGA, OMEGA2, ONE, ZERO, BothZero,
 X = Polynomial.x
 C = Polynomial.constant
 
-# numerators up to the size of the 1009^i coefficients of is_cartan's h0
+# numerators of up to 80 bits (1009^8), far beyond the small structure
+# constants, as exact eliminations and polynomial remainders produce
 BIG = 1009 ** 8
 ints = st.one_of(st.integers(-9, 9), st.integers(-BIG, BIG),
                  st.sampled_from([1009 ** 7, -(1009 ** 7)]))

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from forge.exact import OMEGA, ONE, ZERO, Polynomial, Scalar, sc
 from forge.linalg import (DependentVectors, IntMatrix, Matrix, NotSquare,
@@ -188,6 +189,50 @@ def test_minimal_polynomial_op_zero_and_one_by_one():
     assert minimal_polynomial_op(lambda v: {}, 4) == X()
     assert minimal_polynomial_op(_op(Matrix([[5]])), 1) == X() - C(5)
     assert minimal_polynomial_op(_op(Matrix([[OMEGA]])), 1) == X() - Polynomial([OMEGA])
+
+
+def test_minimal_polynomial_op_covers_only_one_entry_orbit_vectors():
+    # the swap e0 <-> e1 sets f = X^2 - 1, which kills e2 and its orbit
+    # vector M e2 = e3 + e4; but M e3 = 2 e3, so covering the support of
+    # e3 + e4 would stop at X^2 - 1
+    cols = [{1: ONE}, {0: ONE}, {3: ONE, 4: ONE}, {3: sc(2)}, {2: ONE, 3: sc(-2)}]
+    m = Matrix([[c.get(i, ZERO) for c in cols] for i in range(5)])
+    got = minimal_polynomial_op(column_apply(cols), 5)
+    assert got == X(3) - C(2) * X(2) - X() + C(2)
+    assert got == _dense_minimal_polynomial(m)
+
+
+_SPARSE = (ZERO,) * 9 + _ENTRIES
+_NONZERO = [c for c in _ENTRIES if not c.is_zero()]
+
+
+@st.composite
+def _operators(draw):
+    """Block-diagonal sum of sparse random and scaled permutation blocks."""
+    blocks = []
+    for n in draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)):
+        if draw(st.booleans()):
+            block = [[draw(st.sampled_from(_SPARSE)) for _ in range(n)]
+                     for _ in range(n)]
+        else:
+            block = [[ZERO] * n for _ in range(n)]
+            for j, i in enumerate(draw(st.permutations(range(n)))):
+                block[i][j] = draw(st.sampled_from(_NONZERO))
+        blocks.append(block)
+    dim = sum(len(b) for b in blocks)
+    m = Matrix.zero(dim, dim)
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            m.data[at + i][at:at + len(b)] = row
+        at += len(b)
+    return m
+
+
+@settings(max_examples=150, deadline=None)
+@given(_operators())
+def test_minimal_polynomial_op_matches_the_dense_oracle(m):
+    assert minimal_polynomial_op(_op(m), m.rows) == _dense_minimal_polynomial(m)
 
 
 def test_smith_normal_form_examples():
