@@ -163,7 +163,9 @@ def grading_from_text(text: str, algebra: Algebra) -> Grading:
     free = 0
     torsion: tuple = ()
     for tok in lines[0].split()[1:]:
-        key, val = tok.split("=", 1)
+        key, eq, val = tok.partition("=")
+        if not eq:
+            raise ValueError("malformed group header %r" % lines[0])
         if key == "free":
             free = int(val)
             if free < 0:
@@ -184,9 +186,11 @@ def grading_from_text(text: str, algebra: Algebra) -> Grading:
     for ln in lines[1:]:
         if not ln.startswith("deg "):
             raise ValueError("malformed line %r" % ln)
-        left, right = ln.split("=", 1)
-        _, idx = left.split()
-        idx = int(idx)
+        left, eq, right = ln.partition("=")
+        head = left.split()
+        if not eq or len(head) != 2:
+            raise ValueError("malformed line %r" % ln)
+        idx = int(head[1])
         if not 0 <= idx < algebra.dim:
             raise ValueError("deg index %d outside 0..%d" % (idx, algebra.dim - 1))
         if idx in seen:

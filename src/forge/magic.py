@@ -797,8 +797,13 @@ def derivations_graded(S: Algebra, gr: Grading):
 # =========================================================================
 
 def ad_columns(L: Algebra, x: Element):
-    """The columns [x, e_j] of ad_x, one sparse dict per basis vector e_j."""
+    """The columns [x, e_j] of ad_x, one sparse dict per basis vector e_j;
+    for x = e_i, the table's own rows.  Callers (column_apply, the
+    centralizer rank, is_toral) only read them."""
     xs = x.sparse()
+    if list(xs.values()) == [ONE]:
+        (i,) = xs
+        return [L.product(i, j) for j in range(L.dim)]
     return [L.multiply_sparse(xs, {j: ONE}) for j in range(L.dim)]
 
 

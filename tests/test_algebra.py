@@ -9,7 +9,7 @@ from forge.algebra import (Algebra, MixedAlgebras, MissingForm,
                            subalgebra_generated, verify_composition,
                            verify_jordan, verify_lie, verify_symmetric)
 from forge.exact import MINUS_ONE, ONE, ZERO, Scalar, sc
-from forge.linalg import Matrix, vec_add_scaled
+from forge.linalg import Matrix, clear_denominators, vec_add_scaled
 from forge.scenarios import e8_pair, okubo11, para_split, split_cayley
 
 
@@ -290,6 +290,26 @@ def test_table_holds_one_scalar_object_per_value():
     assert len(_scalar_objects(A)) == 3
     assert A.products == {(0, 0): {0: Scalar(1, 0, 2)}, (0, 1): {1: Scalar(1, 0, 2)},
                           (1, 0): {0: Scalar(1, 1, 2)}, (1, 1): {0: sc(3), 1: sc(3)}}
+    # the constructor keeps the caller's inner dicts; an emptied one is dropped
+    half, third = Scalar(1, 0, 2), Scalar(1, 1, 3)
+    products = {(0, 1): {0: half, 1: third}, (1, 0): {1: Scalar(2, 0, 4)},
+                (1, 1): {0: ZERO}}
+    A = Algebra(2, "b", products)
+    assert all(A.products[ij] is products[ij] for ij in A.products)
+    assert A.products == {(0, 1): {0: half, 1: third}, (1, 0): {1: half}}
+    assert A.product(1, 0)[1] is half
+    # one dict under two keys
+    vec = {0: ONE, 1: 0}
+    A = Algebra(2, "c", {(0, 1): vec, (1, 0): vec})
+    assert A.product(0, 1) is A.product(1, 0) is vec and vec == {0: ONE}
+
+
+def test_integer_table_of_e8_shares_its_entries_and_products():
+    _, T, rational = algebra.integer_table(e8_pair()[0].lie.products)
+    rows = [row for Ti in T.values() for row in Ti.values()]
+    assert (len(rows), sum(map(len, rows))) == (44064, 49440)
+    assert len({id(e) for row in rows for e in row}) == 976
+    assert len({id(row) for row in rows}) == 1088
 
 
 _coeffs = st.builds(Scalar, st.integers(-7, 7), st.integers(-7, 7),
@@ -324,6 +344,18 @@ def test_interchange_round_trip_of_random_sparse_algebras(case):
     assert back.to_text() == text
     assert back.products == A.products
     assert back.polar == A.polar or (A.polar.is_zero() and back.polar is None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_sparse_algebras())
+def test_integer_table_matches_cleared_denominators(case):
+    _, A = case
+    D, T, rational = algebra.integer_table(A.products)
+    D_want, scaled = clear_denominators(A.products)
+    assert D == D_want
+    assert {(i, j): list(row) for i, Ti in T.items() for j, row in Ti.items()} == \
+        {ij: [(m,) + pq for m, pq in vec.items()] for ij, vec in scaled.items()}
+    assert rational == all(q == 0 for vec in scaled.values() for _, q in vec.values())
 
 
 def test_interchange_rejects_garbage():

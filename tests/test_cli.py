@@ -69,8 +69,28 @@ def test_grade_rejects_malformed_degree_line(tmp_path, capsys, line):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("line", ["0 0 ->", "0 -> 0:1", "0 1 0:1", "polar 0 1"])
+def test_verify_names_a_malformed_algebra_line(tmp_path, capsys, line):
+    path = tmp_path / "bad.alg"
+    path.write_text("dim 2 over Q(w)\n%s\n" % line)
+    assert main(["verify", "lie", "--algebra", str(path)]) == 2
+    assert capsys.readouterr().err == "error: malformed line %r\n" % line
+
+
+@pytest.mark.parametrize("line", ["deg 0 1 = 1 1", "deg 0 1 1"])
+def test_grade_names_a_malformed_degree_line(tmp_path, capsys, line):
+    apath, gpath = tmp_path / "okubo.alg", tmp_path / "bad.grad"
+    assert main(["build", "okubo:1,1", "--out", str(apath)]) == 0
+    gpath.write_text("group free=0 torsion=3,3\n%s\n" % line)
+    capsys.readouterr()
+    assert main(["grade", "--algebra", str(apath), "--grading", str(gpath),
+                 "--check"]) == 2
+    assert capsys.readouterr().err == "error: malformed line %r\n" % line
+
+
 @pytest.mark.parametrize("text", [
     "group free=0 torsion=0\ndeg 0 = 0\n",
+    "group free torsion=3\ndeg 0 = 0\n",
     "group free=-1 torsion=3\ndeg 0 =\n",
     "group free=1 torsion=-2\ndeg 0 = 0 0\n",
     "group free=0 torsion=3,1\ndeg 0 = 0 0\n",
