@@ -65,7 +65,8 @@ class Algebra:
     immutable values, allow.  The constructor takes ownership of the inner
     dicts of `products` and keeps them: it puts the shared Scalar of each
     value in place, coercing ints, and deletes zero entries, so their values
-    stay equal; no caller mutates them afterwards.
+    stay equal; they belong to no other Algebra, and no caller mutates them
+    afterwards.
     """
 
     def __init__(self, dim: int, name: str, products: dict, polar=None, labels=None):

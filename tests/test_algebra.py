@@ -77,7 +77,7 @@ def test_verify_symmetric():
 
 def _corrupted(A, k, *pairs):
     """A copy of A with 1 added to coordinate k of each product in pairs."""
-    products = dict(A.products)
+    products = {ij: dict(vec) for ij, vec in A.products.items()}
     for i, j in pairs:
         vec = dict(A.product(i, j))
         vec[k] = vec.get(k, ZERO) + ONE
@@ -237,7 +237,7 @@ def _not_jacobi():
 def _direct_sum(A, B):
     """A + B with [A, B] = 0; the basis of B follows that of A."""
     n = A.dim
-    products = dict(A.products)
+    products = {ij: dict(vec) for ij, vec in A.products.items()}
     for (i, j), vec in B.products.items():
         products[(n + i, n + j)] = {n + k: c for k, c in vec.items()}
     return Algebra(n + B.dim, "sum", products)
@@ -329,7 +329,9 @@ def _sparse_algebras(draw):
         for (i, j), v in draw(st.dictionaries(st.tuples(index, index), _coeffs,
                                               max_size=dim * dim)).items():
             polar.data[i][j] = polar.data[j][i] = v
-    return products, Algebra(dim, "random", products, polar=polar)
+    # the constructor adopts the inner dicts it is given: hand it copies
+    return products, Algebra(dim, "random", {ij: dict(vec) for ij, vec in products.items()},
+                             polar=polar)
 
 
 @settings(max_examples=60, deadline=None)

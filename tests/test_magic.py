@@ -164,6 +164,16 @@ def test_adjoint_minimal_polynomial_matches_dense():
     assert fast == dense
 
 
+def test_ad_columns_of_a_basis_vector_are_the_general_columns():
+    # e_i takes the table's rows, 2 e_i the general multiply_sparse path
+    L = f4_mag().lie
+    for i in (0, 13, 51):
+        general = [L.multiply_sparse({i: ONE}, {j: ONE}) for j in range(L.dim)]
+        assert magic.ad_columns(L, L.basis_element(i)) == general
+        twice = magic.ad_columns(L, L.element([sc(2 if k == i else 0) for k in range(52)]))
+        assert twice == [{k: sc(2) * c for k, c in col.items()} for col in general]
+
+
 def test_adjoint_minimal_polynomial_non_integral_coordinates():
     # x = (1/3) e0 + (w/2) e13 + e40 has denominators 3 and 2, and 6x is integral
     from forge.algebra import operator_matrix
@@ -345,7 +355,7 @@ def test_rebase_blockwise_matches_a_dense_change_of_basis():
 def test_rebase_blockwise_names_a_planted_product():
     L, cycles, exponents = next(_theta_rebase_inputs())
     i, j = 31, 41   # iota_0(1 x e3), iota_1(1 x e5): the first pair of its theta orbit
-    products = dict(L.products)
+    products = {ij: dict(vec) for ij, vec in L.products.items()}
     wrong = dict(products.get((i, j), {}))
     wrong[0] = wrong.get(0, ZERO) + ONE
     products[(i, j)] = wrong
@@ -532,7 +542,7 @@ def test_verify_lie_names_a_corrupted_structure_constant():
     i, j = 0, 1
     vec = dict(L.product(i, j))
     vec[2] = vec.get(2, ZERO) + ONE
-    products = dict(L.products)
+    products = {ij: dict(v) for ij, v in L.products.items()}
     products[(i, j)] = vec
     products[(j, i)] = {k: -v for k, v in vec.items()}
     rep = verify_lie(Algebra(L.dim, "corrupted", products))
