@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from math import lcm
 
-from .exact import OMEGA, OMEGA2, ONE, ZERO, Scalar, format_scalar, parse_scalar, sc
+from .exact import (OMEGA, OMEGA2, ONE, ZERO, Scalar, format_scalar, parse_int,
+                    parse_scalar, sc)
 from .linalg import (Matrix, SparseEchelon, column_apply, rank, solve,
                      sparse_kernel, vec_add_scaled)
 from .report import Report
@@ -192,12 +193,12 @@ def algebra_from_text(text: str, name: str = "ingested") -> Algebra:
     head = lines[0].split()
     if len(head) < 4 or head[2] != "over" or head[3] != "Q(w)":
         raise ValueError("malformed header %r" % lines[0])
-    dim = int(head[1])
+    dim = parse_int(head[1], lines[0], "header")
     if dim < 0:
         raise ValueError("negative dimension %d" % dim)
 
-    def index(token):
-        k = int(token)
+    def index(token, ln):
+        k = parse_int(token, ln)
         if not 0 <= k < dim:
             raise ValueError("index %d outside 0..%d" % (k, dim - 1))
         return k
@@ -218,7 +219,7 @@ def algebra_from_text(text: str, name: str = "ingested") -> Algebra:
             if len(fields) != 4:
                 raise ValueError("malformed line %r" % ln)
             _, i, j, val = fields
-            i, j = sorted((index(i), index(j)))
+            i, j = sorted((index(i, ln), index(j, ln)))
             if (i, j) in polar_entries:
                 raise ValueError("second polar line for %d %d" % (i, j))
             polar_entries[(i, j)] = scalar(val)
@@ -228,12 +229,12 @@ def algebra_from_text(text: str, name: str = "ingested") -> Algebra:
             terms = [t.split(":", 1) for t in right.split(",")]
             if not arrow or len(pair) != 2 or min(map(len, terms)) != 2:
                 raise ValueError("malformed line %r" % ln)
-            i, j = map(index, pair)
+            i, j = index(pair[0], ln), index(pair[1], ln)
             if (i, j) in products:
                 raise ValueError("second line for the product %d %d" % (i, j))
             vec = {}
             for k, val in terms:
-                k = index(k)
+                k = index(k, ln)
                 if k in vec:
                     raise ValueError("second term %d in the product %d %d"
                                      % (k, i, j))

@@ -159,6 +159,14 @@ def format_scalar(x: Scalar) -> str:
     return head + ("+" if b > 0 else "-") + bs
 
 
+def parse_int(token: str, line: str, what: str = "line") -> int:
+    """int(token); a bad token names the malformed line it came from."""
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError("malformed %s %r" % (what, line)) from None
+
+
 def parse_scalar(text: str) -> Scalar:
     """Inverse of format_scalar; exact round-trip.  ValueError on bad text,
     a zero denominator included."""

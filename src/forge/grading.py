@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from . import compose
 from .algebra import Algebra
-from .exact import sc
+from .exact import parse_int, sc
 from .linalg import IntMatrix, lattice_row_reduce, smith_normal_form
 from .report import Report
 
@@ -167,7 +167,7 @@ def grading_from_text(text: str, algebra: Algebra) -> Grading:
         if not eq:
             raise ValueError("malformed group header %r" % lines[0])
         if key == "free":
-            free = int(val)
+            free = parse_int(val, lines[0], "group header")
             if free < 0:
                 raise ValueError("negative free rank %d" % free)
             # at most dim degrees cannot generate Z^free for free > dim
@@ -175,7 +175,8 @@ def grading_from_text(text: str, algebra: Algebra) -> Grading:
                 raise ValueError("free rank %d exceeds the dimension %d"
                                  % (free, algebra.dim))
         elif key == "torsion":
-            torsion = tuple(int(x) for x in val.split(",")) if val != "-" else ()
+            torsion = (tuple(parse_int(x, lines[0], "group header")
+                             for x in val.split(",")) if val != "-" else ())
             if any(m < 2 for m in torsion):
                 raise ValueError("torsion moduli must be at least 2, got %s" % val)
         else:
@@ -190,13 +191,13 @@ def grading_from_text(text: str, algebra: Algebra) -> Grading:
         head = left.split()
         if not eq or len(head) != 2:
             raise ValueError("malformed line %r" % ln)
-        idx = int(head[1])
+        idx = parse_int(head[1], ln)
         if not 0 <= idx < algebra.dim:
             raise ValueError("deg index %d outside 0..%d" % (idx, algebra.dim - 1))
         if idx in seen:
             raise ValueError("second deg line for %d" % idx)
         seen.add(idx)
-        degrees[idx] = tuple(int(x) for x in right.split())
+        degrees[idx] = tuple(parse_int(x, ln) for x in right.split())
     return Grading(algebra, group, tuple(degrees))
 
 

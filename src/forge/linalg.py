@@ -1,11 +1,11 @@
 """Exact linear algebra over Q(w), plus Smith normal form over Z.
 
-Dense matrices are lists of Scalar rows.  Large kernel problems go through
-SparseEchelon (dict-of-column sparse rows) so that constraint systems with
-thousands of short rows stay cheap; its rank, read until a target is met,
-certifies "the kernel is no bigger than the part we exhibit".  rank_mod_p, a
-numpy-backed modular rank bound (rank mod p <= rank over Q), is kept but no
-checker calls it.
+Dense matrices are lists of Scalar rows.  All elimination over Q(w) goes
+through SparseEchelon (dict-of-column sparse rows): rref, rank, nullspace,
+solve and inverse read one off a matrix's rows, and SpanCoords and the Krylov
+annihilator carry tag columns through one.  Its rank, read until a target is
+met, certifies "the kernel is no bigger than the part we exhibit".  No checker
+calls rank_mod_p, a numpy modular rank bound (rank mod p <= rank over Q).
 """
 
 from __future__ import annotations
@@ -128,78 +128,6 @@ class Matrix:
         return "Matrix(%d x %d)" % (self.rows, self.cols)
 
 
-def rref(m: Matrix):
-    """Reduced row echelon form.
-
-    Returns (R, rank, pivot_columns).  Deterministic pivoting: first row with
-    a nonzero entry in column order.
-    """
-    a = [row[:] for row in m.data]
-    rows, cols = m.rows, m.cols
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pr = None
-        for i in range(r, rows):
-            if not a[i][c].is_zero():
-                pr = i
-                break
-        if pr is None:
-            continue
-        a[r], a[pr] = a[pr], a[r]
-        inv = a[r][c].inv()
-        a[r] = [x * inv for x in a[r]]
-        for i in range(rows):
-            if i != r and not a[i][c].is_zero():
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return Matrix(a), r, pivots
-
-
-def rank(m: Matrix) -> int:
-    return rref(m)[1]
-
-
-def nullspace(m: Matrix):
-    """Exact basis of the right kernel, as dense vectors."""
-    red, r, pivots = rref(m)
-    free = [c for c in range(m.cols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [ZERO] * m.cols
-        v[f] = ONE
-        for i, pc in enumerate(pivots):
-            v[pc] = -red.data[i][f]
-        basis.append(v)
-    return basis
-
-
-def solve(m: Matrix, rhs):
-    """One exact solution of m x = rhs, or None if inconsistent."""
-    aug = Matrix([row + [b] for row, b in zip(m.data, [sc(x) for x in rhs])])
-    red, r, pivots = rref(aug)
-    if m.cols in pivots:
-        return None
-    x = [ZERO] * m.cols
-    for i, pc in enumerate(pivots):
-        x[pc] = red.data[i][m.cols]
-    return x
-
-def inverse(m: Matrix) -> Matrix:
-    if m.rows != m.cols:
-        raise NotSquare("inverse of non-square matrix")
-    aug = Matrix([row + list(idr) for row, idr in
-                  zip(m.data, Matrix.identity(m.rows).data)])
-    red, r, pivots = rref(aug)
-    if r < m.rows or pivots[:m.rows] != list(range(m.rows)):
-        raise ValueError("singular matrix")
-    return Matrix([row[m.rows:] for row in red.data])
-
-
 # =========================================================================
 # sparse rows: dict col -> Scalar
 # =========================================================================
@@ -253,10 +181,13 @@ class SparseEchelon:
         row = self.reduce(row)
         if not row:
             return False
-        lead = min(row)
+        self.add_reduced(row, min(row))
+        return True
+
+    def add_reduced(self, row: dict, lead: int):
+        """Insert a nonzero row returned by reduce(), lead = min(row)."""
         inv = row[lead].inv()
         self.pivot_rows[lead] = {k: inv * v for k, v in row.items()}
-        return True
 
     def back_substitute(self):
         """Make the echelon fully reduced (each pivot column cleared)."""
@@ -295,6 +226,62 @@ class SparseEchelon:
 
     def contains(self, row: dict) -> bool:
         return not self.reduce(row)
+
+
+def _echelon(m: Matrix) -> SparseEchelon:
+    ech = SparseEchelon(m.cols)
+    for row in m.data:
+        ech.insert({c: v for c, v in enumerate(row) if v.p or v.q})
+    return ech
+
+
+def rref(m: Matrix):
+    """Reduced row echelon form, read off one SparseEchelon of the rows.
+
+    Returns (R, rank, pivot_columns): the back-substituted pivot rows in
+    pivot order, padded with zero rows.  The reduced row echelon form of a
+    matrix is unique, so R does not depend on the order of elimination.
+    """
+    ech = _echelon(m)
+    ech.back_substitute()
+    pivots = sorted(ech.pivot_rows)
+    cols = range(m.cols)
+    data = [[ech.pivot_rows[p].get(c, ZERO) for c in cols] for p in pivots]
+    data += [[ZERO] * m.cols for _ in range(m.rows - len(pivots))]
+    return Matrix(data), len(pivots), pivots
+
+
+def rank(m: Matrix) -> int:
+    return _echelon(m).rank
+
+
+def nullspace(m: Matrix):
+    """Exact basis of the right kernel, as dense vectors, one per free column."""
+    cols = range(m.cols)
+    return [[v.get(c, ZERO) for c in cols] for v in _echelon(m).kernel()]
+
+
+def solve(m: Matrix, rhs):
+    """One exact solution of m x = rhs, or None if inconsistent."""
+    aug = Matrix([row + [b] for row, b in zip(m.data, [sc(x) for x in rhs])])
+    red, r, pivots = rref(aug)
+    if m.cols in pivots:
+        return None
+    x = [ZERO] * m.cols
+    for i, pc in enumerate(pivots):
+        x[pc] = red.data[i][m.cols]
+    return x
+
+
+def inverse(m: Matrix) -> Matrix:
+    if m.rows != m.cols:
+        raise NotSquare("inverse of non-square matrix")
+    aug = Matrix([row + list(idr) for row, idr in
+                  zip(m.data, Matrix.identity(m.rows).data)])
+    red, r, pivots = rref(aug)
+    if r < m.rows or pivots[:m.rows] != list(range(m.rows)):
+        raise ValueError("singular matrix")
+    return Matrix([row[m.rows:] for row in red.data])
 
 
 def sparse_kernel(rows, ncols: int):
@@ -339,24 +326,30 @@ def sparse_kernel(rows, ncols: int):
 class SpanCoords:
     """Exact coordinates in the span of independent sparse vectors.
 
-    rref of the vectors picks pivot positions at which their block is
-    invertible; that block's inverse is kept as sparse columns, one per pivot
-    position.  The coordinates of a vector are the sum of its nonzero pivot
-    entries times their columns, and an exact recombination check confirms
-    that the vector lies in the span.
+    Vector i enters one SparseEchelon as a row with the tag column ncols + i
+    set to 1, so every echelon row holds its vector part next to the
+    combination of the inputs that made it.  A lead on a tag column means a
+    combination of the vectors cancelled: they are dependent.  Otherwise the
+    leads are pivot positions r at which the vectors' block B is invertible,
+    and after back-substitution the vector part is the identity on them, so
+    the tags of the row led by r are column r of B^-1.  The coordinates of a
+    vector are the sum of its nonzero pivot entries times those columns, and
+    an exact recombination check confirms that the vector lies in the span.
     """
 
     def __init__(self, vectors, ncols: int):
         self.vectors = list(vectors)
-        n = len(self.vectors)
-        self.pivots, self.columns = [], []
-        if n:
-            _, rk, self.pivots = rref(Matrix([[v.get(c, ZERO) for c in range(ncols)]
-                                              for v in self.vectors]))
-            if rk != n:
+        ech = SparseEchelon(ncols + len(self.vectors))
+        for i, v in enumerate(self.vectors):
+            row = ech.reduce({**v, ncols + i: ONE})
+            lead = min(row)
+            if lead >= ncols:
                 raise DependentVectors("vectors are dependent")
-            self.columns = inverse(Matrix([[v.get(r, ZERO) for v in self.vectors]
-                                           for r in self.pivots])).sparse_cols()
+            ech.add_reduced(row, lead)
+        ech.back_substitute()
+        self.pivots = sorted(ech.pivot_rows)
+        self.columns = [{k - ncols: v for k, v in ech.pivot_rows[r].items() if k >= ncols}
+                        for r in self.pivots]
 
     def coords(self, f: dict):
         """Dense coordinates of the sparse vector f, or None outside the span."""
@@ -377,36 +370,25 @@ class SpanCoords:
 # minimal polynomial
 # =========================================================================
 
-def _annihilator_from_chain(chain):
-    """Monic annihilator for a Krylov chain [v, Mv, ..., M^k v].
+def _krylov_annihilator(apply_fn, seed: dict, dim: int) -> Polynomial:
+    """Monic annihilator of least degree of seed = v under M.
 
-    The last vector is assumed dependent on the previous ones.
+    M^k v enters one SparseEchelon with the tag column dim + k set to 1, so
+    every echelon row holds a vector sum_j t_j M^j v next to its tags t_j.
+    The first M^k v whose vector part reduces to zero is dependent on the
+    earlier, independent ones; its reduced row is then all tags, with
+    t_k = 1, and sum_j t_j X^j is the relation.
     """
-    cols = sorted(set().union(*[c.keys() for c in chain]))
-    idx = {c: i for i, c in enumerate(cols)}
-    m = Matrix.zero(len(cols), len(chain) - 1)
-    for j, v in enumerate(chain[:-1]):
-        for k, val in v.items():
-            m.data[idx[k]][j] = val
-    rhs = [ZERO] * len(cols)
-    for k, val in chain[-1].items():
-        rhs[idx[k]] = val
-    x = solve(m, rhs)
-    if x is None:
-        raise RuntimeError("chain not dependent")
-    # M^k v = sum x_j M^j v  ->  X^k - sum x_j X^j annihilates v
-    return Polynomial([-c for c in x] + [ONE])
-
-
-def _krylov_chain(apply_fn, seed: dict, dim: int):
-    """[v, Mv, ..., M^k v] up to the first vector dependent on the others."""
-    chain = [seed]
-    local = SparseEchelon(dim)
-    local.insert(seed)
-    while True:
-        chain.append(apply_fn(chain[-1]))
-        if not local.insert(chain[-1]):
-            return chain
+    ech = SparseEchelon(2 * dim + 1)
+    v = seed
+    for k in range(dim + 1):
+        row = ech.reduce({**v, dim + k: ONE})
+        lead = min(row)
+        if lead >= dim:
+            return Polynomial([row.get(dim + j, ZERO) for j in range(k + 1)])
+        ech.add_reduced(row, lead)
+        v = apply_fn(v)
+    raise RuntimeError("Krylov chain longer than the dimension")
 
 
 def column_apply(cols):
@@ -446,8 +428,7 @@ def minimal_polynomial_op(apply_fn, dim: int) -> Polynomial:
             if c.p or c.q:
                 vec_add_scaled(out, c, v)
         if out:
-            chain = _krylov_chain(apply_fn, orbit[0], dim)
-            f = poly_lcm(f, _annihilator_from_chain(chain))
+            f = poly_lcm(f, _krylov_annihilator(apply_fn, orbit[0], dim))
         covered.update(next(iter(v)) for v in orbit if len(v) == 1)
     return f
 

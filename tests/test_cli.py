@@ -77,6 +77,37 @@ def test_verify_names_a_malformed_algebra_line(tmp_path, capsys, line):
     assert capsys.readouterr().err == "error: malformed line %r\n" % line
 
 
+@pytest.mark.parametrize("text, bad", [
+    ("dim 2 over Q(w)\na 0 -> 0:1\n", "line 'a 0 -> 0:1'"),
+    ("dim 2 over Q(w)\n0 1 -> z:1\n", "line '0 1 -> z:1'"),
+    ("dim 2 over Q(w)\n0 0 -> 0:1\npolar q 0 1\n", "line 'polar q 0 1'"),
+    ("dim x over Q(w)\n", "header 'dim x over Q(w)'"),
+])
+def test_verify_names_a_non_integer_index(tmp_path, capsys, text, bad):
+    path = tmp_path / "bad.alg"
+    path.write_text(text)
+    assert main(["verify", "lie", "--algebra", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: malformed %s\n" % bad and "Traceback" not in err
+
+
+@pytest.mark.parametrize("text, bad", [
+    ("group free=0 torsion=3,3\ndeg x = 1 0\n", "line 'deg x = 1 0'"),
+    ("group free=0 torsion=3,3\ndeg 0 = 1 a\n", "line 'deg 0 = 1 a'"),
+    ("group free=a\n", "group header 'group free=a'"),
+    ("group torsion=3,b\n", "group header 'group torsion=3,b'"),
+])
+def test_grade_names_a_non_integer_entry(tmp_path, capsys, text, bad):
+    apath, gpath = tmp_path / "okubo.alg", tmp_path / "bad.grad"
+    assert main(["build", "okubo:1,1", "--out", str(apath)]) == 0
+    gpath.write_text(text)
+    capsys.readouterr()
+    assert main(["grade", "--algebra", str(apath), "--grading", str(gpath),
+                 "--check"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: malformed %s\n" % bad and "Traceback" not in err
+
+
 @pytest.mark.parametrize("line", ["deg 0 1 = 1 1", "deg 0 1 1"])
 def test_grade_names_a_malformed_degree_line(tmp_path, capsys, line):
     apath, gpath = tmp_path / "okubo.alg", tmp_path / "bad.grad"

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from forge.exact import OMEGA, ONE, ZERO, Polynomial, Scalar, sc
 from forge.linalg import (DependentVectors, IntMatrix, Matrix, NotSquare,
-                          SpanCoords, SparseEchelon, _annihilator_from_chain, _krylov_chain, column_apply,
+                          SpanCoords, SparseEchelon, _krylov_annihilator, column_apply,
                           int_det, inverse, lattice_row_reduce,
                           minimal_polynomial, minimal_polynomial_op, nullspace,
                           rank, rank_mod_p, rref, smith_normal_form, solve,
@@ -13,6 +13,69 @@ from forge.linalg import (DependentVectors, IntMatrix, Matrix, NotSquare,
 
 X = Polynomial.x
 C = Polynomial.constant
+
+
+def _dense_rref(m: Matrix):
+    """Oracle: textbook Gauss-Jordan on dense rows, (R, rank, pivot columns).
+
+    Pivoting is deterministic: the first row with a nonzero entry in column
+    order.  The library reads its rref off a SparseEchelon instead.
+    """
+    a = [row[:] for row in m.data]
+    rows, cols = m.rows, m.cols
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pr = None
+        for i in range(r, rows):
+            if not a[i][c].is_zero():
+                pr = i
+                break
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        inv = a[r][c].inv()
+        a[r] = [x * inv for x in a[r]]
+        for i in range(rows):
+            if i != r and not a[i][c].is_zero():
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return Matrix(a), r, pivots
+
+
+def _dense_nullspace(m: Matrix):
+    red, r, pivots = _dense_rref(m)
+    basis = []
+    for f in (c for c in range(m.cols) if c not in pivots):
+        v = [ZERO] * m.cols
+        v[f] = ONE
+        for i, pc in enumerate(pivots):
+            v[pc] = -red.data[i][f]
+        basis.append(v)
+    return basis
+
+
+def _dense_solve(m: Matrix, rhs):
+    red, r, pivots = _dense_rref(Matrix([row + [sc(b)] for row, b in zip(m.data, rhs)]))
+    if m.cols in pivots:
+        return None
+    x = [ZERO] * m.cols
+    for i, pc in enumerate(pivots):
+        x[pc] = red.data[i][m.cols]
+    return x
+
+
+def _dense_inverse(m: Matrix) -> Matrix:
+    n = m.rows
+    red, r, pivots = _dense_rref(Matrix([row + idr for row, idr in
+                                         zip(m.data, Matrix.identity(n).data)]))
+    if pivots[:n] != list(range(n)):
+        raise ValueError("singular matrix")
+    return Matrix([row[n:] for row in red.data])
 
 
 def test_rref_examples():
@@ -107,10 +170,10 @@ def test_span_coords_match_a_dense_solve():
                 vec_add_scaled(f, c, v)
         coords = span.coords(f)
         assert coords == coeffs
-        assert coords == solve(columns, [f.get(r, ZERO) for r in range(ncols)])
+        assert coords == _dense_solve(columns, [f.get(r, ZERO) for r in range(ncols)])
     assert span.coords({}) == [ZERO] * 4
     outside = {4: ONE}
-    assert solve(columns, [outside.get(r, ZERO) for r in range(ncols)]) is None
+    assert _dense_solve(columns, [outside.get(r, ZERO) for r in range(ncols)]) is None
     assert span.coords(outside) is None
     assert span.coords({0: ONE, 4: ONE}) is None
     with pytest.raises(DependentVectors):
@@ -126,7 +189,7 @@ def _dense_minimal_polynomial(m):
         nxt = powers[-1] * m
         flat = Matrix([[p.data[i][j] for p in powers]
                        for i in range(n) for j in range(n)])
-        x = solve(flat, [nxt.data[i][j] for i in range(n) for j in range(n)])
+        x = _dense_solve(flat, [nxt.data[i][j] for i in range(n) for j in range(n)])
         if x is not None:
             return Polynomial([-c for c in x] + [ONE])
         powers.append(nxt)
@@ -178,7 +241,7 @@ def test_minimal_polynomial_op_later_column_seeds_nilpotent_block():
                 [0, 0, 0, 0, 1, 1],
                 [0, 0, 0, 0, 0, 1]])
     apply_fn = _op(m)
-    assert _annihilator_from_chain(_krylov_chain(apply_fn, {0: ONE}, 6)) == X() - C(2)
+    assert _krylov_annihilator(apply_fn, {0: ONE}, 6) == X() - C(2)
     got = minimal_polynomial_op(apply_fn, 6)
     assert got == (X() - C(2)) * X(2) * (X() - C(1)) * (X() - C(1)) * (X() - C(1))
     assert got == _dense_minimal_polynomial(m)
@@ -233,6 +296,45 @@ def _operators(draw):
 @given(_operators())
 def test_minimal_polynomial_op_matches_the_dense_oracle(m):
     assert minimal_polynomial_op(_op(m), m.rows) == _dense_minimal_polynomial(m)
+
+
+@st.composite
+def _matrices(draw):
+    """Up to 6 x 7 over Q(w); some rows are zero or combinations of others."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 7))
+    data = []
+    for _ in range(rows):
+        kind = draw(st.sampled_from(("random", "random", "zero", "combination")))
+        if kind == "zero" or (kind == "combination" and not data):
+            data.append([ZERO] * cols)
+        elif kind == "combination":
+            a, b = draw(st.sampled_from(data)), draw(st.sampled_from(data))
+            ca, cb = draw(st.sampled_from(_NONZERO)), draw(st.sampled_from(_ENTRIES))
+            data.append([ca * x + cb * y for x, y in zip(a, b)])
+        else:
+            data.append([draw(st.sampled_from(_SPARSE)) for _ in range(cols)])
+    return Matrix(data)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_matrices(), st.data())
+def test_dense_views_match_the_gauss_jordan_oracle(m, data):
+    red, rk, pivots = _dense_rref(m)
+    assert rref(m) == (red, rk, pivots)
+    assert rank(m) == rk
+    assert nullspace(m) == _dense_nullspace(m)
+    x = [data.draw(st.sampled_from(_ENTRIES)) for _ in range(m.cols)]
+    for rhs in (m.apply(x), [data.draw(st.sampled_from(_ENTRIES)) for _ in range(m.rows)]):
+        assert solve(m, rhs) == _dense_solve(m, rhs)
+    n = min(m.rows, m.cols)
+    square = Matrix([row[:n] for row in m.data[:n]])
+    if rank(square) == n:
+        assert inverse(square) == _dense_inverse(square)
+    else:
+        with pytest.raises(ValueError):
+            inverse(square)
+        with pytest.raises(ValueError):
+            _dense_inverse(square)
 
 
 def test_smith_normal_form_examples():
@@ -325,7 +427,7 @@ def test_sparse_kernel_matches_dense_nullspace():
                        for row in dense]
         sparse_rows = [r for r in sparse_rows if r]
         kern = sparse_kernel(sparse_rows, cols_n)
-        assert len(kern) == len(nullspace(m))
+        assert len(kern) == len(_dense_nullspace(m))
         for v in kern:
             out = m.apply([v.get(j, ZERO) for j in range(cols_n)])
             assert all(x.is_zero() for x in out)
