@@ -63,11 +63,11 @@ class Algebra:
     products[(i, j)] = {k: c} with every c a nonzero Scalar.  The table holds
     one Scalar object per distinct value (a 248-dimensional table has about
     50,000 constants but only a handful of values), which Scalars, being
-    immutable values, allow.  The constructor takes ownership of the inner
-    dicts of `products` and keeps them: it puts the shared Scalar of each
-    value in place, coercing ints, and deletes zero entries, so their values
-    stay equal; they belong to no other Algebra, and no caller mutates them
-    afterwards.
+    immutable values, allow.  The constructor takes ownership of `products`
+    and its inner dicts and keeps them: it puts the shared Scalar of each
+    value in place, coercing ints, and deletes zero entries and emptied
+    products, so their values stay equal; they belong to no other Algebra,
+    and no caller mutates them afterwards.
     """
 
     def __init__(self, dim: int, name: str, products: dict, polar=None, labels=None):
@@ -84,7 +84,9 @@ class Algebra:
                     zeros.append((vec, k))
         for vec, k in zeros:
             vec.pop(k, None)   # a dict given under two keys is listed twice
-        self.products = {ij: vec for ij, vec in products.items() if vec}
+        for ij in [ij for ij, vec in products.items() if not vec]:
+            del products[ij]
+        self.products = products
         if polar is not None and not isinstance(polar, Matrix):
             polar = Matrix(polar)
         self.polar = polar

@@ -348,8 +348,8 @@ class SpanCoords:
             ech.add_reduced(row, lead)
         ech.back_substitute()
         self.pivots = sorted(ech.pivot_rows)
-        self.columns = [{k - ncols: v for k, v in ech.pivot_rows[r].items() if k >= ncols}
-                        for r in self.pivots]
+        self.columns = [{k - ncols: v for k, v in ech.pivot_rows[r].items()
+                         if k >= ncols} for r in self.pivots]
 
     def coords(self, f: dict):
         """Dense coordinates of the sparse vector f, or None outside the span."""

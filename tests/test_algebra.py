@@ -290,12 +290,14 @@ def test_table_holds_one_scalar_object_per_value():
     assert len(_scalar_objects(A)) == 3
     assert A.products == {(0, 0): {0: Scalar(1, 0, 2)}, (0, 1): {1: Scalar(1, 0, 2)},
                           (1, 0): {0: Scalar(1, 1, 2)}, (1, 1): {0: sc(3), 1: sc(3)}}
-    # the constructor keeps the caller's inner dicts; an emptied one is dropped
+    # the constructor keeps the caller's dicts; an emptied product is dropped
     half, third = Scalar(1, 0, 2), Scalar(1, 1, 3)
     products = {(0, 1): {0: half, 1: third}, (1, 0): {1: Scalar(2, 0, 4)},
                 (1, 1): {0: ZERO}}
+    inner = dict(products)
     A = Algebra(2, "b", products)
-    assert all(A.products[ij] is products[ij] for ij in A.products)
+    assert A.products is products
+    assert all(A.products[ij] is inner[ij] for ij in A.products)
     assert A.products == {(0, 1): {0: half, 1: third}, (1, 0): {1: half}}
     assert A.product(1, 0)[1] is half
     # one dict under two keys
