@@ -207,10 +207,13 @@ def algebra_from_text(text: str, name: str = "ingested") -> Algebra:
 
     values: dict = {}  # coefficient text -> Scalar, each text parsed once
 
-    def scalar(token):
+    def scalar(token, ln):
         v = values.get(token)
         if v is None:
-            v = values[token] = parse_scalar(token)
+            try:
+                v = values[token] = parse_scalar(token)
+            except ValueError:
+                raise ValueError("malformed line %r" % ln) from None
         return v
 
     products: dict = {}
@@ -224,7 +227,7 @@ def algebra_from_text(text: str, name: str = "ingested") -> Algebra:
             i, j = sorted((index(i, ln), index(j, ln)))
             if (i, j) in polar_entries:
                 raise ValueError("second polar line for %d %d" % (i, j))
-            polar_entries[(i, j)] = scalar(val)
+            polar_entries[(i, j)] = scalar(val, ln)
         else:
             left, arrow, right = ln.partition("->")
             pair = left.split()
@@ -240,7 +243,7 @@ def algebra_from_text(text: str, name: str = "ingested") -> Algebra:
                 if k in vec:
                     raise ValueError("second term %d in the product %d %d"
                                      % (k, i, j))
-                vec[k] = scalar(val)
+                vec[k] = scalar(val, ln)
             products[(i, j)] = vec
     polar = None
     if polar_entries:
@@ -837,13 +840,6 @@ def rebase_blockwise(L: Algebra, cycles, exponents, name: str = None) -> Algebra
     return Algebra(d, name or (L.name + ":rebased"), products, labels=None)
 
 
-def matrix_in_span(m: Matrix, basis, dim: int) -> bool:
-    ech = SparseEchelon(dim * dim)
-    for b in basis:
-        ech.insert(b.flat())
-    return ech.contains(m.flat())
-
-
 def subalgebra_generated(A: Algebra, gens):
     """Closure of the span of gens under multiplication; echelonized basis."""
     d = A.dim
@@ -869,32 +865,6 @@ def subalgebra_generated(A: Algebra, gens):
             coords[k] = c
         basis.append(Element(A, coords))
     return basis
-
-
-def commutative_center(A: Algebra):
-    """Basis of {x : xy = yx for all y}."""
-    d = A.dim
-    P = [[A.product(i, j) for j in range(d)] for i in range(d)]
-
-    def rows():
-        for j in range(d):
-            for m in range(d):
-                row: dict = {}
-                for i in range(d):
-                    c = P[i][j].get(m, ZERO) - P[j][i].get(m, ZERO)
-                    if c.p or c.q:
-                        row[i] = c
-                if row:
-                    yield row
-
-    kern = sparse_kernel(rows(), d)
-    out = []
-    for v in kern:
-        coords = [ZERO] * d
-        for k, c in v.items():
-            coords[k] = c
-        out.append(Element(A, coords))
-    return out
 
 
 def find_unity(A: Algebra):

@@ -6,6 +6,12 @@ The module verifies gradings, computes Hesselink type tuples, computes the
 universal grading group by Smith normal form of the relation lattice, forms
 coarsenings along group homomorphisms, and exposes the catalog of gradings
 on Cayley algebras, quaternion algebras and symmetric composition algebras.
+
+The checks work on integer-coded degrees: coordinate c of a degree is digit c
+of its code in balanced base B = 4b + 1, where b bounds every |coordinate|
+and torsion modulus of the grading.  Digits of the sum of two codes then lie
+in [-2b, 2b], so the sum has no carries and decodes uniquely; its canonical
+form comes from `AbelianGroup.canon` once per distinct sum.
 """
 
 from __future__ import annotations
@@ -122,6 +128,35 @@ class GroupHom:
         return out
 
 
+class _DegreeCodes(dict):
+    """Codes of a degree list, and a table from each sum of two codes to the
+    code of its canonical form, filled through `G.canon` on first use."""
+
+    def __init__(self, G: AbelianGroup, degrees):
+        super().__init__()
+        self.group = G
+        self.base = 4 * max([abs(x) for d in set(degrees) for x in d]
+                            + list(G.torsion) + [1]) + 1
+        self.codes = [self.encode(d) for d in degrees]
+
+    def encode(self, degree) -> int:
+        code = 0
+        for x in reversed(degree):
+            code = code * self.base + x
+        return code
+
+    def __missing__(self, total):
+        B, digits, rest = self.base, [], total
+        for _ in range(self.group.ncoords):
+            r = rest % B
+            if 2 * r > B:
+                r -= B
+            digits.append(r)
+            rest = (rest - r) // B
+        code = self[total] = self.encode(self.group.canon(digits))
+        return code
+
+
 @dataclass
 class Grading:
     """Degree assignment on the basis of an algebra."""
@@ -206,14 +241,21 @@ def grading_from_text(text: str, algebra: Algebra) -> Grading:
 # =========================================================================
 
 def verify_grading(gr: Grading) -> Report:
-    """Check A_g A_h <= A_{g+h}, the polar pairing rule, and generation."""
+    """Check A_g A_h <= A_{g+h}, the polar pairing rule, and generation.
+
+    Degrees are compared by their codes in base B = 4b + 1 (module
+    docstring), which decode uniquely: a structure constant (i, j) -> k costs
+    one int add, one lookup of the canonical sum code and one int compare,
+    and the canonical code of g + h is 0 exactly when g + h = 0.
+    """
     A, G = gr.algebra, gr.group
     name = "grading(%s%s)" % (A.name, ":" + gr.name if gr.name else "")
-    deg = gr.degrees
+    sums = _DegreeCodes(G, gr.degrees)
+    code = sums.codes
     for (i, j), vec in A.products.items():
-        target = G.add(deg[i], deg[j])
+        target = sums[code[i] + code[j]]
         for k in vec:
-            if deg[k] != target:
+            if code[k] != target:
                 return Report(name, False,
                               {"rule": "product lands outside A_{g+h}"},
                               witness=(i, j, k))
@@ -221,15 +263,17 @@ def verify_grading(gr: Grading) -> Report:
         pm = A.polar.data
         for i in range(A.dim):
             for j in range(A.dim):
-                if not pm[i][j].is_zero() and not G.is_zero(G.add(deg[i], deg[j])):
+                if not pm[i][j].is_zero() and sums[code[i] + code[j]]:
                     return Report(name, False,
                                   {"rule": "n(A_g, A_h) = 0 unless g + h = 0"},
                                   witness=(i, j))
-    if not G.elements_generate(set(deg)):
+    support = set(gr.degrees)
+    if not G.elements_generate(support):
         return Report(name, False, {"rule": "support must generate the group"},
                       witness="support")
     gr.verified = True
-    return Report(name, True, {"components": len(set(deg))})
+    return Report(name, True, {"components": len(support),
+                               "products": len(A.products)})
 
 
 def _require_verified(gr: Grading):
@@ -261,15 +305,17 @@ def universal_group(gr: Grading):
     index = {d: i for i, d in enumerate(support)}
     s = len(support)
     deg = gr.degrees
+    sums = _DegreeCodes(G, deg)
+    code = sums.codes
+    at = {sums.encode(d): n for d, n in index.items()}  # code -> generator
     rel_rows = set()
     for (i, j), vec in A.products.items():
         if not vec:
             continue
-        c = G.add(deg[i], deg[j])
         row = [0] * s
-        row[index[deg[i]]] += 1
-        row[index[deg[j]]] += 1
-        row[index[c]] -= 1
+        row[at[code[i]]] += 1
+        row[at[code[j]]] += 1
+        row[at[sums[code[i] + code[j]]]] -= 1
         rel_rows.add(tuple(row))
     reduced = lattice_row_reduce([list(r) for r in rel_rows], s)
     if not reduced:
@@ -299,8 +345,8 @@ def coarsen(gr: Grading, hom: GroupHom) -> Grading:
     _require_verified(gr)
     if hom.source != gr.group:
         raise IllDefinedHom("homomorphism source does not match the grading group")
-    return Grading(gr.algebra, hom.target,
-                   tuple(hom.apply(d) for d in gr.degrees),
+    image = {d: hom.apply(d) for d in gr.support()}
+    return Grading(gr.algebra, hom.target, tuple(image[d] for d in gr.degrees),
                    name=gr.name + ":coarse")
 
 

@@ -466,31 +466,6 @@ class IntMatrix:
         return isinstance(other, IntMatrix) and self.data == other.data
 
 
-def int_det(m: IntMatrix) -> int:
-    """Determinant by fraction-free (Bareiss) elimination."""
-    n = m.rows
-    if n != m.cols:
-        raise NotSquare("determinant of non-square matrix")
-    if n == 0:
-        return 1
-    a = [row[:] for row in m.data]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if pivot is None:
-                return 0
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
 def smith_normal_form(m: IntMatrix):
     """Smith normal form D = L m R.
 

@@ -3,14 +3,14 @@ from hypothesis import given, settings, strategies as st
 
 from forge import algebra, compose, magic
 from forge.algebra import (Algebra, MixedAlgebras, MissingForm,
-                           algebra_from_text, commutative_center,
-                           derivation_algebra, find_unity, matrix_in_span,
+                           algebra_from_text, derivation_algebra, find_unity,
                            operator_matrix, orthogonal_algebra,
                            subalgebra_generated, verify_composition,
                            verify_jordan, verify_lie, verify_symmetric)
 from forge.exact import MINUS_ONE, ONE, ZERO, Scalar, sc
 from forge.linalg import Matrix, clear_denominators, vec_add_scaled
 from forge.scenarios import e8_pair, okubo11, para_split, split_cayley
+from oracles import commutative_center, matrix_in_span
 
 
 def test_multiply_examples():

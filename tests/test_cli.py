@@ -91,6 +91,15 @@ def test_verify_names_a_non_integer_index(tmp_path, capsys, text, bad):
     assert err == "error: malformed %s\n" % bad and "Traceback" not in err
 
 
+@pytest.mark.parametrize("line", ["0 1 -> 0:a", "0 1 -> 0:1/0", "1 1 -> 0:1,1:2/",
+                                  "polar 0 1 1+x*w"])
+def test_verify_names_a_malformed_coefficient(tmp_path, capsys, line):
+    path = tmp_path / "bad.alg"
+    path.write_text("dim 2 over Q(w)\n0 0 -> 1:1\n%s\n" % line)
+    assert main(["verify", "lie", "--algebra", str(path)]) == 2
+    assert capsys.readouterr().err == "error: malformed line %r\n" % line
+
+
 @pytest.mark.parametrize("text, bad", [
     ("group free=0 torsion=3,3\ndeg x = 1 0\n", "line 'deg x = 1 0'"),
     ("group free=0 torsion=3,3\ndeg 0 = 1 a\n", "line 'deg 0 = 1 a'"),

@@ -1,11 +1,11 @@
 import pytest
 
 from forge import compose
-from forge.algebra import (commutative_center, find_unity, verify_composition,
-                           verify_symmetric)
+from forge.algebra import find_unity, verify_composition, verify_symmetric
 from forge.exact import MINUS_ONE, OMEGA, ONE, ZERO, Scalar, sc
 from forge.linalg import Matrix
 from forge.scenarios import okubo11, para_split, petersson_nst, split_cayley
+from oracles import commutative_center
 
 
 def test_split_cayley_spot_products():

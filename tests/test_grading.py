@@ -1,12 +1,18 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from forge import magic
+from forge.algebra import Algebra
+from forge.exact import sc
 from forge.grading import (CAYLEY_KINDS, DECLARED_GROUPS, OKUBO_KINDS,
                            QUATERNION_KINDS, AbelianGroup, BadParams, Grading,
                            GroupHom, IllDefinedHom, Z3, Z3_2, cayley_grading,
                            coarsen, grading_from_text, grading_type,
                            okubo_grading, quaternion_grading,
                            two_dim_z3_grading, universal_group, verify_grading)
-from forge.scenarios import okubo11, split_cayley
+from forge.linalg import (IntMatrix, Matrix, lattice_row_reduce,
+                          smith_normal_form)
+from forge.scenarios import e8_pair, okubo11, split_cayley
 
 
 def test_group_arithmetic():
@@ -195,3 +201,163 @@ def test_coarsen_rejects_wrong_source():
     hom = GroupHom(AbelianGroup(0, (2,)), Z3, ((0,),))
     with pytest.raises(IllDefinedHom):
         coarsen(gr, hom)
+
+
+# ---- the tuple-arithmetic oracle ---------------------------------------------
+
+def _oracle_verify(gr):
+    """(passed, rule, witness) by the tuple loop: G.add for both rules."""
+    A, G, deg = gr.algebra, gr.group, gr.degrees
+    for (i, j), vec in A.products.items():
+        target = G.add(deg[i], deg[j])
+        for k in vec:
+            if deg[k] != target:
+                return False, "product lands outside A_{g+h}", (i, j, k)
+    if A.polar is not None:
+        pm = A.polar.data
+        for i in range(A.dim):
+            for j in range(A.dim):
+                if not pm[i][j].is_zero() and not G.is_zero(G.add(deg[i], deg[j])):
+                    return False, "n(A_g, A_h) = 0 unless g + h = 0", (i, j)
+    if not G.elements_generate(set(deg)):
+        return False, "support must generate the group", "support"
+    return True, None, None
+
+
+def _oracle_universal(gr):
+    """(group, degree map) with the relation rows built by G.add."""
+    A, G, deg = gr.algebra, gr.group, gr.degrees
+    support = gr.support()
+    index = {d: i for i, d in enumerate(support)}
+    s = len(support)
+    rel_rows = set()
+    for (i, j), vec in A.products.items():
+        if not vec:
+            continue
+        row = [0] * s
+        row[index[deg[i]]] += 1
+        row[index[deg[j]]] += 1
+        row[index[G.add(deg[i], deg[j])]] -= 1
+        rel_rows.add(tuple(row))
+    reduced = lattice_row_reduce([list(r) for r in rel_rows], s)
+    if not reduced:
+        inv, R = [], IntMatrix.identity(s)
+    else:
+        inv, _, R = smith_normal_form(IntMatrix(reduced))
+    free_pos = [j for j in range(s) if j >= len(inv) or inv[j] == 0]
+    tors_pos = [j for j in range(len(inv)) if inv[j] not in (0, 1)]
+    group = AbelianGroup(len(free_pos), tuple(inv[j] for j in tors_pos))
+    dmap = {}
+    for d in support:
+        y = R.data[index[d]]
+        dmap[d] = (tuple(y[j] for j in free_pos)
+                   + tuple(y[j] % inv[j] for j in tors_pos))
+    return group, dmap
+
+
+@st.composite
+def _random_gradings(draw):
+    """A random group, degrees, sparse products and polar form, some of them
+    with a planted product or polar defect."""
+    free = draw(st.integers(0, 2))
+    G = AbelianGroup(free, tuple(draw(st.lists(st.integers(2, 7), max_size=6))))
+    n = G.ncoords
+    coord = st.integers(-3, 3) | st.integers(-10**6, 10**6)
+    atoms = [tuple(int(c == r) for c in range(n)) for r in range(n)]
+    atoms += [G.canon(draw(st.lists(coord, min_size=n, max_size=n)))
+              for _ in range(draw(st.integers(0, 2)))]
+    pool = atoms + [G.neg(a) for a in atoms] + [G.zero()]
+    pool += [G.add(draw(st.sampled_from(pool)), draw(st.sampled_from(pool)))
+             for _ in range(draw(st.integers(0, 4)))]
+    # every unit vector occurs, so the support generates G
+    degrees = draw(st.permutations(
+        atoms[:n] + draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))))
+    d = len(degrees)
+    index = st.integers(0, d - 1)
+    coeff = st.integers(-3, 3).filter(bool)
+    products = {}
+    for i, j in draw(st.lists(st.tuples(index, index), max_size=20, unique=True)):
+        target = G.add(degrees[i], degrees[j])
+        good = [k for k in range(d) if degrees[k] == target]
+        ks = draw(st.lists(st.sampled_from(good), unique=True)) if good else []
+        products[(i, j)] = {k: draw(coeff) for k in ks}
+    if draw(st.integers(0, 3)) == 0:
+        i, j = draw(index), draw(index)
+        target = G.add(degrees[i], degrees[j])
+        bad = [k for k in range(d) if degrees[k] != target]
+        if bad:
+            products.setdefault((i, j), {})[draw(st.sampled_from(bad))] = draw(coeff)
+    polar = None
+    if draw(st.booleans()):
+        polar = Matrix.zero(d, d)
+        pairs = [(i, j) for i in range(d) for j in range(i, d)
+                 if G.is_zero(G.add(degrees[i], degrees[j]))]
+        pairs = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        if draw(st.integers(0, 3)) == 0:
+            i = draw(index)
+            pairs += [(i, j) for j in range(d)
+                      if not G.is_zero(G.add(degrees[i], degrees[j]))][:1]
+        for i, j in pairs:
+            polar.data[i][j] = polar.data[j][i] = sc(draw(coeff))
+    return Grading(Algebra(d, "random", products, polar=polar), G, tuple(degrees))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_random_gradings())
+def test_coded_checks_agree_with_the_tuple_oracle(gr):
+    rep = verify_grading(gr)
+    assert (rep.passed, rep.details.get("rule"), rep.witness) == _oracle_verify(gr)
+    if rep.passed:
+        group, dmap, regraded = universal_group(gr)
+        assert (group, dmap) == _oracle_universal(gr)
+        assert regraded.degrees == tuple(dmap[x] for x in gr.degrees)
+
+
+# ---- planted defects on the big gradings --------------------------------------
+
+def _regraded(gr, k, delta):
+    degrees = list(gr.degrees)
+    degrees[k] = gr.group.add(degrees[k], delta)
+    return Grading(gr.algebra, gr.group, tuple(degrees))
+
+
+def _assert_product_defect(gr, witness):
+    rep = verify_grading(gr)
+    assert not rep.passed
+    assert rep.details == {"rule": "product lands outside A_{g+h}"}
+    assert rep.witness == witness
+
+
+def test_e8_z2_8_counts_its_products_and_rejects_a_regraded_vector():
+    mag8, gr8 = e8_pair()
+    rep = verify_grading(gr8)
+    assert rep.passed
+    assert rep.details == {"components": 206, "products": 44064}
+    _assert_product_defect(_regraded(gr8, 100, (0,) * 7 + (1,)), (0, 100, 68))
+
+
+def test_e8_z3_5_rejects_a_regraded_vector():
+    gr = magic.e8_z3_5()[-1]
+    assert verify_grading(gr).passed
+    _assert_product_defect(_regraded(gr, 100, (1, 0, 0, 0, 0)), (0, 100, 164))
+
+
+def test_dempwolff_coarsening_rejects_a_regraded_vector():
+    mag8, gr8 = e8_pair()
+    gr5 = magic.e8_dempwolff(mag8, gr8)
+    assert verify_grading(gr5).passed
+    _assert_product_defect(_regraded(gr5, 200, (0, 0, 0, 0, 1)), (2, 232, 200))
+
+
+def test_cayley_grading_rejects_a_planted_polar_pairing():
+    # u1 and u2 both have degree 1 in Z3, so n(u1, u2) must vanish
+    gr = cayley_grading("z3")
+    A = gr.algebra
+    polar = A.polar.copy()
+    polar.data[2][3] = polar.data[3][2] = polar.data[2][5]
+    planted = Algebra(A.dim, A.name, {ij: dict(v) for ij, v in A.products.items()},
+                      polar=polar)
+    rep = verify_grading(Grading(planted, gr.group, gr.degrees))
+    assert not rep.passed
+    assert rep.details == {"rule": "n(A_g, A_h) = 0 unless g + h = 0"}
+    assert rep.witness == (2, 3)
