@@ -26,10 +26,16 @@ from .report import Report
 from . import scenarios
 
 
-def _parse_params(text):
+def _parse_params(text, what, defaults):
+    """The scalars in "p1,p2,...", or the defaults when text is empty.  The
+    builder named `what` takes exactly len(defaults); what=None takes any."""
     if not text:
-        return ()
-    return tuple(parse_scalar(t) for t in text.split(","))
+        return defaults
+    p = tuple(parse_scalar(t) for t in text.split(","))
+    if what and len(p) != len(defaults):
+        raise ValueError("%s takes %d parameter(s), got %d"
+                         % (what, len(defaults), len(p)))
+    return p
 
 
 # name -> (constructor, default parameters); the two doubling towers take any
@@ -64,11 +70,8 @@ def build_algebra(spec: str) -> Algebra:
         raise KeyError("unknown algebra %r (try: %s)"
                        % (name, ", ".join(sorted(_BUILDERS))))
     fn, defaults = _BUILDERS[name]
-    p = _parse_params(params)
-    if p and len(p) != len(defaults) and name not in _TOWERS:
-        raise ValueError("algebra %r takes %d parameter(s), got %d"
-                         % (name, len(defaults), len(p)))
-    return fn(*(p or defaults))
+    what = None if name in _TOWERS else "algebra %r" % name
+    return fn(*_parse_params(params, what, defaults))
 
 
 def _sink(text: str, out):
@@ -85,25 +88,27 @@ def cmd_build(args) -> int:
     return 0
 
 
+# --family -> (builder of (kind, params), default parameters)
+_FAMILIES = {
+    "cayley": (cayley_grading, (1, 1, 1)),
+    "quaternion": (quaternion_grading, (1, 1)),
+    "okubo": (okubo_grading, (1, 1)),
+    "dim2": (lambda kind, p: two_dim_z3_grading(*p), (1,)),
+}
+
+
 def cmd_grade(args) -> int:
+    if bool(args.algebra) != bool(args.grading):
+        raise ValueError("--algebra and --grading go together")
     if args.algebra:
         with open(args.algebra) as fh:
             A = algebra_from_text(fh.read())
         with open(args.grading) as fh:
             gr = grading_from_text(fh.read(), A)
     else:
-        fam = args.family
-        params = _parse_params(args.params) or None
-        if fam == "cayley":
-            gr = cayley_grading(args.kind, params or (1, 1, 1))
-        elif fam == "quaternion":
-            gr = quaternion_grading(args.kind, params or (1, 1))
-        elif fam == "okubo":
-            gr = okubo_grading(args.kind, params or (1, 1))
-        elif fam == "dim2":
-            gr = two_dim_z3_grading(*(params or (1,)))
-        else:
-            raise KeyError("unknown family %r" % fam)
+        fn, defaults = _FAMILIES[args.family]
+        what = "grading family %r" % args.family
+        gr = fn(args.kind, _parse_params(args.params, what, defaults))
     outcome = {}
     ok = True
     if args.check or args.type or args.universal:
@@ -243,8 +248,7 @@ def make_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("grade", help="build or check a grading")
     g.add_argument("--algebra", help="algebra interchange file")
     g.add_argument("--grading", help="grading file to check against --algebra")
-    g.add_argument("--family", default="cayley",
-                   choices=("cayley", "quaternion", "okubo", "dim2"))
+    g.add_argument("--family", default="cayley", choices=tuple(_FAMILIES))
     g.add_argument("--kind", default="z3")
     g.add_argument("--params", default="")
     g.add_argument("--check", action="store_true")

@@ -383,9 +383,6 @@ class AlgebraMorphism:
     target: Algebra
     matrix: Matrix
 
-    def apply(self, x: Element) -> Element:
-        return Element(self.target, self.matrix.apply(list(x.coords)))
-
     def is_multiplicative(self) -> bool:
         return multiplicative_failure(self.source, self.target,
                                       self.matrix.sparse_cols()) is None

@@ -304,14 +304,6 @@ class Polynomial:
             acc = acc * x + c
         return acc
 
-    def compose_linear(self, a: Scalar) -> "Polynomial":
-        """p(a*X) for a scalar a."""
-        out, pw = [], ONE
-        for c in self.coeffs:
-            out.append(c * pw)
-            pw = pw * a
-        return Polynomial(out)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented

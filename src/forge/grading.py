@@ -72,20 +72,18 @@ class AbelianGroup:
         return self.canon(a) == self.zero()
 
     def elements_generate(self, elems) -> bool:
-        """Do the given elements generate the whole group?"""
+        """Do the given elements generate the whole group?  They do iff they
+        and the torsion relations span Z^n, that is iff their Hermite basis
+        is triangular with n rows and every lead is +-1 (determinant +-1)."""
         n = self.ncoords
-        if n == 0:
-            return True
         rows = [list(e) for e in elems]
         for i, m in enumerate(self.torsion):
             row = [0] * n
             row[self.free_rank + i] = m
             rows.append(row)
         reduced = lattice_row_reduce(rows, n)
-        if len(reduced) < n:
-            return False
-        inv = smith_normal_form(IntMatrix(reduced))[0]
-        return all(abs(d) == 1 for d in inv)
+        return len(reduced) == n and all(abs(r[i]) == 1
+                                         for i, r in enumerate(reduced))
 
     def canonical_invariants(self):
         """(free_rank, invariant factors) in divisibility-normal form."""

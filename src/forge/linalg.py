@@ -3,14 +3,16 @@
 Dense matrices are lists of Scalar rows.  All elimination over Q(w) goes
 through SparseEchelon (dict-of-column sparse rows): rref, rank, nullspace,
 solve and inverse read one off a matrix's rows, and SpanCoords and the Krylov
-annihilator carry tag columns through one.  Its rank, read until a target is
-met, certifies "the kernel is no bigger than the part we exhibit".  No checker
-calls rank_mod_p, a numpy modular rank bound (rank mod p <= rank over Q).
+annihilator carry tag columns through one.  sparse_kernel feeds a row stream
+into one and reads the kernel off its back-substituted rows; it stops reading
+early only once the rank is the column count.  An echelon's rank, read until
+a target is met, certifies "the kernel is no bigger than the part we
+exhibit".  No checker calls rank_mod_p, a numpy modular rank bound (rank mod
+p <= rank over Q).  Integer-pair tables (denominators cleared) have one
+builder, algebra.integer_table.
 """
 
 from __future__ import annotations
-
-from math import gcd
 
 from .exact import ONE, ZERO, Polynomial, Scalar, poly_lcm, sc
 
@@ -96,17 +98,6 @@ class Matrix:
                     vec_add_scaled(acc, a, orow)
             out.append([acc.get(c, ZERO) for c in cols])
         return Matrix(out)
-
-    def apply(self, vec):
-        """Matrix times a dense vector (list of Scalars)."""
-        out = []
-        for row in self.data:
-            acc = ZERO
-            for a, b in zip(row, vec):
-                if (a.p or a.q) and (b.p or b.q):
-                    acc = acc + a * b
-            out.append(acc)
-        return out
 
     def flat(self) -> dict:
         """Nonzero entries as a sparse vector, (r, c) keyed r*cols + c."""
@@ -285,42 +276,14 @@ def inverse(m: Matrix) -> Matrix:
 
 
 def sparse_kernel(rows, ncols: int):
-    """Exact kernel of a (possibly huge) list of sparse rows.
-
-    Rows are consumed once to build the echelon; rows arriving after the rank
-    has stopped growing are only checked against the computed kernel, which
-    is much cheaper, and trigger a recompute on a genuine violation.
-    """
-    rows = list(rows)
+    """Exact kernel of a stream of sparse rows, one basis vector per free
+    column.  The rows feed one SparseEchelon; reading stops at the row that
+    brings the rank to ncols, as the kernel is then zero."""
     ech = SparseEchelon(ncols)
-    stall, i = 0, 0
-    n = len(rows)
-    # grow the echelon until the rank looks complete
-    while i < n and stall < 4 * ncols and ech.rank < ncols:
-        if ech.insert(rows[i]):
-            stall = 0
-        else:
-            stall += 1
-        i += 1
-    while True:
-        kern = ech.kernel()
-        bad = None
-        for j in range(i, n):
-            row = rows[j]
-            for v in kern:
-                acc = ZERO
-                for k, c in row.items():
-                    x = v.get(k)
-                    if x is not None:
-                        acc = acc + c * x
-                if not acc.is_zero():
-                    bad = row
-                    break
-            if bad is not None:
-                break
-        if bad is None:
-            return kern
-        ech.insert(bad)
+    for row in rows:
+        if ech.insert(row) and ech.rank == ncols:
+            break
+    return ech.kernel()
 
 
 class SpanCoords:
@@ -754,23 +717,3 @@ def _rank_mod_single(rows, ncols, p, w, limit):
                 pivots[:k_old] = (pivots[:k_old]
                                   - coeffs @ pivots[new_rows]) % p
     return len(pivot_cols)
-
-
-# =========================================================================
-# integer-pair sparse operators (cleared denominators)
-# =========================================================================
-
-def clear_denominators(table):
-    """Scale a sparse Scalar table to integer pairs (p, q).
-
-    `table` is a dict key -> dict key2 -> Scalar.  Returns (D, newtable)
-    with newtable values integer pairs for D * scalar.
-    """
-    D = 1
-    for sub in table.values():
-        for v in sub.values():
-            D = D // gcd(D, v.d) * v.d
-    out = {}
-    for k, sub in table.items():
-        out[k] = {k2: (v.p * (D // v.d), v.q * (D // v.d)) for k2, v in sub.items()}
-    return D, out

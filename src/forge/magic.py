@@ -38,15 +38,15 @@ from dataclasses import dataclass, field
 
 from . import compose
 from .algebra import (Algebra, Element, IncompatibleInputs, _pair_mul,
-                      generating_set, kernel_matrix, leibniz_rows,
-                      multiplicative_failure, operator_matrix, position_index,
-                      rebase_blockwise, skew_rows, verify_lie, verify_symmetric)
+                      generating_set, integer_table, kernel_matrix,
+                      leibniz_rows, multiplicative_failure, operator_matrix,
+                      position_index, rebase_blockwise, skew_rows, verify_lie,
+                      verify_symmetric)
 from .exact import MINUS_ONE, ONE, OMEGA, OMEGA2, ZERO, HALF, Polynomial, sc
 from .grading import AbelianGroup, Grading, GroupHom
 from .linalg import (DependentVectors, Matrix, SpanCoords, SparseEchelon,
-                     clear_denominators, column_apply,
-                     minimal_polynomial_op, nullspace, sparse_kernel,
-                     vec_add_scaled)
+                     column_apply, minimal_polynomial_op, nullspace,
+                     sparse_kernel, vec_add_scaled)
 # not called here; perfbench's tests patch the name magic.rank_mod_p
 from .linalg import rank_mod_p  # noqa: F401
 from .report import Report
@@ -204,24 +204,26 @@ def triality_bracket_failures(S: Algebra):
     Both sides are linear in each of a, b, x and y, so an empty result proves
     the relation for all elements.  As sigma_{a,b}(z) = n(a,z)b - n(b,z)a and
     t is bilinear, the right side is n(a,x)t_{b,y} - n(b,x)t_{a,y}
-    + n(a,y)t_{x,b} - n(b,y)t_{x,a}.  One common denominator is cleared from
-    the 64 basis triples and the polar form together, which scales both sides
-    by its square, so the comparison runs exactly on integer pairs p + q*w.
+    + n(a,y)t_{x,b} - n(b,y)t_{x,a}.  One integer_table of the 64 triples
+    (keys (a, b)) and polar rows (keys ("polar", i)) clears one denominator,
+    scaling both sides by its square: all sums are on integer pairs p + q*w.
     """
     d = S.dim
     basis = S.basis()
     table = {(a, b): t_xy(S, basis[a], basis[b]).entries
              for a in range(d) for b in range(d)}
-    table["polar"] = {(i, j): v for i, row in enumerate(S.polar.data)
-                      for j, v in enumerate(row) if v.p or v.q}
-    _, scaled = clear_denominators(table)
-    polar = scaled.pop("polar")
+    for i, row in enumerate(S.polar.data):
+        table[("polar", i)] = {j: v for j, v in enumerate(row) if v.p or v.q}
+    _, scaled, _ = integer_table(table)
+    polar = {(i, j): (p, q) for i, row in scaled.pop("polar").items()
+             for j, p, q in row}
     # per triple, entry (r, c) of d_i as (c, p, q) in row i*d + r
     rows = {}
-    for key, entries in scaled.items():
-        rows[key] = by_row = {}
-        for k, (p, q) in entries.items():
-            by_row.setdefault(k // d, []).append((k % d, p, q))
+    for a, sub in scaled.items():
+        for b, entries in sub.items():
+            rows[(a, b)] = by_row = {}
+            for k, p, q in entries:
+                by_row.setdefault(k // d, []).append((k % d, p, q))
 
     def commutator(acc, ta, tb, sign):
         for r, row in ta.items():
@@ -241,13 +243,13 @@ def triality_bracket_failures(S: Algebra):
                     acc: dict = {}
                     commutator(acc, tab, rows[(x, y)], 1)
                     commutator(acc, rows[(x, y)], tab, -1)
-                    for (u, v), coeff, sign in (
+                    for (u, v), (g, h), sign in (
                             ((a, x), (b, y), 1), ((b, x), (a, y), -1),
                             ((a, y), (x, b), 1), ((b, y), (x, a), -1)):
                         n = polar.get((u, v))
                         if n is None:
                             continue
-                        for m, (p2, q2) in scaled[coeff].items():
+                        for m, p2, q2 in scaled[g][h]:
                             p, q = _pair_mul(n[0], n[1], p2, q2)
                             cur = acc.get(m, (0, 0))
                             acc[m] = (cur[0] - sign * p, cur[1] - sign * q)

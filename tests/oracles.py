@@ -4,9 +4,13 @@ No scenario, CLI command or checker in forge reaches these, so they live
 here rather than in the package.
 """
 
+from math import gcd
+
 from forge.algebra import Algebra, Element
-from forge.exact import ZERO
-from forge.linalg import IntMatrix, Matrix, NotSquare, SparseEchelon, sparse_kernel
+from forge.exact import ONE, ZERO, Polynomial, Scalar
+from forge.linalg import (IntMatrix, Matrix, NotSquare, SparseEchelon,
+                          column_apply, lattice_row_reduce, smith_normal_form,
+                          sparse_kernel)
 
 
 def int_det(m: IntMatrix) -> int:
@@ -65,3 +69,53 @@ def commutative_center(A: Algebra):
             coords[k] = c
         out.append(Element(A, coords))
     return out
+
+
+def mat_vec(m: Matrix, vec):
+    """m times the dense vector vec, through the sparse column apply."""
+    out = column_apply(m.sparse_cols())({j: c for j, c in enumerate(vec)
+                                         if c.p or c.q})
+    return [out.get(i, ZERO) for i in range(m.rows)]
+
+
+def compose_linear(p: Polynomial, a: Scalar) -> Polynomial:
+    """p(a*X) for a scalar a."""
+    out, pw = [], ONE
+    for c in p.coeffs:
+        out.append(c * pw)
+        pw = pw * a
+    return Polynomial(out)
+
+
+def clear_denominators(table):
+    """Scale a sparse Scalar table to integer pairs (p, q).
+
+    `table` is a dict key -> dict key2 -> Scalar.  Returns (D, newtable)
+    with newtable values integer pairs for D * scalar.
+    """
+    D = 1
+    for sub in table.values():
+        for v in sub.values():
+            D = D // gcd(D, v.d) * v.d
+    out = {}
+    for k, sub in table.items():
+        out[k] = {k2: (v.p * (D // v.d), v.q * (D // v.d)) for k2, v in sub.items()}
+    return D, out
+
+
+def elements_generate(G, elems) -> bool:
+    """Do elems generate the group G?  Hermite reduction of elems and the
+    torsion relations, then Smith invariants all +-1."""
+    n = G.ncoords
+    if n == 0:
+        return True
+    rows = [list(e) for e in elems]
+    for i, m in enumerate(G.torsion):
+        row = [0] * n
+        row[G.free_rank + i] = m
+        rows.append(row)
+    reduced = lattice_row_reduce(rows, n)
+    if len(reduced) < n:
+        return False
+    inv = smith_normal_form(IntMatrix(reduced))[0]
+    return all(abs(d) == 1 for d in inv)

@@ -8,9 +8,9 @@ from forge.algebra import (Algebra, MixedAlgebras, MissingForm,
                            subalgebra_generated, verify_composition,
                            verify_jordan, verify_lie, verify_symmetric)
 from forge.exact import MINUS_ONE, ONE, ZERO, Scalar, sc
-from forge.linalg import Matrix, clear_denominators, vec_add_scaled
+from forge.linalg import Matrix, vec_add_scaled
 from forge.scenarios import e8_pair, okubo11, para_split, split_cayley
-from oracles import commutative_center, matrix_in_span
+from oracles import clear_denominators, commutative_center, matrix_in_span
 
 
 def test_multiply_examples():

@@ -174,6 +174,25 @@ def test_grade_emit_and_check_files(tmp_path, capsys):
     assert payload["verified"] is True and payload["type"] == [8]
 
 
+@pytest.mark.parametrize("argv, want", [
+    (["--algebra", "{alg}", "--check"], "--algebra and --grading go together"),
+    (["--grading", "{grad}", "--check"], "--algebra and --grading go together"),
+    (["--family", "dim2", "--params", "1,2", "--check"],
+     "grading family 'dim2' takes 1 parameter(s), got 2"),
+    (["--family", "okubo", "--kind", "z3", "--params", "1"],
+     "grading family 'okubo' takes 2 parameter(s), got 1"),
+], ids=["algebra-alone", "grading-alone", "dim2-params", "okubo-params"])
+def test_grade_argument_mismatch_is_usage_error(argv, want, tmp_path, capsys):
+    files = {"alg": tmp_path / "okubo.alg", "grad": tmp_path / "okubo.grad"}
+    assert main(["build", "okubo:1,1", "--out", str(files["alg"])]) == 0
+    assert main(["grade", "--family", "okubo", "--kind", "z3^2",
+                 "--out", str(files["grad"])]) == 0
+    capsys.readouterr()
+    assert main(["grade"] + [a.format(**files) for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: %s\n" % want
+
+
 def test_verify_command(capsys):
     assert main(["verify", "composition", "--name", "split-cayley"]) == 0
     assert main(["verify", "symmetric", "--name", "split-cayley"]) == 1

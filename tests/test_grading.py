@@ -13,6 +13,7 @@ from forge.grading import (CAYLEY_KINDS, DECLARED_GROUPS, OKUBO_KINDS,
 from forge.linalg import (IntMatrix, Matrix, lattice_row_reduce,
                           smith_normal_form)
 from forge.scenarios import e8_pair, okubo11, split_cayley
+from oracles import elements_generate
 
 
 def test_group_arithmetic():
@@ -203,6 +204,49 @@ def test_coarsen_rejects_wrong_source():
         coarsen(gr, hom)
 
 
+@pytest.mark.parametrize("G, elems, want", [
+    (AbelianGroup(0, (4,)), {(2,)}, False),
+    (AbelianGroup(2), {(1, 0)}, False),
+    (AbelianGroup(0, (3,)), set(), False),
+    (AbelianGroup(0, (4,)), {(3,)}, True),
+    (AbelianGroup(0, (6,)), {(2,), (3,)}, True),
+    (AbelianGroup(0, (2, 3)), {(1, 1)}, True),
+    (AbelianGroup(1, (2,)), {(2, 1), (1, 1)}, True),
+    (AbelianGroup(0), set(), True),
+])
+def test_elements_generate_examples(G, elems, want):
+    assert G.elements_generate(elems) is want
+    assert elements_generate(G, elems) is want
+
+
+@st.composite
+def _groups_and_elements(draw):
+    free = draw(st.integers(0, 2))
+    G = AbelianGroup(free, tuple(draw(st.lists(st.integers(2, 7), max_size=4))))
+    n = G.ncoords
+    units = [tuple(int(c == r) for c in range(n)) for r in range(n)]
+    elems = draw(st.lists(st.sampled_from(units), unique=True)) if units else []
+    elems += draw(st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n)
+                           .map(tuple), max_size=4))
+    return G, set(elems)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_groups_and_elements())
+def test_elements_generate_matches_the_smith_oracle(case):
+    G, elems = case
+    assert G.elements_generate(elems) == elements_generate(G, elems)
+
+
+def test_support_spanning_an_index_2_subgroup_fails():
+    gr = quaternion_grading("z-3grading")
+    doubled = Grading(gr.algebra, gr.group, tuple((2 * d,) for d, in gr.degrees))
+    rep = verify_grading(doubled)
+    assert not rep.passed
+    assert rep.details == {"rule": "support must generate the group"}
+    assert rep.witness == "support"
+
+
 # ---- the tuple-arithmetic oracle ---------------------------------------------
 
 def _oracle_verify(gr):
@@ -219,7 +263,7 @@ def _oracle_verify(gr):
             for j in range(A.dim):
                 if not pm[i][j].is_zero() and not G.is_zero(G.add(deg[i], deg[j])):
                     return False, "n(A_g, A_h) = 0 unless g + h = 0", (i, j)
-    if not G.elements_generate(set(deg)):
+    if not elements_generate(G, set(deg)):
         return False, "support must generate the group", "support"
     return True, None, None
 

@@ -10,7 +10,7 @@ from forge.linalg import (DependentVectors, IntMatrix, Matrix, NotSquare,
                           minimal_polynomial, minimal_polynomial_op, nullspace,
                           rank, rank_mod_p, rref, smith_normal_form, solve,
                           sparse_kernel, vec_add_scaled)
-from oracles import int_det
+from oracles import int_det, mat_vec
 
 X = Polynomial.x
 C = Polynomial.constant
@@ -107,7 +107,7 @@ def test_rank_nullity_random():
 def test_solve_and_inverse():
     m = Matrix([[1, 2], [3, 5]])
     x = solve(m, [sc(1), sc(2)])
-    assert m.apply(x) == [ONE, sc(2)]
+    assert mat_vec(m, x) == [ONE, sc(2)]
     assert m * inverse(m) == Matrix.identity(2)
     assert solve(Matrix([[1, 1], [1, 1]]), [sc(0), sc(1)]) is None
 
@@ -326,7 +326,7 @@ def test_dense_views_match_the_gauss_jordan_oracle(m, data):
     assert nullspace(m) == _dense_nullspace(m)
     x = [data.draw(st.sampled_from(_ENTRIES)) for _ in range(m.cols)]
     anywhere = [data.draw(st.sampled_from(_ENTRIES)) for _ in range(m.rows)]
-    for rhs in (m.apply(x), anywhere):
+    for rhs in (mat_vec(m, x), anywhere):
         assert solve(m, rhs) == _dense_solve(m, rhs)
     n = min(m.rows, m.cols)
     square = Matrix([row[:n] for row in m.data[:n]])
@@ -417,21 +417,44 @@ def test_rank_mod_p_bounds():
     assert rank_mod_p(rows, 5, limit=3) == 3
 
 
-def test_sparse_kernel_matches_dense_nullspace():
+def _kernel_inputs():
+    """(dense rows, column count): random sparse matrices, an independent
+    row placed after more than 4 * ncols dependent ones, and full rank
+    reached before the last row."""
     rng = random.Random(61)
     for trial in range(20):
         rows_n = rng.randint(1, 12)
         cols_n = rng.randint(1, 10)
-        dense = [[sc(rng.randint(-2, 2)) if rng.random() < 0.4 else ZERO
-                  for _ in range(cols_n)] for _ in range(rows_n)]
+        yield [[sc(rng.randint(-2, 2)) if rng.random() < 0.4 else ZERO
+                for _ in range(cols_n)] for _ in range(rows_n)], cols_n
+    base = [sc(1), sc(2), ZERO, sc(-1)]
+    late = [ZERO, ZERO, sc(3), OMEGA]
+    yield [[sc(k % 3 + 1) * x for x in base] for k in range(17)] + [late], 4
+    full = [[sc(1) if j == i else ZERO for j in range(3)] for i in range(3)]
+    yield full + [[sc(1), sc(1), sc(1)]], 3
+
+
+def _stream(rows, ncols):
+    """The sparse rows, raising if read past the row that brings the rank
+    to ncols: nothing after it can change the (zero) kernel."""
+    ech = SparseEchelon(ncols)
+    for row in rows:
+        if ech.rank == ncols:
+            raise AssertionError("row read after the rank reached ncols")
+        ech.insert(row)
+        yield row
+
+
+def test_sparse_kernel_matches_dense_nullspace():
+    for dense, cols_n in _kernel_inputs():
         m = Matrix(dense)
         sparse_rows = [{j: v for j, v in enumerate(row) if not v.is_zero()}
                        for row in dense]
-        sparse_rows = [r for r in sparse_rows if r]
-        kern = sparse_kernel(sparse_rows, cols_n)
-        assert len(kern) == len(_dense_nullspace(m))
+        kern = sparse_kernel(_stream(sparse_rows, cols_n), cols_n)
+        assert [[v.get(j, ZERO) for j in range(cols_n)] for v in kern] == \
+            _dense_nullspace(m)
         for v in kern:
-            out = m.apply([v.get(j, ZERO) for j in range(cols_n)])
+            out = mat_vec(m, [v.get(j, ZERO) for j in range(cols_n)])
             assert all(x.is_zero() for x in out)
 
 
