@@ -88,12 +88,13 @@ def cmd_build(args) -> int:
     return 0
 
 
-# --family -> (builder of (kind, params), default parameters)
+# --family -> (builder of (kind, params), default parameters); a builder given
+# params=None uses its defaults, and its fixed-algebra kinds refuse any others
 _FAMILIES = {
     "cayley": (cayley_grading, (1, 1, 1)),
     "quaternion": (quaternion_grading, (1, 1)),
     "okubo": (okubo_grading, (1, 1)),
-    "dim2": (lambda kind, p: two_dim_z3_grading(*p), (1,)),
+    "dim2": (lambda kind, p: two_dim_z3_grading(*(p or ())), (1,)),
 }
 
 
@@ -108,7 +109,8 @@ def cmd_grade(args) -> int:
     else:
         fn, defaults = _FAMILIES[args.family]
         what = "grading family %r" % args.family
-        gr = fn(args.kind, _parse_params(args.params, what, defaults))
+        params = _parse_params(args.params, what, defaults) if args.params else None
+        gr = fn(args.kind, params)
     outcome = {}
     ok = True
     if args.check or args.type or args.universal:

@@ -378,10 +378,18 @@ CAYLEY_KINDS = ("z2", "z2^2", "z2^3", "z3", "z4", "z-3grading",
                 "z-5grading", "z^2", "zxz2")
 
 
-def cayley_grading(kind: str, params=(1, 1, 1)) -> Grading:
-    """One of the nine gradings of a Cayley algebra, on its natural basis."""
+def _no_params(family: str, kind: str, params):
+    """Refuse parameters for a kind built on one fixed algebra."""
+    if params is not None:
+        raise BadParams("%s grading kind %r takes no parameters" % (family, kind))
+
+
+def cayley_grading(kind: str, params=None) -> Grading:
+    """One of the nine gradings of a Cayley algebra, on its natural basis.
+    The doubling-tower kinds take three parameters, (1, 1, 1) by default;
+    the split-Cayley kinds take none."""
     if kind in ("z2", "z2^2", "z2^3"):
-        lams = tuple(sc(p) for p in params)
+        lams = tuple(sc(p) for p in params or (1, 1, 1))
         if len(lams) != 3 or any(l.is_zero() for l in lams):
             raise BadParams("doubling tower needs three nonzero scalars")
         A = compose.cd_tower(*lams)
@@ -392,6 +400,7 @@ def cayley_grading(kind: str, params=(1, 1, 1)) -> Grading:
             return Grading(A, Z2_2, tuple((b[1], b[2]) for b in bits), name="z2^2")
         return Grading(A, Z2_3, tuple(bits), name="z2^3")
     if kind in _CAYLEY_DEGREES:
+        _no_params("cayley", kind, params)
         group, degrees = _CAYLEY_DEGREES[kind]
         return Grading(compose.split_cayley(), group, degrees, name=kind)
     raise BadParams("unknown Cayley grading kind %r" % kind)
@@ -400,10 +409,11 @@ def cayley_grading(kind: str, params=(1, 1, 1)) -> Grading:
 QUATERNION_KINDS = ("z2", "z2^2", "z-3grading")
 
 
-def quaternion_grading(kind: str, params=(1, 1)) -> Grading:
-    """Gradings of quaternion algebras: doubling steps or the matrix 3-grading."""
+def quaternion_grading(kind: str, params=None) -> Grading:
+    """Gradings of quaternion algebras: doubling steps, with two parameters,
+    (1, 1) by default, or the matrix 3-grading, with none."""
     if kind in ("z2", "z2^2"):
-        lams = tuple(sc(p) for p in params)
+        lams = tuple(sc(p) for p in params or (1, 1))
         if len(lams) != 2 or any(l.is_zero() for l in lams):
             raise BadParams("doubling tower needs two nonzero scalars")
         A = compose.cd_tower(*lams)
@@ -412,6 +422,7 @@ def quaternion_grading(kind: str, params=(1, 1)) -> Grading:
             return Grading(A, Z2, tuple((b[1],) for b in bits), name="z2")
         return Grading(A, Z2_2, tuple(bits), name="z2^2")
     if kind == "z-3grading":
+        _no_params("quaternion", kind, params)
         A = compose.split_quaternion()
         return Grading(A, Z, ((0,), (0,), (1,), (-1,)), name="z-3grading")
     raise BadParams("unknown quaternion grading kind %r" % kind)
@@ -421,10 +432,19 @@ OKUBO_KINDS = ("z2", "z2^2", "z3", "z3^2", "z4", "z-3grading",
                "z-5grading", "z^2", "zxz2")
 
 
-def okubo_grading(kind: str, params=(1, 1)) -> Grading:
+def okubo_grading(kind: str, params=None) -> Grading:
     """The gradings of the eight-dimensional symmetric composition algebras
-    that exist over fields of characteristic zero."""
-    a, b = (sc(p) for p in params)
+    that exist over fields of characteristic zero.  The kinds on Okubo
+    algebras (z2, z2^2, z3, z3^2) take two parameters, (1, 1) by default;
+    those on a Petersson algebra of the split Cayley algebra take none."""
+    if kind in ("z4", "z-5grading", "z-3grading", "z^2", "zxz2"):
+        _no_params("okubo", kind, params)
+        tau = "nst" if kind in ("z4", "z-5grading") else "omega"
+        S = compose.petersson(compose.split_cayley(), compose.tau_automorphism(tau))
+        S.name = "P8(%s)" % tau
+        group, degrees = _CAYLEY_DEGREES[kind]
+        return Grading(S, group, degrees, name=kind)
+    a, b = (sc(p) for p in params or (1, 1))
     if kind in ("z2", "z2^2"):
         S = compose.okubo_from_quaternion(b, a)
         if kind == "z2":
@@ -437,18 +457,6 @@ def okubo_grading(kind: str, params=(1, 1)) -> Grading:
         if kind == "z3":
             return Grading(S, Z3, tuple((j,) for _, j in ij), name="z3")
         return Grading(S, Z3_2, ij, name="z3^2")
-    if kind in ("z4", "z-5grading"):
-        S = compose.petersson(compose.split_cayley(),
-                              compose.tau_automorphism("nst"))
-        S.name = "P8(nst)"
-        group, degrees = _CAYLEY_DEGREES["z4" if kind == "z4" else "z-5grading"]
-        return Grading(S, group, degrees, name=kind)
-    if kind in ("z-3grading", "z^2", "zxz2"):
-        S = compose.petersson(compose.split_cayley(),
-                              compose.tau_automorphism("omega"))
-        S.name = "P8(omega)"
-        group, degrees = _CAYLEY_DEGREES[kind]
-        return Grading(S, group, degrees, name=kind)
     raise BadParams("unknown Okubo grading kind %r" % kind)
 
 

@@ -342,7 +342,7 @@ def scenario_magic_dimensions(seed=DEFAULT_SEED) -> Report:
     k = compose.s1()
     s2 = compose.s2(1)
     cases = [
-        ("g(k,S8)", magic.magic_g(k, para_split()), 52),
+        ("g(k,S8)", f4_mag(), 52),
         ("g(S2,S8)", magic.magic_g(s2, okubo11()), 78),
         ("g(k,S2)", magic.magic_g(k, compose.s2(1)), 8),
         ("g(S2,S2)", magic.magic_g(s2, compose.s2(2)), 16),

@@ -1,3 +1,5 @@
+from unittest.mock import patch
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,10 +9,12 @@ from forge.algebra import (Algebra, MixedAlgebras, MissingForm,
                            operator_matrix, orthogonal_algebra,
                            subalgebra_generated, verify_composition,
                            verify_jordan, verify_lie, verify_symmetric)
-from forge.exact import MINUS_ONE, ONE, ZERO, Scalar, sc
+from forge.exact import MINUS_ONE, OMEGA, ONE, ZERO, Scalar, sc
 from forge.linalg import Matrix, vec_add_scaled
 from forge.scenarios import e8_pair, okubo11, para_split, split_cayley
-from oracles import clear_denominators, commutative_center, matrix_in_span
+import oracles
+from oracles import (clear_denominators, commutative_center,
+                     first_jacobi_failure, matrix_in_span)
 
 
 def test_multiply_examples():
@@ -261,6 +265,87 @@ def test_verify_lie_finds_the_defect_of_one_summand(monkeypatch, bad_first):
     assert not rep.passed and rep.witness == (off, off + 1, off + 2)
 
 
+def _solvable():
+    # [x, y] = y, [x, z] = w z: a Lie algebra with a structure constant off Q
+    return Algebra(3, "solvable", {(0, 1): {1: ONE}, (1, 0): {1: MINUS_ONE},
+                                   (0, 2): {2: OMEGA}, (2, 0): {2: -OMEGA}})
+
+
+_units = st.builds(Scalar, st.integers(-3, 3), st.integers(-3, 3),
+                   st.integers(1, 3)).filter(lambda c: not c.is_zero())
+
+
+@st.composite
+def _anticommutative_tables(draw):
+    """Small anticommutative algebras over Q(w): a sum of Lie algebras on a
+    shuffled, rescaled basis, sometimes with one constant and its mirror
+    shifted, or a random table."""
+    if draw(st.integers(0, 3)) == 0:
+        d = draw(st.integers(3, 5))
+        index = st.integers(0, d - 1)
+        products = {}
+        for i in range(d):
+            for j in range(i + 1, d):
+                vec = draw(st.dictionaries(index, _units, max_size=2))
+                products[(i, j)] = vec
+                products[(j, i)] = {k: -c for k, c in vec.items()}
+        return Algebra(d, "random", products)
+    parts = draw(st.lists(st.sampled_from(
+        [_sl2, _solvable, lambda: magic.magic_g(compose.s1(), compose.s2(1)).lie]),
+        min_size=1, max_size=2))
+    L = parts[0]()
+    for part in parts[1:]:
+        L = _direct_sum(L, part())
+    d = L.dim
+    perm = draw(st.permutations(range(d)))
+    s = draw(st.lists(_units, min_size=d, max_size=d))
+    # f_perm[i] = s_i e_i, so [f_perm[i], f_perm[j]] has c s_i s_j / s_k at f_perm[k]
+    products = {(perm[i], perm[j]): {perm[k]: c * s[i] * s[j] / s[k]
+                                     for k, c in vec.items()}
+                for (i, j), vec in L.products.items()}
+    if draw(st.booleans()):
+        i, j, k = (draw(st.integers(0, d - 1)) for _ in range(3))
+        shift = draw(_units)
+        if i != j:
+            for ij, c in (((i, j), shift), ((j, i), -shift)):
+                vec = products.setdefault(ij, {})
+                vec[k] = vec.get(k, ZERO) + c
+    return Algebra(d, "shuffled", products)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_anticommutative_tables(), st.data())
+def test_verify_lie_names_the_first_failing_triple(L, data):
+    want = first_jacobi_failure(L)
+    subset = tuple(sorted(data.draw(st.sets(st.integers(0, L.dim - 1)))))
+    reps = [verify_lie(L)]
+    # any generator set: the certificate is kept only when its closure is L
+    with patch.object(algebra, "generating_set", lambda _: subset):
+        reps.append(verify_lie(L))
+    for rep in reps:
+        assert (rep.passed, rep.witness) == (want is None, want)
+        if want is not None:
+            assert rep.details == {"identity": "jacobi"}
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("defect", ["denominator", "key", "product"])
+def test_sign_failure_names_a_planted_defect(sign, defect):
+    s, half, third = sc(sign), Scalar(1, 1, 2), Scalar(1, 1, 3)
+    # (0, 1) matches; the defect sits at (1, 2)
+    products = {(0, 1): {2: half, 0: ONE}, (1, 0): {2: s * half, 0: s},
+                (1, 2): {0: half}, (2, 1): {0: s * half}}
+    if defect == "denominator":
+        products[(2, 1)] = {0: s * third}   # same p and q, d differs
+    elif defect == "key":
+        products[(1, 2)][1] = ONE
+    else:
+        del products[(2, 1)]
+    A = Algebra(3, defect, products)
+    assert algebra.sign_failure(A, sign) == oracles.sign_failure(A, sign) == (1, 2)
+    assert algebra.sign_failure(A, -sign) == oracles.sign_failure(A, -sign) == (0, 1)
+
+
 def test_verify_jordan_negative():
     assert not verify_jordan(split_cayley()).passed
 
@@ -360,6 +445,19 @@ def test_integer_table_matches_cleared_denominators(case):
     assert {(i, j): list(row) for i, Ti in T.items() for j, row in Ti.items()} == \
         {ij: [(m,) + pq for m, pq in vec.items()] for ij, vec in scaled.items()}
     assert rational == all(q == 0 for vec in scaled.values() for _, q in vec.values())
+
+
+@settings(max_examples=100, deadline=None)
+@given(_sparse_algebras(), st.sampled_from([1, -1]), st.booleans())
+def test_sign_failure_matches_the_oracle(case, sign, mirror):
+    _, A = case
+    if mirror:
+        # keep the products with i <= j and mirror them, so most pairs pass
+        products = {(i, j): dict(vec) for (i, j), vec in A.products.items() if i <= j}
+        products.update({(j, i): {k: sc(sign) * c for k, c in vec.items()}
+                         for (i, j), vec in list(products.items()) if i < j})
+        A = Algebra(A.dim, "mirrored", products)
+    assert algebra.sign_failure(A, sign) == oracles.sign_failure(A, sign)
 
 
 def test_interchange_rejects_garbage():

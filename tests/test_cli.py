@@ -193,6 +193,24 @@ def test_grade_argument_mismatch_is_usage_error(argv, want, tmp_path, capsys):
     assert out == "" and err == "error: %s\n" % want
 
 
+@pytest.mark.parametrize("family, kind, params", [
+    ("okubo", "z4", "0,0"), ("okubo", "z-5grading", "1,1"),
+    ("okubo", "z-3grading", "1,1"), ("okubo", "z^2", "5,7"),
+    ("okubo", "zxz2", "1,1"), ("cayley", "z3", "0,0,0"),
+    ("cayley", "z4", "1,1,1"), ("cayley", "z-3grading", "1,1,1"),
+    ("cayley", "z-5grading", "1,1,1"), ("cayley", "z^2", "1,1,1"),
+    ("cayley", "zxz2", "2,3,5"), ("quaternion", "z-3grading", "1,1"),
+])
+def test_grade_fixed_algebra_kinds_refuse_params(family, kind, params, capsys):
+    argv = ["grade", "--family", family, "--kind", kind, "--check"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main(argv + ["--params", params]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == \
+        "error: %s grading kind %r takes no parameters\n" % (family, kind)
+
+
 def test_verify_command(capsys):
     assert main(["verify", "composition", "--name", "split-cayley"]) == 0
     assert main(["verify", "symmetric", "--name", "split-cayley"]) == 1

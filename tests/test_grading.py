@@ -157,6 +157,12 @@ def test_bad_params():
         cayley_grading("z2^3", (1, 0, 1))
     with pytest.raises(BadParams):
         cayley_grading("nonsense")
+    # a kind built on one fixed algebra takes no parameters, not even (1, 1)
+    for build, kind, params in ((okubo_grading, "z4", (1, 1)),
+                                (cayley_grading, "z3", (1, 1, 1)),
+                                (quaternion_grading, "z-3grading", (1, 1))):
+        with pytest.raises(BadParams, match="takes no parameters"):
+            build(kind, params)
 
 
 def test_grading_file_round_trip():

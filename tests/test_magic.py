@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from forge import algebra, compose, magic
+from forge import algebra, compose, magic, scenarios
 from forge.algebra import (Algebra, ad_closure_rank, derivation_algebra,
                            generating_set, verify_jordan, verify_lie)
 from forge.exact import (OMEGA, OMEGA2, ONE, ZERO, Polynomial, Scalar,
@@ -549,7 +549,18 @@ def test_verify_lie_names_a_corrupted_structure_constant():
     rep = verify_lie(Algebra(L.dim, "corrupted", products))
     assert not rep.passed
     assert rep.details == {"identity": "jacobi"}
-    assert {i, j} <= set(rep.witness)
+    assert rep.witness == (0, 1, 4)
+
+
+def test_magic_dimensions_builds_f4_once(monkeypatch):
+    # g(k,S8) is the cached f4_mag() that the theta claims use too
+    f4_mag.cache_clear()
+    e8_pair.cache_clear()
+    calls = []
+    magic_g = magic.magic_g
+    monkeypatch.setattr(magic, "magic_g", lambda *a, **k: calls.append(a) or magic_g(*a, **k))
+    assert scenarios.scenario_magic_dimensions().passed
+    assert len(calls) == 5
 
 
 @pytest.mark.parametrize("build, dim, gens, triples", [
