@@ -27,6 +27,8 @@ def _graded():
     yield "f4_z3_3", magic.f4_z3_3()[-1]
     yield "e6_z3_3", magic.e6_z3_3()[-1]
     yield "albert_z3_3", magic.albert_z3_3()[-1]
+    yield "f4_z2_5", magic.f4_z2_5()[-1]
+    yield "albert_z2_5", magic.albert_z2_5()[-1]
 
 
 def digests() -> dict:
