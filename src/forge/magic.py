@@ -3,8 +3,8 @@
 Builds tri(S) for a symmetric composition algebra S, the Lie algebra
 g(S, S') = (tri S + tri S') + iota_0(S x S') + iota_1 + iota_2 with its
 bracket rules, the 27-dimensional Jordan algebra attached to S, and the
-induced gradings on D4, F4, E6 and E8, together with toral/Cartan and
-Jordan-grading certificates.
+induced gradings on D4, F4, E6, E8 and the Albert algebra, together with
+toral/Cartan and Jordan-grading certificates.
 
 A triality triple (d0, d1, d2) of d x d maps is one sparse dict: entry
 (r, c) of d_i sits at key i*d*d + r*d + c, and theta (d0, d1, d2) ->
@@ -20,6 +20,14 @@ x -> ([h_1, x], ..., [h_k, x]) is dim L - dim h; its columns are the ad
 columns the minimal polynomials use.  The
 "no bigger than exhibited" half of the derivation-dimension equality is an
 exact rank over Q(w) of the Leibniz rows, read only until it is reached.
+
+Induced gradings follow one rule.  Gradings by G on S and G' on S' grade
+g(S, S') by G x G' x Z2^2: tri(S) in degree (mu, 0, 0), tri(S') in
+(0, mu', 0) and iota_i(a x b) in (deg a, deg b, PAIR_DEGREE[i]).  Through
+theta they grade it by G x G' x Z3 on the theta-eigenbasis, the last
+coordinate being the theta exponent.  graded_side gives each side as (grading,
+tri degrees, TriContext), on the flat (degrees, basis) of graded_tri_basis;
+graded_magic and graded_albert apply the rule to g(S, S') and to k^3 + iota_i(S).
 
 The Z3-graded algebras (Albert, f4, e6, e8 from Okubo algebras) are built on
 the iota basis and moved by algebra.rebase_blockwise to the theta-eigenbasis
@@ -43,7 +51,8 @@ from .algebra import (Algebra, Element, IncompatibleInputs, _pair_mul,
                       position_index, rebase_blockwise, skew_rows, verify_lie,
                       verify_symmetric)
 from .exact import MINUS_ONE, ONE, OMEGA, OMEGA2, ZERO, HALF, Polynomial, sc
-from .grading import AbelianGroup, Grading, GroupHom
+from .grading import (AbelianGroup, Grading, GroupHom, cayley_grading, coarsen,
+                      okubo_grading, verify_grading)
 from .linalg import (DependentVectors, Matrix, SpanCoords, SparseEchelon,
                      column_apply, minimal_polynomial_op, nullspace,
                      sparse_kernel, vec_add_scaled)
@@ -703,31 +712,29 @@ def _phi_image(mag: MagicAlgebra, A: AlbertAlgebra, r: int) -> Matrix:
 def graded_tri_basis(S: Algebra, gr: Grading, theta_refine: bool = False):
     """Homogeneous basis of tri(S) adapted to a grading of S.
 
-    Returns a list of (degree, [TriElement, ...]); with theta_refine the
-    degree gains a trailing Z3 coordinate j and the elements satisfy
-    theta(t) = w^j t.
+    Returns (degrees, basis): one degree per TriElement of the basis.  With
+    theta_refine each degree gains a trailing Z3 coordinate j and its
+    element t satisfies theta(t) = w^j t.
     """
-    out = []
+    degrees, basis = [], []
     for mu, positions in _degree_positions(gr):
         kern = _triality_kernel(S, positions)
+        if not theta_refine:
+            degrees += [mu] * len(kern)
+            basis += kern
+            continue
         if not kern:
             continue
-        if not theta_refine:
-            out.append((mu, kern))
-            continue
-        sub = TriContext(S, kern)
-        th = sub.theta_matrix()
+        th = TriContext(S, kern).theta_matrix()
         for j, ev in enumerate((ONE, OMEGA, OMEGA2)):
-            eig = []
             for v in _eigenspace(th, ev):
                 entries: dict = {}
                 for t, c in zip(kern, v):
                     if c.p or c.q:
                         vec_add_scaled(entries, c, t.entries)
-                eig.append(TriElement(S.dim, entries))
-            if eig:
-                out.append((mu + (j,), eig))
-    return out
+                degrees.append(mu + (j,))
+                basis.append(TriElement(S.dim, entries))
+    return degrees, basis
 
 
 def _degree_positions(gr: Grading):
@@ -739,15 +746,6 @@ def _degree_positions(gr: Grading):
                       for c in range(d)}):
         yield mu, [(r, c) for r in range(d) for c in range(d)
                    if deg[r] == G.add(deg[c], mu)]
-
-
-def flatten_graded_basis(graded):
-    degrees, basis = [], []
-    for degc, elems in graded:
-        for t in elems:
-            degrees.append(degc)
-            basis.append(t)
-    return degrees, basis
 
 
 def lie_algebra_on_matrices(mats, name: str) -> Algebra:
@@ -774,8 +772,7 @@ def lie_algebra_on_matrices(mats, name: str) -> Algebra:
 def orthogonal_graded(S: Algebra, gr: Grading):
     """o(S, n) on a homogeneous basis, graded over group x Z3 by the
     degree of the map and the theta eigenvalue (local triality transport)."""
-    graded = graded_tri_basis(S, gr, theta_refine=True)
-    degrees, basis = flatten_graded_basis(graded)
+    degrees, basis = graded_tri_basis(S, gr, theta_refine=True)
     mats = [t.matrix(0) for t in basis]
     L = lie_algebra_on_matrices(mats, "o(%s)" % S.name)
     group = AbelianGroup(gr.group.free_rank, gr.group.torsion + (3,))
@@ -890,9 +887,8 @@ def jordan_grading_check(L: Algebra, gr: Grading, cartan_mode: str = "pairs") ->
     subalgebra (Dempwolff decomposition).  "pairs": g_mu + g_{-mu} must be a
     Cartan subalgebra for every mu.
     """
-    from .grading import verify_grading as _vg
     name = "jordan-grading(%s)" % L.name
-    rep = _vg(gr)
+    rep = verify_grading(gr)
     if not rep.passed:
         return Report(name, False, {"stage": "grading"}, witness=rep.witness)
     comps = gr.components()
@@ -930,18 +926,16 @@ def jordan_grading_check(L: Algebra, gr: Grading, cartan_mode: str = "pairs") ->
 
 
 # =========================================================================
-# named graded constructions on F4, E6, E8 and the Albert algebras
+# induced gradings on F4, E6, E8 and the Albert algebras
 # =========================================================================
 
-Z2_5 = AbelianGroup(0, (2, 2, 2, 2, 2))
+Z2_5 = AbelianGroup(0, (2,) * 5)
 Z2_8 = AbelianGroup(0, (2,) * 8)
-Z3_3 = AbelianGroup(0, (3, 3, 3))
-Z3_5 = AbelianGroup(0, (3,) * 5)
+TRIVIAL = AbelianGroup(0, ())
 
 
 def graded_para_cayley(lams=(1, 1, 1)):
     """Z2^3-graded para-Cayley algebra on the doubling-tower basis."""
-    from .grading import cayley_grading
     gr = cayley_grading("z2^3", lams)
     PC = compose.para_hurwitz(gr.algebra)
     return PC, Grading(PC, gr.group, gr.degrees, name="z2^3")
@@ -949,49 +943,84 @@ def graded_para_cayley(lams=(1, 1, 1)):
 
 def graded_okubo(params=(1, 1)):
     """Standard Z3^2-graded Okubo algebra."""
-    from .grading import okubo_grading
     gr = okubo_grading("z3^2", params)
     return gr.algebra, gr
 
 
-def albert_z2_5(lams=(1, 1, 1)):
-    """Z2^5 grading of the Albert algebra of a Z2^3-graded para-Cayley."""
-    PC, gr = graded_para_cayley(lams)
-    A = albert(PC)
-    degrees = [(0, 0, 0, 0, 0)] * 3
-    for i in range(3):
-        for a in range(8):
-            degrees.append(tuple(gr.degrees[a]) + PAIR_DEGREE[i])
-    return A, Grading(A.jordan, Z2_5, tuple(degrees), name="z2^5")
+def graded_side(S: Algebra, gr: Grading = None, ternary: bool = False):
+    """(grading, tri degrees, TriContext) of one side of an induced grading.
+
+    The TriContext is on the homogeneous basis of graded_tri_basis,
+    theta-refined when ternary.  A missing grading means the trivial one.
+    """
+    if gr is None:
+        gr = Grading(S, TRIVIAL, ((),) * S.dim)
+    degrees, basis = graded_tri_basis(S, gr, theta_refine=ternary)
+    return gr, degrees, TriContext(S, basis)
 
 
-def albert_z3_3(params=(1, 1)):
-    """Z3^3 grading of the Albert algebra of a Z3^2-graded Okubo algebra."""
-    O, gr = graded_okubo(params)
-    A = albert(O)
-    cycles = [(0, 1, 2)] + [tuple(A.iota_index(i, a) for i in range(3))
-                            for a in range(8)]
-    degrees = [(0, 0, 0), (0, 0, 1), (0, 0, 2)]
-    for j in range(3):
-        for a in range(8):
-            degrees.append(tuple(gr.degrees[a]) + (j,))
-    J2 = rebase_blockwise(A.jordan, cycles, [deg[-1] for deg in degrees],
-                          name=A.jordan.name + ":z3^3")
-    return J2, Grading(J2, Z3_3, tuple(degrees), name="z3^3")
+def _induced(G: AbelianGroup, Gp: AbelianGroup, ternary: bool):
+    """The group G x G' x Z2^2, or G x G' x Z3 when ternary; a map joining
+    degrees of the three factors into one of its degrees, free coordinates
+    first as AbelianGroup lays them out; and the last-factor degree of each
+    iota_i."""
+    f, fp = G.free_rank, Gp.free_rank
+    last = (3,) if ternary else (2, 2)
+    group = AbelianGroup(f + fp, G.torsion + Gp.torsion + last)
+
+    def join(mu, nu, t):
+        mu, nu = tuple(mu), tuple(nu)
+        return mu[:f] + nu[:fp] + mu[f:] + nu[fp:] + t
+
+    return group, join, ((0,), (1,), (2,)) if ternary else PAIR_DEGREE
 
 
-def f4_z2_5(lams=(1, 1, 1)):
-    """Z2^5 grading of g(k, para-Cayley) from a Z2^3-graded para-Cayley."""
-    PC, gr = graded_para_cayley(lams)
-    graded = graded_tri_basis(PC, gr, theta_refine=False)
-    tdeg, tbasis = flatten_graded_basis(graded)
-    ctx = TriContext(PC, tbasis)
-    mag = magic_g(compose.s1(), PC, tri_sp=ctx, name="f4(%s)" % PC.name)
-    degrees = [tuple(d) + (0, 0) for d in tdeg]
-    for i in range(3):
-        for a in range(8):
-            degrees.append(tuple(gr.degrees[a]) + PAIR_DEGREE[i])
-    return mag, Grading(mag.lie, Z2_5, tuple(degrees), name="z2^5")
+def graded_magic(left, right, ternary: bool, name: str, grading_name: str):
+    """g(S, S') with the grading induced by two graded_side triples.
+
+    tri(S) gets degree (mu, 0, t) and tri(S') gets (0, mu', t), t = (0, 0)
+    or, when ternary, the theta exponent j; iota_i(a x b) gets (deg a, deg b,
+    PAIR_DEGREE[i]), or (deg a, deg b, i) when ternary.  The group is
+    G x G' x Z2^2, or G x G' x Z3 when ternary, where rebase_blockwise moves
+    each iota triple to the theta-eigenbasis.  Returns (mag, lie, grading),
+    lie being mag.lie or its rebase.
+    """
+    (gr, tdeg, ctx), (grp, tdegp, ctxp) = left, right
+    G, Gp = gr.group, grp.group
+    group, join, parts = _induced(G, Gp, ternary)
+    n, np_ = G.ncoords, Gp.ncoords
+    degrees = [join(d[:n], Gp.zero(), d[n:] if ternary else (0, 0))
+               for d in tdeg]
+    degrees += [join(G.zero(), d[:np_], d[np_:] if ternary else (0, 0))
+                for d in tdegp]
+    degrees += [join(a, b, parts[i]) for i in range(3)
+                for a in gr.degrees for b in grp.degrees]
+    mag = magic_g(ctx.S, ctxp.S, tri_s=ctx, tri_sp=ctxp, name=name)
+    lie = mag.lie
+    if ternary:
+        lie = rebase_blockwise(lie, _iota_cycles(mag),
+                               [deg[-1] for deg in degrees],
+                               name="%s:%s" % (lie.name, grading_name))
+    return mag, lie, Grading(lie, group, tuple(degrees), name=grading_name)
+
+
+def graded_albert(S: Algebra, gr: Grading, ternary: bool, grading_name: str):
+    """The Albert algebra k^3 + iota_i(S) with the grading induced by one of
+    S, by the rule of graded_magic: E_i gets (0, t), t = (0, 0) or, when
+    ternary, i, and iota_i(a) gets (deg a, PAIR_DEGREE[i]), or (deg a, i).
+    Returns (A, grading), on A.jordan or its theta-eigenbasis rebase."""
+    A = albert(S)
+    group, join, parts = _induced(gr.group, TRIVIAL, ternary)
+    degrees = [join(gr.group.zero(), (), parts[i] if ternary else (0, 0))
+               for i in range(3)]
+    degrees += [join(a, (), parts[i]) for i in range(3) for a in gr.degrees]
+    J = A.jordan
+    if ternary:
+        cycles = [(0, 1, 2)] + [tuple(A.iota_index(i, a) for i in range(3))
+                                for a in range(S.dim)]
+        J = rebase_blockwise(J, cycles, [deg[-1] for deg in degrees],
+                             name="%s:%s" % (J.name, grading_name))
+    return A, Grading(J, group, tuple(degrees), name=grading_name)
 
 
 def _iota_cycles(mag: MagicAlgebra):
@@ -1000,77 +1029,51 @@ def _iota_cycles(mag: MagicAlgebra):
             for a in range(mag.S.dim) for b in range(mag.Sp.dim)]
 
 
+def albert_z2_5(lams=(1, 1, 1)):
+    """Z2^5 grading of the Albert algebra of a Z2^3-graded para-Cayley."""
+    return graded_albert(*graded_para_cayley(lams), False, "z2^5")
+
+
+def albert_z3_3(params=(1, 1)):
+    """Z3^3 grading of the Albert algebra of a Z3^2-graded Okubo algebra,
+    with the table it grades."""
+    gr = graded_albert(*graded_okubo(params), True, "z3^3")[1]
+    return gr.algebra, gr
+
+
+def f4_z2_5(lams=(1, 1, 1)):
+    """Z2^5 grading of g(k, para-Cayley) from a Z2^3-graded para-Cayley."""
+    PC, gr = graded_para_cayley(lams)
+    mag, _, grading = graded_magic(graded_side(compose.s1()), graded_side(PC, gr),
+                                   False, "f4(%s)" % PC.name, "z2^5")
+    return mag, grading
+
+
 def f4_z3_3(params=(1, 1)):
     """Z3^3 Jordan grading of g(k, Okubo) of type (0,26)."""
     O, gr = graded_okubo(params)
-    graded = graded_tri_basis(O, gr, theta_refine=True)
-    tdeg, tbasis = flatten_graded_basis(graded)
-    ctx = TriContext(O, tbasis)
-    mag = magic_g(compose.s1(), O, tri_sp=ctx, name="f4(%s)" % O.name)
-    degrees = [tuple(d) for d in tdeg]
-    for j in range(3):
-        for b in range(8):
-            degrees.append(tuple(gr.degrees[b]) + (j,))
-    lie = rebase_blockwise(mag.lie, _iota_cycles(mag), [deg[-1] for deg in degrees],
-                           name=mag.lie.name + ":z3^3")
-    return mag, lie, Grading(lie, Z3_3, tuple(degrees), name="z3^3")
+    return graded_magic(graded_side(compose.s1(), ternary=True),
+                        graded_side(O, gr, True), True, "f4(%s)" % O.name, "z3^3")
 
 
 def e6_z3_3(xi=1, params=(1, 1)):
     """Z3^3 Jordan grading of g(S2, Okubo) of type (0,0,26)."""
-    from .grading import AbelianGroup as _AG
-    S2 = compose.s2(xi)
-    trivial = Grading(S2, _AG(0, ()), ((), ()))
-    g2 = graded_tri_basis(S2, trivial, theta_refine=True)
-    sdeg, sbasis = flatten_graded_basis(g2)
-    ctx2 = TriContext(S2, sbasis)
-    O, gr = graded_okubo(params)
-    graded = graded_tri_basis(O, gr, theta_refine=True)
-    tdeg, tbasis = flatten_graded_basis(graded)
-    ctx = TriContext(O, tbasis)
-    mag = magic_g(S2, O, tri_s=ctx2, tri_sp=ctx, name="e6")
-    degrees = [(0, 0) + tuple(d) for d in sdeg]
-    degrees += [tuple(d) for d in tdeg]
-    for j in range(3):
-        for a in range(2):
-            for b in range(8):
-                degrees.append(tuple(gr.degrees[b]) + (j,))
-    lie = rebase_blockwise(mag.lie, _iota_cycles(mag), [deg[-1] for deg in degrees],
-                           name="e6:z3^3")
-    return mag, lie, Grading(lie, Z3_3, tuple(degrees), name="z3^3")
+    return graded_magic(graded_side(compose.s2(xi), ternary=True),
+                        graded_side(*graded_okubo(params), True), True, "e6", "z3^3")
 
 
 def e8_z2_8(lams=(1, 1, 1), lams2=(1, 1, 1)):
     """Z2^8 grading of g(S, S') for two Z2^3-graded para-Cayley algebras."""
-    def side(params):
-        PC, gr = graded_para_cayley(params)
-        degs, basis = flatten_graded_basis(graded_tri_basis(PC, gr))
-        return PC, gr, degs, TriContext(PC, basis)
-
-    PC1, gr1, d1, ctx1 = side(lams)
-    PC2, gr2, d2, ctx2 = (PC1, gr1, d1, ctx1) if lams2 == lams else side(lams2)
-    mag = magic_g(PC1, PC2, tri_s=ctx1, tri_sp=ctx2, name="e8")
-    degrees = [tuple(d) + (0, 0, 0) + (0, 0) for d in d1]
-    degrees += [(0, 0, 0) + tuple(d) + (0, 0) for d in d2]
-    for i in range(3):
-        for a in range(8):
-            for b in range(8):
-                degrees.append(tuple(gr1.degrees[a]) + tuple(gr2.degrees[b])
-                               + PAIR_DEGREE[i])
-    return mag, Grading(mag.lie, Z2_8, tuple(degrees), name="z2^8")
+    side = graded_side(*graded_para_cayley(lams))
+    other = side if lams2 == lams else graded_side(*graded_para_cayley(lams2))
+    mag, _, gr = graded_magic(side, other, False, "e8", "z2^8")
+    return mag, gr
 
 
 def e8_dempwolff(mag: MagicAlgebra, gr8: Grading):
     """Coarsen the Z2^8 grading along (mu, nu, gamma) -> (mu + nu, gamma)."""
-    from .grading import GroupHom, coarsen
-    images = []
-    for i in range(3):
-        images.append(tuple(1 if j == i else 0 for j in range(5)))
-    for i in range(3):
-        images.append(tuple(1 if j == i else 0 for j in range(5)))
-    images.append((0, 0, 0, 1, 0))
-    images.append((0, 0, 0, 0, 1))
-    hom = GroupHom(Z2_8, Z2_5, tuple(images))
+    e = [tuple(int(j == i) for j in range(5)) for i in range(5)]
+    hom = GroupHom(Z2_8, Z2_5, tuple(e[:3] * 2 + e[3:]))
     gr5 = coarsen(gr8, hom)
     gr5.name = "dempwolff"
     return gr5
@@ -1078,20 +1081,6 @@ def e8_dempwolff(mag: MagicAlgebra, gr8: Grading):
 
 def e8_z3_5(params=(1, 1), params2=(1, 1)):
     """Z3^5 grading of g(O, O') for two Z3^2-graded Okubo algebras."""
-    def side(params):
-        O, gr = graded_okubo(params)
-        degs, basis = flatten_graded_basis(graded_tri_basis(O, gr, theta_refine=True))
-        return O, gr, degs, TriContext(O, basis)
-
-    O1, gr1, d1, ctx1 = side(params)
-    O2, gr2, d2, ctx2 = (O1, gr1, d1, ctx1) if params2 == params else side(params2)
-    mag = magic_g(O1, O2, tri_s=ctx1, tri_sp=ctx2, name="e8w")
-    degrees = [(d[0], d[1], 0, 0, d[2]) for d in d1]
-    degrees += [(0, 0, d[0], d[1], d[2]) for d in d2]
-    for j in range(3):
-        for a in range(8):
-            for b in range(8):
-                degrees.append(tuple(gr1.degrees[a]) + tuple(gr2.degrees[b]) + (j,))
-    lie = rebase_blockwise(mag.lie, _iota_cycles(mag), [deg[-1] for deg in degrees],
-                           name="e8w:z3^5")
-    return mag, lie, Grading(lie, Z3_5, tuple(degrees), name="z3^5")
+    side = graded_side(*graded_okubo(params), True)
+    other = side if params2 == params else graded_side(*graded_okubo(params2), True)
+    return graded_magic(side, other, True, "e8w", "z3^5")

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import pytest
 
@@ -390,11 +391,24 @@ def test_e6_dimension_and_types():
 
 def test_graded_tri_zero_component_empty():
     PC, gr = magic.graded_para_cayley()
-    graded = magic.graded_tri_basis(PC, gr, theta_refine=False)
-    degs = {d: len(els) for d, els in graded}
+    degrees, _ = magic.graded_tri_basis(PC, gr, theta_refine=False)
+    degs = Counter(degrees)
     assert degs.get((0, 0, 0), 0) == 0
     assert sum(degs.values()) == 28
     assert set(degs.values()) == {4}
+
+
+@pytest.mark.parametrize("build", [lambda: (compose.s2(1), compose.s2(2)),
+                                   lambda: (compose.s1(), para_split())],
+                         ids=["S2(1),S2(2)", "k,para-split-cayley"])
+def test_graded_magic_of_trivial_sides_is_the_z2x2_grading(build):
+    S, Sp = build()
+    mag, lie, gr = magic.graded_magic(magic.graded_side(S), magic.graded_side(Sp),
+                                      False, "g", "z2^2")
+    want = magic.magic_g(S, Sp).z22
+    assert lie is mag.lie
+    assert gr.group == want.group
+    assert gr.degrees == want.degrees
 
 
 def test_theta_cycles_iota_blocks_on_e8():
