@@ -91,7 +91,6 @@ class Algebra:
             polar = Matrix(polar)
         self.polar = polar
         self.labels = list(labels) if labels else None
-        self.extras: dict = {}
         self._cache: dict = {}
 
     # ---- basics ---------------------------------------------------------

@@ -18,8 +18,8 @@ from . import compose, magic
 from .algebra import (Algebra, algebra_from_text, verify_composition,
                       verify_jordan, verify_lie, verify_symmetric)
 from .exact import parse_scalar
-from .grading import (CAYLEY_KINDS, OKUBO_KINDS,
-                      QUATERNION_KINDS, cayley_grading, grading_from_text,
+from .grading import (CAYLEY_KINDS, OKUBO_KINDS, QUATERNION_KINDS, BadParams,
+                      cayley_grading, grading_from_text,
                       grading_type, okubo_grading, quaternion_grading,
                       two_dim_z3_grading, universal_group, verify_grading)
 from .report import Report
@@ -53,10 +53,8 @@ _BUILDERS = {
     "okubo": (compose.okubo, (1, 1)),
     "okubo-quat": (compose.okubo_from_quaternion, (1, 1)),
     "p8": (compose.pseudo_octonion, ()),
-    "p8-nst": (lambda: compose.petersson(compose.split_cayley(),
-                                         compose.tau_automorphism("nst")), ()),
-    "p8-omega": (lambda: compose.petersson(compose.split_cayley(),
-                                           compose.tau_automorphism("omega")), ()),
+    "p8-nst": (lambda: compose.split_petersson("nst"), ()),
+    "p8-omega": (lambda: compose.split_petersson("omega"), ()),
 }
 _TOWERS = ("cd", "para-cayley")
 
@@ -88,13 +86,20 @@ def cmd_build(args) -> int:
     return 0
 
 
+def _dim2_grading(kind, params):
+    """The one grading kind, z3, of the two-dimensional algebra S2(xi)."""
+    if kind != "z3":
+        raise BadParams("unknown dim2 grading kind %r" % kind)
+    return two_dim_z3_grading(*(params or ()))
+
+
 # --family -> (builder of (kind, params), default parameters); a builder given
 # params=None uses its defaults, and its fixed-algebra kinds refuse any others
 _FAMILIES = {
     "cayley": (cayley_grading, (1, 1, 1)),
     "quaternion": (quaternion_grading, (1, 1)),
     "okubo": (okubo_grading, (1, 1)),
-    "dim2": (lambda kind, p: two_dim_z3_grading(*(p or ())), (1,)),
+    "dim2": (_dim2_grading, (1,)),
 }
 
 
@@ -234,6 +239,7 @@ def cmd_list(args) -> int:
     print("  cayley: %s" % ", ".join(CAYLEY_KINDS))
     print("  quaternion: %s" % ", ".join(QUATERNION_KINDS))
     print("  okubo: %s" % ", ".join(OKUBO_KINDS))
+    print("  dim2: z3")
     return 0
 
 

@@ -274,11 +274,17 @@ def petersson(C: Algebra, tau: Matrix) -> Algebra:
                    labels=C.labels)
 
 
+def split_petersson(kind: str) -> Algebra:
+    """The Petersson twist of the split Cayley algebra by tau_automorphism(kind),
+    named P8 for the standard tau and P8(nst) or P8(omega) for the others."""
+    A = petersson(split_cayley(), tau_automorphism(kind))
+    A.name = "P8" if kind == "st" else "P8(%s)" % kind
+    return A
+
+
 def pseudo_octonion() -> Algebra:
     """P8: the Petersson twist of the split Cayley algebra by the standard tau."""
-    A = petersson(split_cayley(), tau_automorphism("st"))
-    A.name = "P8"
-    return A
+    return split_petersson("st")
 
 
 # =========================================================================
@@ -315,9 +321,7 @@ def okubo(alpha, beta) -> Algebra:
         polar.data[i][j] = ONE
         polar.data[j][i] = ONE
     labels = tuple("x(%d,%d)" % ij for ij in OKUBO_DEGREES)
-    A = Algebra(8, "okubo(%s,%s)" % (a, b), products, polar=polar, labels=labels)
-    A.extras["okubo_params"] = (a, b)
-    return A
+    return Algebra(8, "okubo(%s,%s)" % (a, b), products, polar=polar, labels=labels)
 
 
 def okubo_from_quaternion(beta, alpha) -> Algebra:
@@ -325,8 +329,7 @@ def okubo_from_quaternion(beta, alpha) -> Algebra:
 
     Builds K = K(-1) (which contains w with w^2 + w + 1 = 0), the quaternion
     algebra Q = CD(K, beta) and C = CD(Q, alpha), extends the automorphism
-    q -> q, u -> wu, and returns the Petersson twist.  Degree data for the
-    natural Z2 and Z2 x Z2 gradings is attached in extras.
+    q -> q, u -> wu, and returns the Petersson twist.
     """
     b, a = sc(beta), sc(alpha)
     if a.is_zero() or b.is_zero():
@@ -345,9 +348,6 @@ def okubo_from_quaternion(beta, alpha) -> Algebra:
             tau.data[4 + i][4 + j] = lw.data[i][j]
     S = petersson(C, tau)
     S.name = "okubo-quat(%s,%s)" % (b, a)
-    S.extras["z2_degrees"] = tuple([0] * 4 + [1] * 4)
-    S.extras["z2x2_degrees"] = tuple([(0, 0)] * 2 + [(1, 0)] * 2
-                                     + [(0, 1)] * 2 + [(1, 1)] * 2)
     return S
 
 

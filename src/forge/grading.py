@@ -374,6 +374,12 @@ _CAYLEY_DEGREES = {
                     (-1, 0), (1, 1), (0, 1))),
 }
 
+# degrees of the okubo-quat basis by its doubling steps: C = Q + Qu, Q = K + Ku'
+_OKUBO_QUAT_DEGREES = {
+    "z2": (Z2, ((0,),) * 4 + ((1,),) * 4),
+    "z2^2": (Z2_2, ((0, 0),) * 2 + ((1, 0),) * 2 + ((0, 1),) * 2 + ((1, 1),) * 2),
+}
+
 CAYLEY_KINDS = ("z2", "z2^2", "z2^3", "z3", "z4", "z-3grading",
                 "z-5grading", "z^2", "zxz2")
 
@@ -439,18 +445,15 @@ def okubo_grading(kind: str, params=None) -> Grading:
     those on a Petersson algebra of the split Cayley algebra take none."""
     if kind in ("z4", "z-5grading", "z-3grading", "z^2", "zxz2"):
         _no_params("okubo", kind, params)
-        tau = "nst" if kind in ("z4", "z-5grading") else "omega"
-        S = compose.petersson(compose.split_cayley(), compose.tau_automorphism(tau))
-        S.name = "P8(%s)" % tau
+        S = compose.split_petersson("nst" if kind in ("z4", "z-5grading")
+                                    else "omega")
         group, degrees = _CAYLEY_DEGREES[kind]
         return Grading(S, group, degrees, name=kind)
     a, b = (sc(p) for p in params or (1, 1))
-    if kind in ("z2", "z2^2"):
-        S = compose.okubo_from_quaternion(b, a)
-        if kind == "z2":
-            degs = tuple((d,) for d in S.extras["z2_degrees"])
-            return Grading(S, Z2, degs, name="z2")
-        return Grading(S, Z2_2, S.extras["z2x2_degrees"], name="z2^2")
+    if kind in _OKUBO_QUAT_DEGREES:
+        group, degrees = _OKUBO_QUAT_DEGREES[kind]
+        return Grading(compose.okubo_from_quaternion(b, a), group, degrees,
+                       name=kind)
     if kind in ("z3", "z3^2"):
         S = compose.okubo(a, b)
         ij = compose.OKUBO_DEGREES

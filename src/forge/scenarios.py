@@ -73,9 +73,7 @@ def okubo11():
 
 @lru_cache(maxsize=None)
 def petersson_nst():
-    A = compose.petersson(compose.split_cayley(), compose.tau_automorphism("nst"))
-    A.name = "P8(nst)"
-    return A
+    return compose.split_petersson("nst")
 
 
 @lru_cache(maxsize=None)
@@ -211,8 +209,7 @@ def scenario_identity_suites(seed=DEFAULT_SEED) -> Report:
         "para(CD(k,1,1,1))": compose.para_hurwitz(compose.cd_tower(1, 1, 1)),
         "P8(st)": compose.pseudo_octonion(),
         "P8(nst)": petersson_nst(),
-        "P8(omega)": compose.petersson(split_cayley(),
-                                       compose.tau_automorphism("omega")),
+        "P8(omega)": compose.split_petersson("omega"),
         "okubo(1,1)": okubo11(),
         "okubo(2,3)": compose.okubo(2, 3),
         "okubo(w,1)": compose.okubo(OMEGA, 1),

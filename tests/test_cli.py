@@ -329,6 +329,21 @@ def test_build_nested_albert(capsys):
     assert main(["verify", "lie", "--name", "albert:okubo:1,1"]) == 1
 
 
+def test_grade_dim2_refuses_other_kinds(capsys):
+    assert main(["grade", "--family", "dim2", "--kind", "nonsense", "--type"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: unknown dim2 grading kind 'nonsense'\n"
+    assert main(["list"]) == 0
+    assert "\n  dim2: z3\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name, algebra", [("p8", "P8"), ("p8-nst", "P8(nst)"),
+                                           ("p8-omega", "P8(omega)")])
+def test_verify_names_the_petersson_algebra(name, algebra, capsys):
+    assert main(["verify", "symmetric", "--name", name, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["name"] == "symmetric(%s)" % algebra
+
+
 def test_grade_dim2_family(capsys):
     rc = main(["grade", "--family", "dim2", "--check", "--type",
                "--universal", "--json"])

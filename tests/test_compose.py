@@ -3,6 +3,7 @@ import pytest
 from forge import compose
 from forge.algebra import find_unity, verify_composition, verify_symmetric
 from forge.exact import MINUS_ONE, OMEGA, ONE, ZERO, Scalar, sc
+from forge.grading import okubo_grading
 from forge.linalg import Matrix
 from forge.scenarios import okubo11, para_split, petersson_nst, split_cayley
 from oracles import commutative_center, mat_vec
@@ -151,7 +152,9 @@ def test_okubo_from_quaternion():
     S = compose.okubo_from_quaternion(sc(2), sc(3))
     assert verify_symmetric(S).passed
     assert commutative_center(S) == []
-    assert S.extras["z2_degrees"] == (0, 0, 0, 0, 1, 1, 1, 1)
+    gr = okubo_grading("z2", (3, 2))
+    assert gr.algebra.to_text() == S.to_text()
+    assert gr.degrees == tuple((d,) for d in (0, 0, 0, 0, 1, 1, 1, 1))
 
 
 def test_s2_symmetric():
