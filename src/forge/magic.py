@@ -719,11 +719,11 @@ def graded_tri_basis(S: Algebra, gr: Grading, theta_refine: bool = False):
     degrees, basis = [], []
     for mu, positions in _degree_positions(gr):
         kern = _triality_kernel(S, positions)
+        if not kern:
+            continue
         if not theta_refine:
             degrees += [mu] * len(kern)
             basis += kern
-            continue
-        if not kern:
             continue
         th = TriContext(S, kern).theta_matrix()
         for j, ev in enumerate((ONE, OMEGA, OMEGA2)):
@@ -929,7 +929,7 @@ def jordan_grading_check(L: Algebra, gr: Grading, cartan_mode: str = "pairs") ->
 # induced gradings on F4, E6, E8 and the Albert algebras
 # =========================================================================
 
-Z2_5 = AbelianGroup(0, (2,) * 5)
+Z2_5 = AbelianGroup(0, (2, 2, 2, 2, 2))
 Z2_8 = AbelianGroup(0, (2,) * 8)
 TRIVIAL = AbelianGroup(0, ())
 
