@@ -23,7 +23,10 @@ def _sha(text: str) -> str:
 
 def _graded():
     yield "e8_z2_8", magic.e8_z2_8()[-1]
-    yield "e8_z3_5", magic.e8_z3_5()[-1]
+    mag, _, gr = magic.e8_z3_5()
+    yield "e8_z3_5", gr
+    # the z2^2 grading of the same algebra, on its table before the rebase
+    yield "e8_z3_5_z22", mag.z22
     yield "f4_z3_3", magic.f4_z3_3()[-1]
     yield "e6_z3_3", magic.e6_z3_3()[-1]
     yield "albert_z3_3", magic.albert_z3_3()[-1]
