@@ -3,9 +3,11 @@
 A grading is a degree assignment on a distinguished homogeneous basis with
 values in a finitely generated abelian group (free part plus torsion part).
 The module verifies gradings, computes Hesselink type tuples, computes the
-universal grading group by Smith normal form of the relation lattice, forms
-coarsenings along group homomorphisms, and exposes the catalog of gradings
-on Cayley algebras, quaternion algebras and symmetric composition algebras.
+universal grading group by the sparse Smith normal form of the relation
+lattice (its unit pivots are Tietze moves, each removing one generator),
+forms coarsenings along group homomorphisms, and exposes the catalog of
+gradings on Cayley algebras, quaternion algebras and symmetric composition
+algebras.
 
 The checks work on integer-coded degrees: coordinate c of a degree is digit c
 of its code in balanced base B = 4b + 1, where b bounds every |coordinate|
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 from . import compose
 from .algebra import Algebra
 from .exact import parse_int, sc
-from .linalg import IntMatrix, lattice_row_reduce, smith_normal_form
+from .linalg import smith_normal_form
 from .report import Report
 
 
@@ -73,26 +75,17 @@ class AbelianGroup:
 
     def elements_generate(self, elems) -> bool:
         """Do the given elements generate the whole group?  They do iff they
-        and the torsion relations span Z^n, that is iff their Hermite basis
-        is triangular with n rows and every lead is +-1 (determinant +-1)."""
-        n = self.ncoords
-        rows = [list(e) for e in elems]
-        for i, m in enumerate(self.torsion):
-            row = [0] * n
-            row[self.free_rank + i] = m
-            rows.append(row)
-        reduced = lattice_row_reduce(rows, n)
-        return len(reduced) == n and all(abs(r[i]) == 1
-                                         for i, r in enumerate(reduced))
+        and the torsion relations span Z^n, that is iff every Smith invariant
+        of those rows is 1."""
+        rows = list(elems) + [{self.free_rank + i: m}
+                              for i, m in enumerate(self.torsion)]
+        return all(d == 1 for d in smith_normal_form(rows, self.ncoords)[0])
 
     def canonical_invariants(self):
         """(free_rank, invariant factors) in divisibility-normal form."""
-        if not self.torsion:
-            return (self.free_rank, ())
-        diag = [[self.torsion[i] if i == j else 0 for j in range(len(self.torsion))]
-                for i in range(len(self.torsion))]
-        inv = smith_normal_form(IntMatrix(diag))[0]
-        return (self.free_rank, tuple(d for d in inv if d not in (0, 1)))
+        inv = smith_normal_form([{i: m} for i, m in enumerate(self.torsion)],
+                                len(self.torsion))[0]
+        return (self.free_rank, tuple(d for d in inv if d > 1))
 
     def describe(self) -> str:
         parts = ["Z"] * self.free_rank + ["Z%d" % m for m in self.torsion]
@@ -293,9 +286,12 @@ def universal_group(gr: Grading):
     """Universal grading group and the induced regrading.
 
     Generators: the support degrees.  Relations: a + b - c whenever
-    0 != A_a A_b <= A_c.  The cokernel is read off the Smith normal form.
-    Returns (group, degree_map, regraded Grading) where degree_map sends each
-    support degree to its class.
+    0 != A_a A_b <= A_c, and a + b whenever n(A_a, A_b) != 0, the rule
+    verify_grading checks for the polar form.  The cokernel is read off the
+    Smith normal form: invariant 0 gives a free coordinate, d > 1 a Z_d, and
+    row i of its R the class of generator i.  Returns (group, degree_map,
+    regraded Grading) where degree_map sends each support degree to its
+    class.
     """
     _require_verified(gr)
     A, G = gr.algebra, gr.group
@@ -306,31 +302,28 @@ def universal_group(gr: Grading):
     sums = _DegreeCodes(G, deg)
     code = sums.codes
     at = {sums.encode(d): n for d, n in index.items()}  # code -> generator
-    rel_rows = set()
-    for (i, j), vec in A.products.items():
-        if not vec:
-            continue
-        row = [0] * s
-        row[at[code[i]]] += 1
-        row[at[code[j]]] += 1
-        row[at[sums[code[i] + code[j]]]] -= 1
-        rel_rows.add(tuple(row))
-    reduced = lattice_row_reduce([list(r) for r in rel_rows], s)
-    if not reduced:
-        inv, R = [], IntMatrix.identity(s)
-    else:
-        inv, _, R = smith_normal_form(IntMatrix(reduced))
-    nrel = len(inv)
-    free_pos = [j for j in range(s) if j >= nrel or inv[j] == 0]
-    tors_pos = [j for j in range(nrel) if inv[j] not in (0, 1)]
+
+    def relation(*terms):  # sum of x * generator over (code, x) terms
+        row: dict = {}
+        for g, x in terms:
+            row[at[g]] = row.get(at[g], 0) + x
+        return row
+
+    rel_rows = [relation((code[i], 1), (code[j], 1), (sums[code[i] + code[j]], -1))
+                for (i, j), vec in A.products.items() if vec]
+    if A.polar is not None:
+        rel_rows += [relation((code[i], 1), (code[j], 1))
+                     for i, row in enumerate(A.polar.data)
+                     for j, v in enumerate(row) if not v.is_zero()]
+    inv, R = smith_normal_form(rel_rows, s)
+    free_pos = [j for j in range(s) if inv[j] == 0]
+    tors_pos = [j for j in range(s) if inv[j] > 1]
     group = AbelianGroup(len(free_pos), tuple(inv[j] for j in tors_pos))
 
     def classify(degree):
-        i = index[degree]
-        y = [R.data[i][j] for j in range(s)]
-        free = tuple(y[j] for j in free_pos)
-        tors = tuple(y[j] % inv[j] for j in tors_pos)
-        return free + tors
+        y = R[index[degree]]
+        return (tuple(y[j] for j in free_pos)
+                + tuple(y[j] % inv[j] for j in tors_pos))
 
     degree_map = {d: classify(d) for d in support}
     new_degrees = tuple(degree_map[d] for d in deg)

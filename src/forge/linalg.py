@@ -1,4 +1,4 @@
-"""Exact linear algebra over Q(w), plus Smith normal form over Z.
+"""Exact linear algebra over Q(w), plus one Smith normal form over Z.
 
 Dense matrices are lists of Scalar rows.  All elimination over Q(w) goes
 through SparseEchelon (dict-of-column sparse rows): rref, rank, nullspace,
@@ -9,10 +9,13 @@ early only once the rank is the column count.  An echelon's rank, read until
 a target is met, certifies "the kernel is no bigger than the part we
 exhibit".  No checker calls rank_mod_p, a numpy modular rank bound (rank mod
 p <= rank over Q).  Integer-pair tables (denominators cleared) have one
-builder, algebra.integer_table.
+builder, algebra.integer_table.  Over Z the one eliminator is
+smith_normal_form, a sparse elimination that pivots on units first.
 """
 
 from __future__ import annotations
+
+from heapq import heappop, heappush
 
 from .exact import ONE, ZERO, Polynomial, Scalar, poly_lcm, sc
 
@@ -406,156 +409,116 @@ def minimal_polynomial(m: Matrix) -> Polynomial:
 # Smith normal form over Z
 # =========================================================================
 
-class IntMatrix:
-    """Arbitrary-precision integer matrix."""
+def smith_normal_form(rows, ncols: int):
+    """Smith normal form over Z of the matrix M with the given integer rows
+    (sparse dicts or lists) and ncols columns, by one sparse elimination.
 
-    __slots__ = ("rows", "cols", "data")
+    Returns (invariants, R).  The ncols invariants are first the 1s, then
+    d1 | d2 | ... > 1, then a 0 for each free coordinate; R is unimodular, a
+    list of rows, and the rows of M R span the same lattice as
+    diag(invariants).
 
-    def __init__(self, data):
-        self.data = [[int(x) for x in row] for row in data]
-        self.rows = len(self.data)
-        self.cols = len(self.data[0]) if self.data else 0
-
-    @staticmethod
-    def identity(n):
-        return IntMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    def __mul__(self, other):
-        out = [[sum(self.data[i][k] * other.data[k][j] for k in range(self.cols))
-                for j in range(other.cols)] for i in range(self.rows)]
-        return IntMatrix(out)
-
-    def __eq__(self, other):
-        return isinstance(other, IntMatrix) and self.data == other.data
-
-
-def smith_normal_form(m: IntMatrix):
-    """Smith normal form D = L m R.
-
-    Returns (invariants, L, R) with L, R unimodular and each invariant
-    dividing the next (invariants include any zero diagonal entries).
+    The rows are deduplicated and sorted, and each pivot is an entry of least
+    absolute value.  Units go first, shortest row first and, within the row,
+    in the column that the fewest rows use; this keeps the fill-in small.  On
+    relation lattices a + b - c almost every pivot is a unit, and each such
+    pivot removes one generator (a Tietze move).  A pivot is cleared from its
+    column by row operations and from its row by column operations, which R
+    records.  A pivot that does not divide every remaining entry first adds
+    in a row with an entry it does not divide, so the invariants come out in
+    order.
     """
-    a = [row[:] for row in m.data]
-    rows, cols = m.rows, m.cols
-    L = IntMatrix.identity(rows).data
-    R = IntMatrix.identity(cols).data
+    keys = set()
+    for row in rows:
+        items = row.items() if isinstance(row, dict) else enumerate(row)
+        key = tuple(sorted((j, x) for j, x in items if x))
+        if key:
+            keys.add(key)
+    mat = {i: dict(key) for i, key in
+           enumerate(sorted(keys, key=lambda k: (len(k), k)))}
+    cols = [set() for _ in range(ncols)]
+    for i, row in mat.items():
+        for j in row:
+            cols[j].add(i)
+    R = [{j: 1} for j in range(ncols)]  # column j of R as {row: entry}
+    # (length, row) of the rows with a unit entry; sorted, hence a heap
+    units = [(len(row), i) for i, row in mat.items()
+             if any(x in (1, -1) for x in row.values())]
 
-    def row_op(i, j, c):  # row_i += c * row_j
-        a[i] = [x + c * y for x, y in zip(a[i], a[j])]
-        L[i] = [x + c * y for x, y in zip(L[i], L[j])]
-
-    def col_op(i, j, c):  # col_i += c * col_j
-        for r in a:
-            r[i] += c * r[j]
-        for r in R:
-            r[i] += c * r[j]
-
-    def row_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        L[i], L[j] = L[j], L[i]
-
-    def col_swap(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        for r in R:
-            r[i], r[j] = r[j], r[i]
-
-    def row_neg(i):
-        a[i] = [-x for x in a[i]]
-        L[i] = [-x for x in L[i]]
-
-    t = 0
-    n = min(rows, cols)
-    while t < n:
-        # find a pivot of least absolute value in the trailing block
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                v = a[i][j]
-                if v != 0 and (best is None or abs(v) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        row_swap(t, best[0])
-        col_swap(t, best[1])
-        while True:
-            # clear column t
-            dirty = False
-            for i in range(t + 1, rows):
-                if a[i][t] != 0:
-                    q = a[i][t] // a[t][t]
-                    row_op(i, t, -q)
-                    if a[i][t] != 0:
-                        row_swap(t, i)
-                        dirty = True
-            for j in range(t + 1, cols):
-                if a[t][j] != 0:
-                    q = a[t][j] // a[t][t]
-                    col_op(j, t, -q)
-                    if a[t][j] != 0:
-                        col_swap(t, j)
-                        dirty = True
-            if not dirty:
-                break
-        # divisibility: pivot must divide every remaining entry
-        fixed = True
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if a[i][j] % a[t][t] != 0:
-                    row_op(t, i, 1)
-                    fixed = False
-                    break
-            if not fixed:
-                break
-        if fixed:
-            if a[t][t] < 0:
-                row_neg(t)
-            t += 1
-    inv = [a[i][i] if i < cols else 0 for i in range(n)]
-    return inv, IntMatrix(L), IntMatrix(R)
-
-
-def lattice_row_reduce(rows, ncols: int):
-    """Hermite-style basis of the lattice spanned by integer rows.
-
-    Keeps at most ncols rows; useful to shrink huge relation sets before SNF.
-    """
-    basis = {}  # leading col -> row
-    queue = [list(r) for r in rows]
-    while queue:
-        row = queue.pop()
-        while True:
-            lead = next((i for i, x in enumerate(row) if x != 0), None)
-            if lead is None:
-                break
-            cur = basis.get(lead)
-            if cur is None:
-                if row[lead] < 0:
-                    row = [-x for x in row]
-                basis[lead] = row
-                break
-            if row[lead] % cur[lead] == 0:
-                q = row[lead] // cur[lead]
-                row = [x - q * y for x, y in zip(row, cur)]
+    def add_row(i, k, q):  # row_i += q * row_k
+        row = mat[i]
+        for j, x in mat[k].items():
+            y = row.get(j, 0) + q * x
+            if y:
+                row[j] = y
+                cols[j].add(i)
             else:
-                g, u, v = _xgcd(cur[lead], row[lead])
-                comb = [u * x + v * y for x, y in zip(cur, row)]
-                new_cur = [x - (cur[lead] // g) * y for x, y in zip(cur, comb)]
-                row = [x - (row[lead] // g) * y for x, y in zip(row, comb)]
-                basis[lead] = comb
-                if any(new_cur):
-                    queue.append(new_cur)
-    return [basis[k] for k in sorted(basis)]
+                row.pop(j, None)
+                cols[j].discard(i)
+        if not row:
+            del mat[i]
+        elif any(x in (1, -1) for x in row.values()):
+            heappush(units, (len(row), i))
 
+    def pick():
+        while units:
+            n, i = units[0]
+            row = mat.get(i)
+            if row is not None and len(row) == n:
+                at = [j for j, x in row.items() if x in (1, -1)]
+                if at:
+                    return i, min(at, key=lambda j: (len(cols[j]), j))
+            heappop(units)
+        return min((abs(x), len(row), i, j)
+                   for i, row in mat.items() for j, x in row.items())[2:]
 
-def _xgcd(aa: int, bb: int):
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    a, b = aa, bb
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    return a, x0, y0
+    pivots, invariants = [], []
+    while mat:
+        r, c = pick()
+        while True:
+            v = mat[r][c]
+            for i in [i for i in cols[c] if i != r]:
+                q = mat[i][c] // v
+                if q:
+                    add_row(i, r, -q)
+            rest = [i for i in cols[c] if i != r]
+            if rest:  # remainders below |v|: pivot on the least
+                r = min(rest, key=lambda i: (abs(mat[i][c]), i))
+                continue
+            row = mat[r]
+            for j in [j for j in row if j != c]:
+                q = row[j] // v
+                if not q:
+                    continue
+                if row[j] == q * v:
+                    del row[j]
+                    cols[j].discard(r)
+                else:
+                    row[j] -= q * v
+                for k, x in R[c].items():
+                    y = R[j].get(k, 0) - q * x
+                    if y:
+                        R[j][k] = y
+                    else:
+                        del R[j][k]
+            rest = [j for j in row if j != c]
+            if rest:
+                c = min(rest, key=lambda j: (abs(row[j]), j))
+                continue
+            bad = None if v in (1, -1) else next(
+                (i for i, other in mat.items()
+                 if i != r and any(x % v for x in other.values())), None)
+            if bad is None:
+                break
+            add_row(r, bad, 1)
+        del mat[r]
+        cols[c].discard(r)
+        pivots.append(c)
+        invariants.append(abs(v))
+    free = sorted(set(range(ncols)) - set(pivots))
+    order = pivots + free
+    return (invariants + [0] * len(free),
+            [[R[j].get(i, 0) for j in order] for i in range(ncols)])
 
 
 # =========================================================================

@@ -8,19 +8,164 @@ from math import gcd
 
 from forge.algebra import Algebra, Element
 from forge.exact import ONE, ZERO, Polynomial, Scalar
-from forge.linalg import (IntMatrix, Matrix, NotSquare, SparseEchelon,
-                          column_apply, lattice_row_reduce, smith_normal_form,
+from forge.linalg import (Matrix, NotSquare, SparseEchelon, column_apply,
                           sparse_kernel)
 
 
-def int_det(m: IntMatrix) -> int:
-    """Determinant by fraction-free (Bareiss) elimination."""
-    n = m.rows
-    if n != m.cols:
+class IntMatrix:
+    """Arbitrary-precision integer matrix."""
+
+    __slots__ = ("rows", "cols", "data")
+
+    def __init__(self, data):
+        self.data = [[int(x) for x in row] for row in data]
+        self.rows = len(self.data)
+        self.cols = len(self.data[0]) if self.data else 0
+
+    def __mul__(self, other):
+        out = [[sum(self.data[i][k] * other.data[k][j] for k in range(self.cols))
+                for j in range(other.cols)] for i in range(self.rows)]
+        return IntMatrix(out)
+
+
+def dense_smith_invariants(m: IntMatrix):
+    """Invariant factors of m by dense elimination with a pivot of least
+    absolute value, each dividing the next; min(rows, cols) of them, zeros
+    included."""
+    a = [row[:] for row in m.data]
+    rows, cols = m.rows, m.cols
+
+    def row_op(i, j, c):  # row_i += c * row_j
+        a[i] = [x + c * y for x, y in zip(a[i], a[j])]
+
+    def col_op(i, j, c):  # col_i += c * col_j
+        for r in a:
+            r[i] += c * r[j]
+
+    def row_swap(i, j):
+        a[i], a[j] = a[j], a[i]
+
+    def col_swap(i, j):
+        for r in a:
+            r[i], r[j] = r[j], r[i]
+
+    t = 0
+    n = min(rows, cols)
+    while t < n:
+        # find a pivot of least absolute value in the trailing block
+        best = None
+        for i in range(t, rows):
+            for j in range(t, cols):
+                v = a[i][j]
+                if v != 0 and (best is None or abs(v) < abs(a[best[0]][best[1]])):
+                    best = (i, j)
+        if best is None:
+            break
+        row_swap(t, best[0])
+        col_swap(t, best[1])
+        while True:
+            # clear column t
+            dirty = False
+            for i in range(t + 1, rows):
+                if a[i][t] != 0:
+                    q = a[i][t] // a[t][t]
+                    row_op(i, t, -q)
+                    if a[i][t] != 0:
+                        row_swap(t, i)
+                        dirty = True
+            for j in range(t + 1, cols):
+                if a[t][j] != 0:
+                    q = a[t][j] // a[t][t]
+                    col_op(j, t, -q)
+                    if a[t][j] != 0:
+                        col_swap(t, j)
+                        dirty = True
+            if not dirty:
+                break
+        # divisibility: pivot must divide every remaining entry
+        fixed = True
+        for i in range(t + 1, rows):
+            for j in range(t + 1, cols):
+                if a[i][j] % a[t][t] != 0:
+                    row_op(t, i, 1)
+                    fixed = False
+                    break
+            if not fixed:
+                break
+        if fixed:
+            if a[t][t] < 0:
+                a[t] = [-x for x in a[t]]
+            t += 1
+    return [a[i][i] if i < cols else 0 for i in range(n)]
+
+
+def lattice_row_reduce(rows, ncols: int):
+    """Hermite-style basis of the lattice spanned by integer rows: one row
+    per lead column, entries above a lead not reduced."""
+    basis = {}  # leading col -> row
+    queue = [list(r) for r in rows]
+    while queue:
+        row = queue.pop()
+        while True:
+            lead = next((i for i, x in enumerate(row) if x != 0), None)
+            if lead is None:
+                break
+            cur = basis.get(lead)
+            if cur is None:
+                if row[lead] < 0:
+                    row = [-x for x in row]
+                basis[lead] = row
+                break
+            if row[lead] % cur[lead] == 0:
+                q = row[lead] // cur[lead]
+                row = [x - q * y for x, y in zip(row, cur)]
+            else:
+                g, u, v = _xgcd(cur[lead], row[lead])
+                comb = [u * x + v * y for x, y in zip(cur, row)]
+                new_cur = [x - (cur[lead] // g) * y for x, y in zip(cur, comb)]
+                row = [x - (row[lead] // g) * y for x, y in zip(row, comb)]
+                basis[lead] = comb
+                if any(new_cur):
+                    queue.append(new_cur)
+    return [basis[k] for k in sorted(basis)]
+
+
+def _xgcd(aa: int, bb: int):
+    x0, x1, y0, y1 = 1, 0, 0, 1
+    a, b = aa, bb
+    while b:
+        q, a, b = a // b, b, a % b
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return a, x0, y0
+
+
+def hermite_basis(rows, ncols: int):
+    """The Hermite normal form of the lattice the rows span: lattice_row_reduce,
+    then each lead made positive and each entry above a lead reduced into
+    [0, lead), so that two row sets span the same lattice iff their bases are
+    equal."""
+    basis = lattice_row_reduce(rows, ncols)
+    leads = [next(j for j, x in enumerate(row) if x) for row in basis]
+    basis = [row if row[j] > 0 else [-x for x in row]
+             for row, j in zip(basis, leads)]
+    for k in range(len(basis) - 1, -1, -1):
+        for i in range(k):
+            q = basis[i][leads[k]] // basis[k][leads[k]]
+            if q:
+                basis[i] = [x - q * y for x, y in zip(basis[i], basis[k])]
+    return basis
+
+
+def int_det(rows) -> int:
+    """Determinant of a square matrix, given by its rows, by fraction-free
+    (Bareiss) elimination."""
+    a = [list(row) for row in rows]
+    n = len(a)
+    if any(len(row) != n for row in a):
         raise NotSquare("determinant of non-square matrix")
     if n == 0:
         return 1
-    a = [row[:] for row in m.data]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -117,7 +262,7 @@ def elements_generate(G, elems) -> bool:
     reduced = lattice_row_reduce(rows, n)
     if len(reduced) < n:
         return False
-    inv = smith_normal_form(IntMatrix(reduced))[0]
+    inv = dense_smith_invariants(IntMatrix(reduced))
     return all(abs(d) == 1 for d in inv)
 
 

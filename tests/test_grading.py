@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from forge import magic
+from forge import grading, magic
 from forge.algebra import Algebra
 from forge.exact import sc
 from forge.grading import (CAYLEY_KINDS, DECLARED_GROUPS, OKUBO_KINDS,
@@ -9,11 +9,12 @@ from forge.grading import (CAYLEY_KINDS, DECLARED_GROUPS, OKUBO_KINDS,
                            GroupHom, IllDefinedHom, Z3, Z3_2, cayley_grading,
                            coarsen, grading_from_text, grading_type,
                            okubo_grading, quaternion_grading,
-                           two_dim_z3_grading, universal_group, verify_grading)
-from forge.linalg import (IntMatrix, Matrix, lattice_row_reduce,
-                          smith_normal_form)
+                           Unverified, two_dim_z3_grading, universal_group,
+                           verify_grading)
+from forge.linalg import Matrix
 from forge.scenarios import e8_pair, okubo11, split_cayley
-from oracles import elements_generate
+from oracles import (IntMatrix, dense_smith_invariants, elements_generate,
+                     lattice_row_reduce)
 
 
 def test_group_arithmetic():
@@ -275,7 +276,8 @@ def _oracle_verify(gr):
 
 
 def _oracle_universal(gr):
-    """(group, degree map) with the relation rows built by G.add."""
+    """The universal group, from relation rows built by G.add and from the
+    pairs the polar form does not annihilate."""
     A, G, deg = gr.algebra, gr.group, gr.degrees
     support = gr.support()
     index = {d: i for i, d in enumerate(support)}
@@ -289,20 +291,17 @@ def _oracle_universal(gr):
         row[index[deg[j]]] += 1
         row[index[G.add(deg[i], deg[j])]] -= 1
         rel_rows.add(tuple(row))
+    for i in range(A.dim if A.polar is not None else 0):
+        for j in range(A.dim):
+            if not A.polar.data[i][j].is_zero():
+                row = [0] * s
+                row[index[deg[i]]] += 1
+                row[index[deg[j]]] += 1
+                rel_rows.add(tuple(row))
     reduced = lattice_row_reduce([list(r) for r in rel_rows], s)
-    if not reduced:
-        inv, R = [], IntMatrix.identity(s)
-    else:
-        inv, _, R = smith_normal_form(IntMatrix(reduced))
-    free_pos = [j for j in range(s) if j >= len(inv) or inv[j] == 0]
-    tors_pos = [j for j in range(len(inv)) if inv[j] not in (0, 1)]
-    group = AbelianGroup(len(free_pos), tuple(inv[j] for j in tors_pos))
-    dmap = {}
-    for d in support:
-        y = R.data[index[d]]
-        dmap[d] = (tuple(y[j] for j in free_pos)
-                   + tuple(y[j] % inv[j] for j in tors_pos))
-    return group, dmap
+    inv = dense_smith_invariants(IntMatrix(reduced)) if reduced else []
+    free = s - len(inv) + inv.count(0)
+    return AbelianGroup(free, tuple(d for d in inv if d > 1))
 
 
 @st.composite
@@ -358,8 +357,13 @@ def test_coded_checks_agree_with_the_tuple_oracle(gr):
     rep = verify_grading(gr)
     assert (rep.passed, rep.details.get("rule"), rep.witness) == _oracle_verify(gr)
     if rep.passed:
+        # equal invariants and a verified regrading whose support generates
+        # the group make the map universal (f.g. abelian groups are
+        # Hopfian); the coordinates themselves are not unique
         group, dmap, regraded = universal_group(gr)
-        assert (group, dmap) == _oracle_universal(gr)
+        assert group == _oracle_universal(gr)
+        assert verify_grading(regraded).passed
+        assert len(set(dmap.values())) == len(dmap)
         assert regraded.degrees == tuple(dmap[x] for x in gr.degrees)
 
 
@@ -386,10 +390,37 @@ def test_e8_z2_8_counts_its_products_and_rejects_a_regraded_vector():
     _assert_product_defect(_regraded(gr8, 100, (0,) * 7 + (1,)), (0, 100, 68))
 
 
-def test_e8_z3_5_rejects_a_regraded_vector():
-    gr = magic.e8_z3_5()[-1]
+@pytest.fixture(scope="module")
+def e8_z3_5():
+    return magic.e8_z3_5()[-1]
+
+
+def test_e8_z3_5_rejects_a_regraded_vector(e8_z3_5):
+    gr = e8_z3_5
     assert verify_grading(gr).passed
     _assert_product_defect(_regraded(gr, 100, (1, 0, 0, 0, 0)), (0, 100, 164))
+
+
+def test_e8_gradings_have_their_groups_as_universal_groups(e8_z3_5):
+    # 16,362 and 20,400 distinct relations on 206 and 242 support degrees
+    for gr in (e8_pair()[1], e8_z3_5):
+        group, dmap, regraded = universal_group(gr)
+        assert group == gr.group
+        assert len(set(dmap.values())) == len(dmap)
+        assert verify_grading(regraded).passed
+
+
+@pytest.mark.parametrize("which, delta", [("z2_8", (0,) * 7 + (1,)),
+                                          ("z3_5", (1, 0, 0, 0, 0))])
+def test_universal_group_rejects_a_regraded_e8_vector_before_lattice_work(
+        which, delta, e8_z3_5, monkeypatch):
+    def no_lattice_work(*args):
+        raise AssertionError("Smith normal form of an unverified grading")
+
+    monkeypatch.setattr(grading, "smith_normal_form", no_lattice_work)
+    gr = e8_pair()[1] if which == "z2_8" else e8_z3_5
+    with pytest.raises(Unverified):
+        universal_group(_regraded(gr, 100, delta))
 
 
 def test_dempwolff_coarsening_rejects_a_regraded_vector():

@@ -4,13 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from forge.exact import OMEGA, ONE, ZERO, Polynomial, Scalar, sc
-from forge.linalg import (DependentVectors, IntMatrix, Matrix, NotSquare,
+from forge.linalg import (DependentVectors, Matrix, NotSquare,
                           SpanCoords, SparseEchelon, _krylov_annihilator, column_apply,
-                          inverse, lattice_row_reduce,
-                          minimal_polynomial, minimal_polynomial_op, nullspace,
-                          rank, rank_mod_p, rref, smith_normal_form, solve,
-                          sparse_kernel, vec_add_scaled)
-from oracles import int_det, mat_vec
+                          inverse, minimal_polynomial, minimal_polynomial_op,
+                          nullspace, rank, rank_mod_p, rref, smith_normal_form,
+                          solve, sparse_kernel, vec_add_scaled)
+from oracles import (IntMatrix, dense_smith_invariants, hermite_basis, int_det,
+                     mat_vec)
 
 X = Polynomial.x
 C = Polynomial.constant
@@ -339,19 +339,23 @@ def test_dense_views_match_the_gauss_jordan_oracle(m, data):
             _dense_inverse(square)
 
 
+def _assert_smith_transform(m, ncols, inv, R):
+    """R is unimodular and the rows of m R span the lattice of diag(inv)."""
+    assert int_det(R) in (1, -1)
+    diag = [[inv[i] if i == j else 0 for j in range(ncols)] for i in range(ncols)]
+    assert (hermite_basis((IntMatrix(m) * IntMatrix(R)).data, ncols)
+            == hermite_basis(diag, ncols))
+
+
 def test_smith_normal_form_examples():
-    inv, L, R = smith_normal_form(IntMatrix([[1, 0], [0, 1]]))
+    inv, R = smith_normal_form([[1, 0], [0, 1]], 2)
     assert inv == [1, 1]
-    inv, L, R = smith_normal_form(IntMatrix([[3, 0], [0, 3]]))
+    inv, R = smith_normal_form([[3, 0], [0, 3]], 2)
     assert inv == [3, 3]
-    m = IntMatrix([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
-    inv, L, R = smith_normal_form(m)
+    m = [[2, 4, 4], [-6, 6, 12], [10, -4, -16]]
+    inv, R = smith_normal_form(m, 3)
     assert inv == [2, 6, 12]
-    d = L * m * R
-    for i in range(3):
-        for j in range(3):
-            assert d.data[i][j] == (inv[i] if i == j else 0)
-    assert int_det(L) in (1, -1) and int_det(R) in (1, -1)
+    _assert_smith_transform(m, 3, inv, R)
 
 
 def test_smith_divisibility_random():
@@ -359,17 +363,35 @@ def test_smith_divisibility_random():
     for _ in range(12):
         rows = rng.randint(1, 5)
         cols = rng.randint(1, 5)
-        m = IntMatrix([[rng.randint(-6, 6) for _ in range(cols)]
-                       for _ in range(rows)])
-        inv, L, R = smith_normal_form(m)
+        m = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)]
+        inv, R = smith_normal_form(m, cols)
         nz = [d for d in inv if d != 0]
         for a, b in zip(nz, nz[1:]):
             assert b % a == 0
-        d = L * m * R
-        for i in range(rows):
-            for j in range(cols):
-                assert d.data[i][j] == (inv[i] if i == j and i < len(inv) else 0)
-        assert abs(int_det(L)) == 1 and abs(int_det(R)) == 1
+        _assert_smith_transform(m, cols, inv, R)
+
+
+@st.composite
+def _integer_matrices(draw):
+    """(rows, ncols): more rows than columns, among them zero rows and
+    duplicates, and often a common factor, so that no entry is a unit."""
+    ncols = draw(st.integers(0, 5))
+    row = st.lists(st.integers(-6, 6), min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, min_size=ncols + 1, max_size=ncols + 6))
+    rows += [[0] * ncols] * draw(st.integers(0, 2))
+    rows += draw(st.lists(st.sampled_from(rows), max_size=3))
+    factor = draw(st.sampled_from((1, 2, 3, 6)))
+    return [[factor * x for x in r] for r in rows], ncols
+
+
+@settings(max_examples=200, deadline=None)
+@given(_integer_matrices(), st.booleans())
+def test_smith_normal_form_matches_the_dense_oracle(case, sparse):
+    m, ncols = case
+    rows = [{j: x for j, x in enumerate(r) if x} for r in m] if sparse else m
+    inv, R = smith_normal_form(rows, ncols)
+    assert inv == dense_smith_invariants(IntMatrix(m))
+    _assert_smith_transform(m, ncols, inv, R)
 
 
 def test_okubo_relation_lattice_cokernel():
@@ -387,8 +409,7 @@ def test_okubo_relation_lattice_cokernel():
         row[index[labels[j]]] += 1
         row[index[labels[k]]] -= 1
         rows.append(row)
-    reduced = lattice_row_reduce(rows, 8)
-    inv, _, _ = smith_normal_form(IntMatrix(reduced))
+    inv, _ = smith_normal_form(rows, 8)
     assert [d for d in inv if d not in (0, 1)] == [3, 3]
     assert sum(1 for d in inv if d == 0) + (8 - len(inv)) == 0
 
