@@ -278,8 +278,7 @@ def grading_type(gr: Grading):
     """Type tuple (h1, ..., hl): h_i components of dimension i."""
     _require_verified(gr)
     dims = [len(idxs) for idxs in gr.components().values()]
-    top = max(dims)
-    return tuple(sum(1 for d in dims if d == i) for i in range(1, top + 1))
+    return tuple(dims.count(i) for i in range(1, max(dims, default=0) + 1))
 
 
 def universal_group(gr: Grading):

@@ -305,7 +305,8 @@ def magic_g(S: Algebra, Sp: Algebra, tri_s: TriContext = None,
         if A.dim not in (1, 2, 4, 8):
             raise BadDimensions("composition algebras have dimension 1, 2, 4, 8")
         if not verify_symmetric(A).passed:
-            raise NotSymmetricComposition(A.name)
+            raise NotSymmetricComposition(
+                "%s is not a symmetric composition algebra" % A.name)
     ctx = tri_s or TriContext(S)
     ctxp = tri_sp or TriContext(Sp)
     d, dp = S.dim, Sp.dim
@@ -490,7 +491,8 @@ class AlbertAlgebra:
 
 def albert(S: Algebra) -> AlbertAlgebra:
     if not verify_symmetric(S).passed:
-        raise NotSymmetricComposition(S.name)
+        raise NotSymmetricComposition(
+            "%s is not a symmetric composition algebra" % S.name)
     d = S.dim
     total = 3 + 3 * d
 

@@ -344,6 +344,25 @@ def test_verify_names_the_petersson_algebra(name, algebra, capsys):
     assert json.loads(capsys.readouterr().out)["name"] == "symmetric(%s)" % algebra
 
 
+def test_grade_type_of_a_zero_dimensional_algebra(tmp_path, capsys):
+    apath, gpath = tmp_path / "zero.alg", tmp_path / "zero.grad"
+    apath.write_text("dim 0 over Q(w)\n")
+    gpath.write_text("group free=0 torsion=-\n")
+    assert main(["grade", "--algebra", str(apath), "--grading", str(gpath),
+                 "--type"]) == 0
+    assert capsys.readouterr().out == "verified: True\ntype: []\n"
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["build", "albert:mat2"], "mat2"),
+    (["magic", "--left", "cd:1,1,1"], "CD(CD(CD(k,1),1),1)"),
+])
+def test_a_non_symmetric_algebra_is_named_as_such(argv, name, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == \
+        "error: %s is not a symmetric composition algebra\n" % name
+
+
 def test_grade_dim2_family(capsys):
     rc = main(["grade", "--family", "dim2", "--check", "--type",
                "--universal", "--json"])
