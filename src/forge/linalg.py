@@ -15,8 +15,6 @@ smith_normal_form, a sparse elimination that pivots on units first.
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
-
 from .exact import ONE, ZERO, Polynomial, Scalar, poly_lcm, sc
 
 
@@ -441,9 +439,15 @@ def smith_normal_form(rows, ncols: int):
         for j in row:
             cols[j].add(i)
     R = [{j: 1} for j in range(ncols)]  # column j of R as {row: entry}
-    # (length, row) of the rows with a unit entry; sorted, hence a heap
-    units = [(len(row), i) for i, row in mat.items()
-             if any(x in (1, -1) for x in row.values())]
+    units: dict = {}  # length -> rows that had a unit entry at that length
+
+    def note(i):
+        row = mat[i]
+        if any(x in (1, -1) for x in row.values()):
+            units.setdefault(len(row), []).append(i)
+
+    for i in reversed(mat):
+        note(i)
 
     def add_row(i, k, q):  # row_i += q * row_k
         row = mat[i]
@@ -455,20 +459,22 @@ def smith_normal_form(rows, ncols: int):
             else:
                 row.pop(j, None)
                 cols[j].discard(i)
-        if not row:
+        if row:
+            note(i)
+        else:
             del mat[i]
-        elif any(x in (1, -1) for x in row.values()):
-            heappush(units, (len(row), i))
 
-    def pick():
-        while units:
-            n, i = units[0]
-            row = mat.get(i)
-            if row is not None and len(row) == n:
-                at = [j for j, x in row.items() if x in (1, -1)]
-                if at:
-                    return i, min(at, key=lambda j: (len(cols[j]), j))
-            heappop(units)
+    def pick():  # the last noted of the shortest rows with a unit entry
+        for n in sorted(units):
+            rows_n = units[n]
+            while rows_n:
+                row = mat.get(rows_n[-1])
+                if row is not None and len(row) == n:
+                    at = [j for j, x in row.items() if x in (1, -1)]
+                    if at:
+                        return rows_n[-1], min(at, key=lambda j: (len(cols[j]), j))
+                rows_n.pop()
+            del units[n]
         return min((abs(x), len(row), i, j)
                    for i, row in mat.items() for j, x in row.items())[2:]
 
