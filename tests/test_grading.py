@@ -291,13 +291,14 @@ def _oracle_universal(gr):
         row[index[deg[j]]] += 1
         row[index[G.add(deg[i], deg[j])]] -= 1
         rel_rows.add(tuple(row))
-    for i in range(A.dim if A.polar is not None else 0):
-        for j in range(A.dim):
-            if not A.polar.data[i][j].is_zero():
-                row = [0] * s
-                row[index[deg[i]]] += 1
-                row[index[deg[j]]] += 1
-                rel_rows.add(tuple(row))
+    pairs = [] if A.polar is None else [
+        (i, j) for i, prow in enumerate(A.polar.data)
+        for j, v in enumerate(prow) if not v.is_zero()]
+    for i, j in pairs:
+        row = [0] * s
+        row[index[deg[i]]] += 1
+        row[index[deg[j]]] += 1
+        rel_rows.add(tuple(row))
     reduced = lattice_row_reduce([list(r) for r in rel_rows], s)
     inv = dense_smith_invariants(IntMatrix(reduced)) if reduced else []
     free = s - len(inv) + inv.count(0)
@@ -396,9 +397,9 @@ def e8_z3_5():
 
 
 def test_e8_z3_5_rejects_a_regraded_vector(e8_z3_5):
-    gr = e8_z3_5
-    assert verify_grading(gr).passed
-    _assert_product_defect(_regraded(gr, 100, (1, 0, 0, 0, 0)), (0, 100, 164))
+    assert verify_grading(e8_z3_5).passed
+    _assert_product_defect(_regraded(e8_z3_5, 100, (1, 0, 0, 0, 0)),
+                           (0, 100, 164))
 
 
 def test_e8_gradings_have_their_groups_as_universal_groups(e8_z3_5):
