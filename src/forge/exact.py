@@ -8,6 +8,7 @@ of the hot linear-algebra loops.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -160,8 +161,11 @@ def format_scalar(x: Scalar) -> str:
 
 
 def parse_int(token: str, line: str, what: str = "line") -> int:
-    """int(token); a bad token names the malformed line it came from."""
+    """int(token) for ASCII [+-]?[0-9]+ only, spaces around it allowed as
+    int() allows them; a bad token names the malformed line it came from."""
     try:
+        if not re.fullmatch(r"\s*[+-]?[0-9]+\s*", token):
+            raise ValueError
         return int(token)
     except ValueError:
         raise ValueError("malformed %s %r" % (what, line)) from None
@@ -174,6 +178,24 @@ def parse_scalar(text: str) -> Scalar:
         return _parse_scalar(text)
     except ZeroDivisionError:
         raise ValueError("zero denominator in scalar %r" % text) from None
+
+
+# what format_scalar writes: rational parts [+-]?[0-9]+(/[0-9]+)? in ASCII
+_RATIONAL = r"[0-9]+(?:/[0-9]+)?"
+_SCALAR = re.compile(r"[+-]?%s(?:(?:[+-]%s)?\*w)?" % (_RATIONAL, _RATIONAL))
+
+
+def _fraction(part: str) -> Fraction:
+    """Fraction(part), with Fraction's errors.  A part with an exponent
+    gets only the grammar check, on its digits zeroed so that no power of
+    ten is built, and reads as 0: _parse_scalar rejects it afterwards."""
+    if "/" in part or not re.search("[eE]", part):
+        return Fraction(part)
+    try:
+        Fraction(re.sub(r"\d", "0", part))
+    except ValueError:
+        raise ValueError("Invalid literal for Fraction: %r" % part) from None
+    return Fraction(0)
 
 
 def _parse_scalar(text: str) -> Scalar:
@@ -192,11 +214,18 @@ def _parse_scalar(text: str) -> Scalar:
             if body[i] in "+-":
                 cut = i
         if cut == -1:
-            return Scalar.from_fractions(Fraction(0), Fraction(body))
-        a = Fraction(body[:cut])
-        b = Fraction(body[cut + 1:]) if body[cut] == "+" else -Fraction(body[cut + 1:])
-        return Scalar.from_fractions(a, b)
-    return Scalar.from_fractions(Fraction(s))
+            x = Scalar.from_fractions(Fraction(0), _fraction(body))
+        else:
+            a = _fraction(body[:cut])
+            b = _fraction(body[cut + 1:])
+            x = Scalar.from_fractions(a, b if body[cut] == "+" else -b)
+    else:
+        x = Scalar.from_fractions(_fraction(s))
+    # Fraction's errors come first, in their old order; then what Fraction
+    # accepts but format_scalar never writes (1e5, 1.5, 1_0, non-ASCII digits)
+    if not _SCALAR.fullmatch(s):
+        raise ValueError("malformed scalar %r" % text)
+    return x
 
 
 # ---- polynomials --------------------------------------------------------
@@ -358,10 +387,52 @@ def poly_lcm(p: Polynomial, q: Polynomial) -> Polynomial:
     return (p * q.divmod(g)[0]).monic()
 
 
+# primes l = 1 (mod 3), each with a root r of X^2 + X + 1 mod l, the image of w
+_SQUAREFREE_PRIMES = ((2147483647, 1513477735), (2147483629, 1264980374),
+                      (2147483587, 197193579))
+
+
+def _gcd_degree_mod(a: list, b: list, l: int) -> int:
+    """Degree of gcd(a, b) in F_l[X]; coefficient lists, lowest degree
+    first, with nonzero last entries.  Consumes both lists."""
+    while b:
+        inv = pow(b[-1], -1, l)
+        while len(a) >= len(b):
+            c, shift = a[-1] * inv % l, len(a) - len(b)
+            for i, v in enumerate(b):
+                a[shift + i] = (a[shift + i] - c * v) % l
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return len(a) - 1
+
+
 def is_squarefree(p: Polynomial) -> bool:
-    """True iff gcd(p, p') is a nonzero constant (characteristic 0)."""
+    """True iff gcd(p, p') is a nonzero constant (characteristic 0).
+
+    First a one-sided modular certificate.  Take the first listed prime l
+    with l > deg p that divides no coefficient denominator and whose map
+    w -> r to F_l keeps the leading coefficient nonzero.  That map is a ring
+    homomorphism on the coefficients (the denominators are units mod l); it
+    keeps deg p and deg p' (l > deg p), so it maps the Sylvester matrix of
+    (p, p') to that of (p mod l, p' mod l) and Res(p, p') to their
+    resultant.  So gcd(p mod l, p' mod l) = 1 gives Res(p, p') != 0: p and
+    p' are coprime and p is squarefree.  Otherwise (p not squarefree, or l
+    unlucky) the exact Euclidean gcd over Q(w) decides.
+    """
     if p.is_zero():
         raise ZeroPolynomial("squarefreeness of the zero polynomial")
-    if p.degree() == 0:
+    n = p.degree()
+    if n == 0:
         return True
+    for l, r in _SQUAREFREE_PRIMES:
+        if l <= n or any(c.d % l == 0 for c in p.coeffs):
+            continue
+        bar = [(c.p + c.q * r) * pow(c.d, -1, l) % l for c in p.coeffs]
+        if not bar[-1]:
+            continue
+        der = [i * v % l for i, v in enumerate(bar)][1:]
+        if _gcd_degree_mod(bar, der, l) == 0:
+            return True
+        break
     return poly_gcd(p, p.derivative()).degree() == 0

@@ -30,14 +30,7 @@ tri degrees, TriContext), on the flat (degrees, basis) of graded_tri_basis;
 graded_magic and graded_albert apply the rule to g(S, S') and to k^3 + iota_i(S).
 
 The Z3-graded algebras (Albert, f4, e6, e8 from Okubo algebras) are built on
-the iota basis and moved by algebra.rebase_blockwise to the theta-eigenbasis
-u_j = sum_r w^{-rj} iota_r of each iota triple.  theta acts monomially: it
-cycles the triples and scales every other basis vector k by w^{e_k}.  Its
-precondition, that theta is an automorphism of the antisymmetric or
-symmetric table, is checked exactly first.  Then for a theta-eigenvector v
-of eigenvalue lambda, [u_j, v] = 3 pi_{w^j lambda}([iota_0, v]), pi_mu the
-projection onto the mu-eigenspace, so one old product gives the three new
-rows of a triple.
+the iota basis and moved to the theta-eigenbasis by algebra.rebase_blockwise.
 """
 
 from __future__ import annotations
@@ -206,6 +199,31 @@ def tri_spans_by_pairs(ctx: TriContext) -> bool:
     return ech.rank == ctx.n
 
 
+def _bracket_breaks(d, rows, scaled, polar, a, b, x, y):
+    """Does the quadruple (a, b, x, y) break the local triality relation?
+    The tables are those of triality_bracket_failures."""
+    acc: dict = {}
+    for ta, tb, sign in ((rows[(a, b)], rows[(x, y)], 1),
+                         (rows[(x, y)], rows[(a, b)], -1)):
+        for r, row in ta.items():
+            for k, p1, q1 in row:
+                for c, p2, q2 in tb.get(r - r % d + k, ()):
+                    p, q = _pair_mul(p1, q1, p2, q2)
+                    m = r * d + c
+                    cur = acc.get(m, (0, 0))
+                    acc[m] = (cur[0] + sign * p, cur[1] + sign * q)
+    for (u, v), (g, h), sign in (((a, x), (b, y), 1), ((b, x), (a, y), -1),
+                                 ((a, y), (x, b), 1), ((b, y), (x, a), -1)):
+        n = polar.get((u, v))
+        if n is None:
+            continue
+        for m, p2, q2 in scaled[g][h]:
+            p, q = _pair_mul(n[0], n[1], p2, q2)
+            cur = acc.get(m, (0, 0))
+            acc[m] = (cur[0] - sign * p, cur[1] - sign * q)
+    return any(p or q for p, q in acc.values())
+
+
 def triality_bracket_failures(S: Algebra):
     """Basis quadruples (a, b, x, y) breaking the local triality relation
     [t_{a,b}, t_{x,y}] = t_{sigma(x),y} + t_{x,sigma(y)}, sigma = sigma_{a,b}.
@@ -216,6 +234,15 @@ def triality_bracket_failures(S: Algebra):
     + n(a,y)t_{x,b} - n(b,y)t_{x,a}.  One integer_table of the 64 triples
     (keys (a, b)) and polar rows (keys ("polar", i)) clears one denominator,
     scaling both sides by its square: all sums are on integer pairs p + q*w.
+
+    If the scaled table has t_{b,a} = -t_{a,b} on all 64 pairs and the
+    scaled polar form is symmetric, then F = left side - right side has
+    F(b,a,x,y) = F(a,b,y,x) = F(x,y,a,b) = -F(a,b,x,y): each swap negates
+    the bracket, and the two symmetries turn the four polar terms into the
+    negated four.  So F vanishes where a = b, x = y or (a,b) = (x,y), and
+    everywhere once it vanishes on the 378 quadruples with a < b, x < y and
+    (a,b) < (x,y).  If a check or one of them fails, all 4096 are scanned
+    in order.
     """
     d = S.dim
     basis = S.basis()
@@ -234,37 +261,19 @@ def triality_bracket_failures(S: Algebra):
             for k, p, q in entries:
                 by_row.setdefault(k // d, []).append((k % d, p, q))
 
-    def commutator(acc, ta, tb, sign):
-        for r, row in ta.items():
-            for k, p1, q1 in row:
-                for c, p2, q2 in tb.get(r - r % d + k, ()):
-                    p, q = _pair_mul(p1, q1, p2, q2)
-                    m = r * d + c
-                    cur = acc.get(m, (0, 0))
-                    acc[m] = (cur[0] + sign * p, cur[1] + sign * q)
+    def failures(quads):
+        return [q for q in quads if _bracket_breaks(d, rows, scaled, polar, *q)]
 
-    bad = []
-    for a in range(d):
-        for b in range(d):
-            tab = rows[(a, b)]
-            for x in range(d):
-                for y in range(d):
-                    acc: dict = {}
-                    commutator(acc, tab, rows[(x, y)], 1)
-                    commutator(acc, rows[(x, y)], tab, -1)
-                    for (u, v), (g, h), sign in (
-                            ((a, x), (b, y), 1), ((b, x), (a, y), -1),
-                            ((a, y), (x, b), 1), ((b, y), (x, a), -1)):
-                        n = polar.get((u, v))
-                        if n is None:
-                            continue
-                        for m, p2, q2 in scaled[g][h]:
-                            p, q = _pair_mul(n[0], n[1], p2, q2)
-                            cur = acc.get(m, (0, 0))
-                            acc[m] = (cur[0] - sign * p, cur[1] - sign * q)
-                    if any(p or q for p, q in acc.values()):
-                        bad.append((a, b, x, y))
-    return bad
+    pairs = [(a, b) for a in range(d) for b in range(a + 1, d)]
+    if (all({k: (-p, -q) for k, p, q in scaled[a][b]}
+            == {k: (p, q) for k, p, q in scaled[b][a]}
+            for a in range(d) for b in range(d))
+            and all(polar.get((j, i)) == n for (i, j), n in polar.items())
+            and not failures(pairs[i] + xy for i in range(len(pairs))
+                             for xy in pairs[i + 1:])):
+        return []
+    r = range(d)
+    return failures((a, b, x, y) for a in r for b in r for x in r for y in r)
 
 
 # =========================================================================

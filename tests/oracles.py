@@ -4,10 +4,12 @@ No scenario, CLI command or checker in forge reaches these, so they live
 here rather than in the package.
 """
 
+from itertools import product
 from math import gcd
 
+from forge import magic
 from forge.algebra import Algebra, Element
-from forge.exact import ONE, ZERO, Polynomial, Scalar
+from forge.exact import ONE, ZERO, Polynomial, Scalar, poly_gcd
 from forge.linalg import (Matrix, NotSquare, SparseEchelon, column_apply,
                           sparse_kernel)
 
@@ -63,39 +65,28 @@ def dense_smith_invariants(m: IntMatrix):
             break
         row_swap(t, best[0])
         col_swap(t, best[1])
-        while True:
-            # clear column t
-            dirty = False
-            for i in range(t + 1, rows):
-                if a[i][t] != 0:
-                    q = a[i][t] // a[t][t]
-                    row_op(i, t, -q)
-                    if a[i][t] != 0:
-                        row_swap(t, i)
-                        dirty = True
-            for j in range(t + 1, cols):
-                if a[t][j] != 0:
-                    q = a[t][j] // a[t][t]
-                    col_op(j, t, -q)
-                    if a[t][j] != 0:
-                        col_swap(t, j)
-                        dirty = True
-            if not dirty:
-                break
-        # divisibility: pivot must divide every remaining entry
-        fixed = True
+        # reduce column t and row t by the pivot; a remainder is a smaller
+        # entry of the trailing block, so it is the next round's pivot
+        p = a[t][t]
         for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if a[i][j] % a[t][t] != 0:
-                    row_op(t, i, 1)
-                    fixed = False
-                    break
-            if not fixed:
-                break
-        if fixed:
-            if a[t][t] < 0:
-                a[t] = [-x for x in a[t]]
-            t += 1
+            if a[i][t] != 0:
+                row_op(i, t, -(a[i][t] // p))
+        for j in range(t + 1, cols):
+            if a[t][j] != 0:
+                col_op(j, t, -(a[t][j] // p))
+        if (any(a[i][t] for i in range(t + 1, rows))
+                or any(a[t][j] for j in range(t + 1, cols))):
+            continue
+        # divisibility: the pivot must divide every remaining entry; else
+        # row i added to row t gives row t an entry with a smaller remainder
+        bad = next((i for i in range(t + 1, rows)
+                    if any(a[i][j] % p for j in range(t + 1, cols))), None)
+        if bad is not None:
+            row_op(t, bad, 1)
+            continue
+        if p < 0:
+            a[t] = [-x for x in a[t]]
+        t += 1
     return [a[i][i] if i < cols else 0 for i in range(n)]
 
 
@@ -332,3 +323,28 @@ def first_jacobi_failure(L: Algebra):
                 if not jacobi_triple_ok(T, rational, i, j, k):
                     return i, j, k
     return None
+
+
+def squarefree_euclid(p: Polynomial) -> bool:
+    """gcd(p, p') a nonzero constant, by the exact Euclidean gcd over Q(w)."""
+    return p.degree() == 0 or poly_gcd(p, p.derivative()).degree() == 0
+
+
+def triality_bracket_failures(S: Algebra):
+    """All 4096 basis quadruples (a, b, x, y), in order, with
+    [t_{a,b}, t_{x,y}] != n(a,x)t_{b,y} - n(b,x)t_{a,y} + n(a,y)t_{x,b}
+    - n(b,y)t_{x,a}, in Scalar arithmetic from magic.t_xy and S.polar."""
+    d, n = S.dim, S.polar.data
+    basis = S.basis()
+    t = {(a, b): magic.t_xy(S, basis[a], basis[b])
+         for a in range(d) for b in range(d)}
+    bad = []
+    for a, b, x, y in product(range(d), repeat=4):
+        diff = dict(t[(a, b)].commutator(t[(x, y)]).entries)
+        for c, gh in ((n[a][x], (b, y)), (-n[b][x], (a, y)),
+                      (n[a][y], (x, b)), (-n[b][y], (x, a))):
+            for k, v in t[gh].entries.items():
+                diff[k] = diff.get(k, ZERO) - c * v
+        if any(v.p or v.q for v in diff.values()):
+            bad.append((a, b, x, y))
+    return bad

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -98,6 +99,29 @@ def test_verify_names_a_malformed_coefficient(tmp_path, capsys, line):
     path.write_text("dim 2 over Q(w)\n0 0 -> 1:1\n%s\n" % line)
     assert main(["verify", "lie", "--algebra", str(path)]) == 2
     assert capsys.readouterr().err == "error: malformed line %r\n" % line
+
+
+@pytest.mark.parametrize("line", [
+    "0 0 -> 0:1e9999999", "0 0 -> 0:1e5", "0 0 -> 0:1.5", "0 0 -> 0:1_0",
+    "0 0 -> 0:\u0661", "0 1_0 -> 0:1", "0 \u0661 -> 0:1", "polar 0 1 1e9999999"])
+def test_verify_rejects_what_the_formatter_never_writes(tmp_path, capsys, line):
+    path = tmp_path / "bad.alg"
+    path.write_text("dim 11 over Q(w)\n%s\n" % line, encoding="utf-8")
+    start = time.perf_counter()
+    assert main(["verify", "lie", "--algebra", str(path)]) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == "error: malformed line %r\n" % line
+
+
+@pytest.mark.parametrize("spec", ["okubo:1e9999999,1", "okubo:1.5,1",
+                                  "okubo:1_0,1", "okubo:\u0661,1"])
+def test_magic_rejects_a_parameter_the_formatter_never_writes(spec, capsys):
+    start = time.perf_counter()
+    assert main(["magic", "--left", spec]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: malformed scalar")
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("text, bad", [

@@ -1,8 +1,12 @@
+import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
+from forge import exact
 from forge.exact import (MINUS_ONE, OMEGA, OMEGA2, ONE, ZERO, BothZero,
                          DivisionByZero, Polynomial, Scalar, ZeroPolynomial,
                          format_scalar, is_squarefree, parse_scalar, poly_gcd,
@@ -79,6 +83,84 @@ def test_scalar_text_round_trip():
 def test_parse_scalar_rejects_a_zero_denominator(text):
     with pytest.raises(ValueError, match="zero denominator"):
         parse_scalar(text)
+
+
+@pytest.mark.parametrize("text", [
+    "1e5", "1.5", "1_0", "\u0661", "1e9999999", "1+1e9999999*w", "1E2*w",
+    "1/2_0", "1/\u0662", "2.5-1*w", "1+\t2*w", "+1.0"])
+def test_parse_scalar_accepts_only_what_format_scalar_writes(text):
+    with pytest.raises(ValueError, match="malformed scalar"):
+        parse_scalar(text)
+
+
+@pytest.mark.parametrize("text, part", [
+    ("abc", "abc"), ("1e5+x*w", "x"), (".48+*w", ""), ("1.5/2", "1.5/2"),
+    ("1e5e5", "1e5e5"), ("1e", "1e")])
+def test_parse_scalar_keeps_the_fraction_message(text, part):
+    with pytest.raises(ValueError) as want:
+        Fraction(part)
+    with pytest.raises(ValueError) as got:
+        parse_scalar(text)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("token", ["1_0", "\u0661", "1.0", "1e1", "1 1", ""])
+def test_parse_int_accepts_only_ascii_digits(token):
+    with pytest.raises(ValueError, match="malformed line 'L'"):
+        exact.parse_int(token, "L")
+    assert exact.parse_int("-12", "L") == -12 and exact.parse_int(" +3", "L") == 3
+
+
+def test_squarefree_primes_carry_a_cube_root_of_unity():
+    for l, r in exact._SQUAREFREE_PRIMES:
+        assert l % 3 == 1 and all(l % q for q in range(2, math.isqrt(l) + 1))
+        assert (r * r + r + 1) % l == 0
+
+
+def _counting_gcd(monkeypatch):
+    calls, intact = [], exact.poly_gcd
+    monkeypatch.setattr(exact, "poly_gcd",
+                        lambda a, b: calls.append(1) or intact(a, b))
+    return calls
+
+
+def test_squarefree_falls_back_to_euclid_on_repeated_factors(monkeypatch):
+    calls = _counting_gcd(monkeypatch)
+    p, q = X(3) - C(5), X() + Polynomial([OMEGA])
+    cases = [p * q * q] + [X(k) for k in range(2, 7)]
+    for f in cases:
+        assert not is_squarefree(f)
+    assert len(calls) == len(cases)
+
+
+def test_squarefree_falls_back_on_an_unlucky_prime(monkeypatch):
+    calls = _counting_gcd(monkeypatch)
+    l = exact._SQUAREFREE_PRIMES[0][0]
+    # X^2 - l is squarefree, X^2 mod l is not
+    assert is_squarefree(X(2) - C(l)) and calls == [1]
+    # X - l^2 is squarefree mod l too
+    assert is_squarefree(X(1) - C(l * l)) and calls == [1]
+
+
+_PRIMES = [l for l, _ in exact._SQUAREFREE_PRIMES]
+# some denominators skip a listed prime, some skip all; some coefficients
+# vanish mod a listed prime, so it cannot keep the leading coefficient
+_coeffs = st.one_of(
+    st.builds(Scalar, st.integers(-3, 3), st.integers(-3, 3),
+              st.sampled_from([1, 2, 3, _PRIMES[0], 5 * _PRIMES[1],
+                               _PRIMES[0] * _PRIMES[1],
+                               math.prod(_PRIMES)])),
+    st.sampled_from([Scalar(l) for l in _PRIMES]
+                    + [Scalar(-r, 1) for _, r in exact._SQUAREFREE_PRIMES]))
+_nonzero_polys = st.lists(_coeffs, min_size=1, max_size=4).map(
+    Polynomial).filter(lambda p: not p.is_zero())
+
+
+@settings(max_examples=200, deadline=None)
+@given(_nonzero_polys, _nonzero_polys, st.booleans())
+def test_squarefree_agrees_with_euclid(f, g, square):
+    p = f * g * g if square else f * g
+    assert is_squarefree(p) == oracles.squarefree_euclid(p)
 
 
 def test_poly_gcd_examples():

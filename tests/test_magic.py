@@ -1,9 +1,11 @@
 import math
 from collections import Counter
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from forge import algebra, compose, magic, scenarios
+from forge import algebra, compose, exact, magic, scenarios
 from forge.algebra import (Algebra, ad_closure_rank, derivation_algebra,
                            generating_set, verify_jordan, verify_lie)
 from forge.exact import (OMEGA, OMEGA2, ONE, ZERO, Polynomial, Scalar,
@@ -12,6 +14,7 @@ from forge.grading import AbelianGroup, Grading, grading_type, verify_grading
 from forge.linalg import Matrix, column_apply, nullspace, vec_add_scaled
 from forge.scenarios import (albert_para, e8_pair, f4_mag, okubo11,
                              para_split, split_cayley)
+import oracles
 from oracles import compose_linear, mat_vec
 from test_linalg import _dense_inverse
 
@@ -251,6 +254,26 @@ def test_is_cartan_certifies_a_non_regular_basis_by_the_centralizer_rank():
     assert rep.passed
     assert rep.details["self_normalizing"] == {"method": "centralizer",
                                                "rank": 48}
+
+
+def test_squarefree_certificate_of_a_degree_49_minimal_polynomial(monkeypatch):
+    # the non-regular element above, h_0 - 1009 e_1 - 1009^2 e_2 - 1009^3 e_3:
+    # coefficients of up to 417 digits, on which the exact Euclid is slow
+    _, lie, gr = magic.f4_z3_3()
+    comps = gr.components()
+    e = [lie.basis_element(i) for i in comps[(0, 0, 1)] + comps[(0, 0, 2)]]
+    x = e[0] - e[1] - e[3]
+    for i in (1, 2, 3):
+        x = x - e[i].scale(sc(1009 ** i))
+    mp = magic.adjoint_minimal_polynomial(lie, x)
+    assert mp.degree() == 49
+    assert max(len(str(c.p)) for c in mp.coeffs) == 417
+
+    def no_euclid(a, b):
+        raise AssertionError("the modular certificate should decide")
+
+    monkeypatch.setattr(exact, "poly_gcd", no_euclid)
+    assert is_squarefree(mp)
 
 
 def test_is_cartan_names_the_normalizer_of_a_dempwolff_component_minus_one():
@@ -630,6 +653,64 @@ def test_triality_scan_names_a_corrupted_triple(monkeypatch):
         assert all((2, 5) in ((a, b), (x, y), (b, y), (a, y), (x, b), (x, a))
                    for a, b, x, y in bad)
         assert any((2, 5) in ((a, b), (x, y)) for a, b, x, y in bad)
+
+
+def _counted_scan(S):
+    """triality_bracket_failures(S) and the number of quadruples it read."""
+    intact, seen = magic._bracket_breaks, []
+
+    def counting(*args):
+        seen.append(args[-4:])
+        return intact(*args)
+
+    with mock.patch.object(magic, "_bracket_breaks", counting):
+        return magic.triality_bracket_failures(S), len(seen)
+
+
+def _t_plus(S, shifts, entry):
+    """magic.t_xy with shifts[(u, v)] added to the flat entry of t_{u,v}."""
+    intact, basis = magic.t_xy, S.basis()
+
+    def shifted(S_, x, y):
+        t = intact(S_, x, y)
+        for (u, v), delta in shifts.items():
+            if (x, y) == (basis[u], basis[v]):
+                entries = dict(t.entries)
+                entries[entry] = entries.get(entry, ZERO) + delta
+                return magic.TriElement(t.d, {k: c for k, c in entries.items()
+                                              if c.p or c.q})
+        return t
+
+    return shifted
+
+
+def test_intact_triality_scan_reads_378_quadruples():
+    for S in (para_split(), okubo11()):
+        assert _counted_scan(S) == ([], 378)
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.sampled_from([para_split, okubo11]), st.integers(0, 7),
+       st.integers(1, 7), st.integers(0, 3 * 64 - 1),
+       st.sampled_from([ONE, OMEGA, Scalar(1, 0, 2)]))
+def test_reduced_triality_scan_agrees_with_the_oracle(algebra_of, a, k, entry,
+                                                      delta):
+    S, b = algebra_of(), (a + k) % 8
+    # t_{a,b} alone: t_{b,a} = -t_{a,b} fails, so the 4096 are read at once
+    with mock.patch.object(magic, "t_xy", _t_plus(S, {(a, b): delta}, entry)):
+        assert _counted_scan(S) == (oracles.triality_bracket_failures(S), 4096)
+    # t_{a,b} + delta and t_{b,a} - delta: the 378 quadruples catch it
+    with mock.patch.object(magic, "t_xy",
+                           _t_plus(S, {(a, b): delta, (b, a): -delta}, entry)):
+        bad, seen = _counted_scan(S)
+        assert bad and bad == oracles.triality_bracket_failures(S)
+    assert seen == 378 + 4096
+    # n(a, b) != n(b, a): the polar check fails, so the 4096 are read at once
+    polar = Matrix([row[:] for row in S.polar.data])
+    polar.data[a][b] = polar.data[a][b] + delta
+    T = Algebra(S.dim, S.name, {ij: dict(v) for ij, v in S.products.items()},
+                polar=polar)
+    assert _counted_scan(T) == (oracles.triality_bracket_failures(T), 4096)
 
 
 def test_theta_eigenspace_dims_okubo_case():
