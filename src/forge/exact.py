@@ -162,13 +162,14 @@ def format_scalar(x: Scalar) -> str:
 
 def parse_int(token: str, line: str, what: str = "line") -> int:
     """int(token) for ASCII [+-]?[0-9]+ only, spaces around it allowed as
-    int() allows them; a bad token names the malformed line it came from."""
+    int() allows them; a bad token names the malformed line it came from.
+    ASCII without "_" leaves int() no non-ASCII digit or underscore."""
     try:
-        if not re.fullmatch(r"\s*[+-]?[0-9]+\s*", token):
-            raise ValueError
-        return int(token)
+        if token.isascii() and "_" not in token:
+            return int(token)
     except ValueError:
-        raise ValueError("malformed %s %r" % (what, line)) from None
+        pass
+    raise ValueError("malformed %s %r" % (what, line)) from None
 
 
 def parse_scalar(text: str) -> Scalar:
