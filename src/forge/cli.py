@@ -156,23 +156,32 @@ def cmd_verify(args) -> int:
     return 0 if rep.passed else 1
 
 
+# the e8 names of forge magic --grade beside the Lie rows of magic.INDUCED;
+# dempwolff is the Z2^5 coarsening of e8_z2_8
+_E8_GRADES = {"z2_8": "e8_z2_8", "z3_5": "e8_z3_5", "dempwolff": "e8_z2_8"}
+
+
+def grade_names():
+    """Every forge magic --grade name: the INDUCED rows with a left side, then
+    the e8 names."""
+    return [n for n, row in magic.INDUCED.items() if row[0]] + list(_E8_GRADES)
+
+
 def cmd_magic(args) -> int:
     reports = []
     if args.grade and (args.left or args.right):
         print("error: --grade %s builds its own algebras; drop --left and --right"
               % args.grade, file=sys.stderr)
         return 2
-    if args.grade == "z3_5":
-        _, lie, grading = magic.e8_z3_5()
-    elif args.grade in ("z2_8", "dempwolff"):
-        mag, gr8 = magic.e8_z2_8()
-        lie = mag.lie
-        grading = gr8 if args.grade == "z2_8" else magic.e8_dempwolff(mag, gr8)
+    if args.grade:
+        _, grading = magic.induced(_E8_GRADES.get(args.grade, args.grade))
+        if args.grade == "dempwolff":
+            grading = magic.e8_dempwolff(grading)
     else:
         left = build_algebra(args.left or "para-cayley")
         right = build_algebra(args.right or "para-cayley")
-        mag = magic.magic_g(left, right)
-        lie, grading = mag.lie, mag.z22
+        grading = magic.magic_g(left, right).z22
+    lie = grading.algebra
     reports.append(Report("dimension", True, {"dim": lie.dim}))
     rep = verify_grading(grading)
     reports.append(rep)
@@ -240,6 +249,8 @@ def cmd_list(args) -> int:
     print("  quaternion: %s" % ", ".join(QUATERNION_KINDS))
     print("  okubo: %s" % ", ".join(OKUBO_KINDS))
     print("  dim2: z3")
+    print("induced gradings (forge magic --grade):")
+    print("  " + ", ".join(grade_names()))
     return 0
 
 
@@ -276,7 +287,7 @@ def make_parser() -> argparse.ArgumentParser:
     m = sub.add_parser("magic", help="magic-square Lie algebras")
     m.add_argument("--left", help="catalog algebra (default para-cayley)")
     m.add_argument("--right", help="catalog algebra (default para-cayley)")
-    m.add_argument("--grade", choices=("z2_8", "z3_5", "dempwolff"))
+    m.add_argument("--grade", choices=grade_names())
     m.add_argument("--check", choices=("jacobi", "cartan", "jordan"))
     m.add_argument("--json", action="store_true")
     m.set_defaults(fn=cmd_magic)

@@ -27,7 +27,10 @@ g(S, S') by G x G' x Z2^2: tri(S) in degree (mu, 0, 0), tri(S') in
 theta they grade it by G x G' x Z3 on the theta-eigenbasis, the last
 coordinate being the theta exponent.  graded_side gives each side as (grading,
 tri degrees, TriContext), on the flat (degrees, basis) of graded_tri_basis;
-graded_magic and graded_albert apply the rule to g(S, S') and to k^3 + iota_i(S).
+graded_magic and graded_albert apply the rule to g(S, S') and to k^3 + iota_i(S),
+and both return (construction, grading).  INDUCED names every induced grading
+by its two sides, and induced(name) builds one; a new induced grading is one
+row of that table.
 
 The Z3-graded algebras (Albert, f4, e6, e8 from Okubo algebras) are built on
 the iota basis and moved to the theta-eigenbasis by algebra.rebase_blockwise.
@@ -993,8 +996,8 @@ def graded_magic(left, right, ternary: bool, name: str, grading_name: str):
     or, when ternary, the theta exponent j; iota_i(a x b) gets (deg a, deg b,
     PAIR_DEGREE[i]), or (deg a, deg b, i) when ternary.  The group is
     G x G' x Z2^2, or G x G' x Z3 when ternary, where rebase_blockwise moves
-    each iota triple to the theta-eigenbasis.  Returns (mag, lie, grading),
-    lie being mag.lie or its rebase.
+    each iota triple to the theta-eigenbasis.  Returns (mag, grading) on
+    mag.lie or its rebase.
     """
     (gr, tdeg, ctx), (grp, tdegp, ctxp) = left, right
     G, Gp = gr.group, grp.group
@@ -1012,7 +1015,7 @@ def graded_magic(left, right, ternary: bool, name: str, grading_name: str):
         lie = rebase_blockwise(lie, _iota_cycles(mag),
                                [deg[-1] for deg in degrees],
                                name="%s:%s" % (lie.name, grading_name))
-    return mag, lie, Grading(lie, group, tuple(degrees), name=grading_name)
+    return mag, Grading(lie, group, tuple(degrees), name=grading_name)
 
 
 def graded_albert(S: Algebra, gr: Grading, ternary: bool, grading_name: str):
@@ -1040,58 +1043,50 @@ def _iota_cycles(mag: MagicAlgebra):
             for a in range(mag.S.dim) for b in range(mag.Sp.dim)]
 
 
-def albert_z2_5(lams=(1, 1, 1)):
-    """Z2^5 grading of the Albert algebra of a Z2^3-graded para-Cayley."""
-    return graded_albert(*graded_para_cayley(lams), False, "z2^5")
+# name -> (left side, or None for the Albert algebra of the right side; right
+# side; ternary; Lie algebra name, "{}" standing for the right side's name;
+# grading name).  A side builds (S, its grading, or None for the trivial one)
+# at its default parameters.  A new induced grading is one row here.
+INDUCED = {
+    "albert_z2_5": (None, graded_para_cayley, False, None, "z2^5"),
+    "albert_z3_3": (None, graded_okubo, True, None, "z3^3"),
+    "f4_z2_5": (lambda: (compose.s1(), None), graded_para_cayley, False,
+                "f4({})", "z2^5"),
+    "f4_z3_3": (lambda: (compose.s1(), None), graded_okubo, True, "f4({})", "z3^3"),
+    "e6_z3_3": (lambda: (compose.s2(), None), graded_okubo, True, "e6", "z3^3"),
+    "e8_z2_8": (graded_para_cayley, graded_para_cayley, False, "e8", "z2^8"),
+    "e8_z3_5": (graded_okubo, graded_okubo, True, "e8w", "z3^5"),
+}
 
 
-def albert_z3_3(params=(1, 1)):
-    """Z3^3 grading of the Albert algebra of a Z3^2-graded Okubo algebra,
-    with the table it grades."""
-    gr = graded_albert(*graded_okubo(params), True, "z3^3")[1]
-    return gr.algebra, gr
+def induced(name: str):
+    """Build the INDUCED row `name` as (MagicAlgebra or AlbertAlgebra,
+    grading), grading.algebra being the graded table: the Lie or Jordan
+    algebra, or its theta-eigenbasis rebase.  Two equal sides share one
+    graded_side, so one TriContext."""
+    left, right, ternary, lie_name, grading_name = INDUCED[name]
+    if left is None:
+        return graded_albert(*right(), ternary, grading_name)
+    side = graded_side(*left(), ternary)
+    other = side if right is left else graded_side(*right(), ternary)
+    return graded_magic(side, other, ternary,
+                        lie_name.format(other[0].algebra.name), grading_name)
 
 
-def f4_z2_5(lams=(1, 1, 1)):
-    """Z2^5 grading of g(k, para-Cayley) from a Z2^3-graded para-Cayley."""
-    PC, gr = graded_para_cayley(lams)
-    mag, _, grading = graded_magic(graded_side(compose.s1()), graded_side(PC, gr),
-                                   False, "f4(%s)" % PC.name, "z2^5")
-    return mag, grading
+def e8_z2_8():
+    """induced("e8_z2_8"): Z2^8 grading of g(S, S'), S = S' para-Cayley."""
+    return induced("e8_z2_8")
 
 
-def f4_z3_3(params=(1, 1)):
-    """Z3^3 Jordan grading of g(k, Okubo) of type (0,26)."""
-    O, gr = graded_okubo(params)
-    return graded_magic(graded_side(compose.s1(), ternary=True),
-                        graded_side(O, gr, True), True, "f4(%s)" % O.name, "z3^3")
+def e8_z3_5():
+    """induced("e8_z3_5"): Z3^5 grading of g(O, O'), O = O' Okubo."""
+    return induced("e8_z3_5")
 
 
-def e6_z3_3(xi=1, params=(1, 1)):
-    """Z3^3 Jordan grading of g(S2, Okubo) of type (0,0,26)."""
-    return graded_magic(graded_side(compose.s2(xi), ternary=True),
-                        graded_side(*graded_okubo(params), True), True, "e6", "z3^3")
-
-
-def e8_z2_8(lams=(1, 1, 1), lams2=(1, 1, 1)):
-    """Z2^8 grading of g(S, S') for two Z2^3-graded para-Cayley algebras."""
-    side = graded_side(*graded_para_cayley(lams))
-    other = side if lams2 == lams else graded_side(*graded_para_cayley(lams2))
-    mag, _, gr = graded_magic(side, other, False, "e8", "z2^8")
-    return mag, gr
-
-
-def e8_dempwolff(mag: MagicAlgebra, gr8: Grading):
+def e8_dempwolff(gr8: Grading):
     """Coarsen the Z2^8 grading along (mu, nu, gamma) -> (mu + nu, gamma)."""
     e = [tuple(int(j == i) for j in range(5)) for i in range(5)]
     hom = GroupHom(Z2_8, Z2_5, tuple(e[:3] * 2 + e[3:]))
     gr5 = coarsen(gr8, hom)
     gr5.name = "dempwolff"
     return gr5
-
-
-def e8_z3_5(params=(1, 1), params2=(1, 1)):
-    """Z3^5 grading of g(O, O') for two Z3^2-graded Okubo algebras."""
-    side = graded_side(*graded_okubo(params), True)
-    other = side if params2 == params else graded_side(*graded_okubo(params2), True)
-    return graded_magic(side, other, True, "e8w", "z3^5")

@@ -417,30 +417,21 @@ def scenario_type_tuples(seed=DEFAULT_SEED) -> Report:
     cl.check_true("g2-z2^3-verifies", verify_grading(grG2).passed)
     cl.check("g2-z2^3-type", grading_type(grG2), (0, 7),
              "Cartan-free grading of the derivation algebra of the octonions")
-    A, grA = magic.albert_z2_5()
-    cl.check_true("albert-z2^5-verifies", verify_grading(grA).passed)
-    cl.check("albert-z2^5-type", grading_type(grA), (24, 0, 1),
-             "fine grading of the Albert algebra, binary case")
-    J2, grJ = magic.albert_z3_3()
-    cl.check_true("albert-z3^3-verifies", verify_grading(grJ).passed)
-    cl.check("albert-z3^3-type", grading_type(grJ), (27,),
-             "fine grading of the Albert algebra, ternary case")
-    mag4, gr4 = magic.f4_z2_5()
-    cl.check_true("f4-z2^5-verifies", verify_grading(gr4).passed)
-    cl.check("f4-z2^5-type", grading_type(gr4), (24, 0, 0, 7),
-             "fine grading of the 52-dimensional exceptional algebra, binary case")
-    _, lie3, gr3 = magic.f4_z3_3()
-    cl.check_true("f4-z3^3-verifies", verify_grading(gr3).passed)
-    cl.check("f4-z3^3-type", grading_type(gr3), (0, 26),
-             "fine grading of the 52-dimensional exceptional algebra, ternary case")
-    mag8, gr8 = e8_pair()
-    cl.check_true("e8-z2^8-verifies", verify_grading(gr8).passed)
-    cl.check("e8-z2^8-type", grading_type(gr8), (192, 0, 0, 14),
-             "fine grading of the 248-dimensional exceptional algebra, binary case")
-    _, liew, grw = magic.e8_z3_5()
-    cl.check_true("e8-z3^5-verifies", verify_grading(grw).passed)
-    cl.check("e8-z3^5-type", grading_type(grw), (240, 0, 0, 2),
-             "fine grading of the 248-dimensional exceptional algebra, ternary case")
+    # the six induced rows, e8 through its named builders, z2^8 from the cache
+    build = {"e8_z2_8": e8_pair, "e8_z3_5": magic.e8_z3_5}
+    for name, want, what in (
+            ("albert_z2_5", (24, 0, 1), "the Albert algebra"),
+            ("albert_z3_3", (27,), "the Albert algebra"),
+            ("f4_z2_5", (24, 0, 0, 7), "the 52-dimensional exceptional algebra"),
+            ("f4_z3_3", (0, 26), "the 52-dimensional exceptional algebra"),
+            ("e8_z2_8", (192, 0, 0, 14), "the 248-dimensional exceptional algebra"),
+            ("e8_z3_5", (240, 0, 0, 2), "the 248-dimensional exceptional algebra")):
+        _, _, ternary, _, grading_name = magic.INDUCED[name]
+        _, gr = build[name]() if name in build else magic.induced(name)
+        cid = "%s-%s" % (name.split("_")[0], grading_name)
+        cl.check_true(cid + "-verifies", verify_grading(gr).passed)
+        cl.check(cid + "-type", grading_type(gr), want, "fine grading of %s, %s case"
+                 % (what, "ternary" if ternary else "binary"))
     return cl.report()
 
 
@@ -483,21 +474,20 @@ def scenario_toral_operator(seed=DEFAULT_SEED) -> Report:
 
 def scenario_jordan_gradings(seed=DEFAULT_SEED) -> Report:
     cl = Claims("jordan-gradings")
-    _, lie3, gr3 = magic.f4_z3_3()
-    rep = magic.jordan_grading_check(lie3, gr3, cartan_mode="pairs")
+    _, gr3 = magic.induced("f4_z3_3")
+    rep = magic.jordan_grading_check(gr3.algebra, gr3, cartan_mode="pairs")
     cl.check_true("f4-z3^3-jordan", rep.passed, got=rep.details)
     cl.check("f4-z3^3-components",
              (rep.details.get("components"), rep.details.get("component_dim")),
              (26, 2), "ternary Jordan grading of the 52-dimensional algebra")
-    _, lieE6, grE6 = magic.e6_z3_3()
-    rep = magic.jordan_grading_check(lieE6, grE6, cartan_mode="pairs")
+    _, grE6 = magic.induced("e6_z3_3")
+    rep = magic.jordan_grading_check(grE6.algebra, grE6, cartan_mode="pairs")
     cl.check_true("e6-z3^3-jordan", rep.passed, got=rep.details)
     cl.check("e6-z3^3-components",
              (rep.details.get("components"), rep.details.get("component_dim")),
              (26, 3), "ternary Jordan grading of the 78-dimensional algebra")
-    mag8, gr8 = e8_pair()
-    gr5 = magic.e8_dempwolff(mag8, gr8)
-    rep = magic.jordan_grading_check(mag8.lie, gr5, cartan_mode="components")
+    gr5 = magic.e8_dempwolff(e8_pair()[1])
+    rep = magic.jordan_grading_check(gr5.algebra, gr5, cartan_mode="components")
     cl.check_true("e8-dempwolff-jordan", rep.passed, got=rep.details)
     cl.check("e8-dempwolff-components",
              (rep.details.get("components"), rep.details.get("component_dim")),
@@ -561,10 +551,9 @@ def scenario_table2_symmetric(seed=DEFAULT_SEED) -> Report:
 
 def scenario_e8_dempwolff(seed=DEFAULT_SEED) -> Report:
     cl = Claims("e8-dempwolff")
-    mag8, gr8 = e8_pair()
-    gr5 = magic.e8_dempwolff(mag8, gr8)
+    gr5 = magic.e8_dempwolff(e8_pair()[1])
     cl.check_true("coarsening-verifies", verify_grading(gr5).passed)
-    rep = magic.jordan_grading_check(mag8.lie, gr5, cartan_mode="components")
+    rep = magic.jordan_grading_check(gr5.algebra, gr5, cartan_mode="components")
     cl.check_true("all-components-cartan", rep.passed, got=rep.details)
     cl.check("component-count", rep.details.get("components"), 31)
     cl.check("component-dim", rep.details.get("component_dim"), 8)

@@ -7,7 +7,8 @@ import time
 import pytest
 
 import forge
-from forge.cli import main
+from forge import magic
+from forge.cli import main, make_parser
 
 
 def test_list(capsys):
@@ -346,6 +347,31 @@ def test_magic_grade_dempwolff_check_cartan(capsys):
     jordan = [r for r in payload if r["name"] == "jordan-grading(e8)"]
     assert jordan[0]["passed"]
     assert jordan[0]["details"] == {"components": 31, "component_dim": 8}
+
+
+@pytest.mark.parametrize("grade, dim, want", [("f4_z2_5", 52, [24, 0, 0, 7]),
+                                             ("f4_z3_3", 52, [0, 26]),
+                                             ("e6_z3_3", 78, [0, 0, 26])])
+def test_magic_grade_builds_every_lie_row(grade, dim, want, capsys):
+    assert main(["magic", "--grade", grade, "--json"]) == 0
+    dimension, verified, gtype = json.loads(capsys.readouterr().out)
+    assert dimension["details"]["dim"] == dim
+    assert verified["name"].startswith("grading(") and verified["passed"]
+    assert gtype["details"]["type"] == want
+
+
+def test_list_names_every_magic_grade(capsys):
+    assert main(["list"]) == 0
+    out = capsys.readouterr().out
+    names = out.split("induced gradings (forge magic --grade):\n  ")[1]
+    names = names.splitlines()[0].split(", ")
+    lie_rows = [n for n, row in magic.INDUCED.items() if row[0] is not None]
+    assert names == lie_rows + ["z2_8", "z3_5", "dempwolff"]
+    parser = make_parser()
+    for name in names:
+        assert parser.parse_args(["magic", "--grade", name]).grade == name
+    with pytest.raises(SystemExit):
+        parser.parse_args(["magic", "--grade", "albert_z2_5"])
 
 
 def test_build_nested_albert(capsys):

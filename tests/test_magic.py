@@ -195,7 +195,7 @@ def test_adjoint_minimal_polynomial_non_integral_coordinates():
 def test_is_toral_names_a_planted_nilpotent_element():
     mag8, gr8 = e8_pair()
     L = mag8.lie
-    comp = magic.e8_dempwolff(mag8, gr8).components()[(0, 1, 0, 0, 0)]
+    comp = magic.e8_dempwolff(gr8).components()[(0, 1, 0, 0, 0)]
     h = [L.basis_element(k) for k in comp]
     assert magic.is_toral(L, h).passed
     # iota_2((x1 + x3) x y7) is nilpotent: x1 + x3 is isotropic
@@ -214,7 +214,8 @@ def test_is_toral_names_a_planted_nilpotent_element():
 
 
 def test_is_toral_examples():
-    mag, lie, gr = magic.f4_z3_3()
+    _, gr = magic.induced("f4_z3_3")
+    lie = gr.algebra
     comps = gr.components()
     # the (0,0,j) components span the natural Cartan subalgebra
     h = [lie.basis_element(i) for i in comps[(0, 0, 1)] + comps[(0, 0, 2)]]
@@ -245,7 +246,8 @@ def test_is_cartan_certifies_a_non_regular_basis_by_the_centralizer_rank():
     # a basis of the f4 Cartan subalgebra whose sum h_0 + 1009 h_1 + ... is
     # the non-regular e_0 + e_2 (ad rank 40); the centralizer rank needs no
     # regular element and proves N(h) = h in one step
-    _, lie, gr = magic.f4_z3_3()
+    _, gr = magic.induced("f4_z3_3")
+    lie = gr.algebra
     comps = gr.components()
     e = [lie.basis_element(i) for i in comps[(0, 0, 1)] + comps[(0, 0, 2)]]
     h = [e[0] - e[1] - e[3]]
@@ -259,7 +261,8 @@ def test_is_cartan_certifies_a_non_regular_basis_by_the_centralizer_rank():
 def test_squarefree_certificate_of_a_degree_49_minimal_polynomial(monkeypatch):
     # the non-regular element above, h_0 - 1009 e_1 - 1009^2 e_2 - 1009^3 e_3:
     # coefficients of up to 417 digits, on which the exact Euclid is slow
-    _, lie, gr = magic.f4_z3_3()
+    _, gr = magic.induced("f4_z3_3")
+    lie = gr.algebra
     comps = gr.components()
     e = [lie.basis_element(i) for i in comps[(0, 0, 1)] + comps[(0, 0, 2)]]
     x = e[0] - e[1] - e[3]
@@ -281,7 +284,7 @@ def test_is_cartan_names_the_normalizer_of_a_dempwolff_component_minus_one():
     # but their normalizer is the whole 8-dimensional component
     mag8, gr8 = e8_pair()
     L = mag8.lie
-    comps = magic.e8_dempwolff(mag8, gr8).components()
+    comps = magic.e8_dempwolff(gr8).components()
     h = [L.basis_element(i) for i in comps[(0, 1, 0, 0, 0)]]
     assert magic.is_cartan(L, h).passed
     for drop in range(8):
@@ -293,7 +296,8 @@ def test_is_cartan_names_the_normalizer_of_a_dempwolff_component_minus_one():
 
 def test_jordan_grading_check_names_a_component_that_is_not_cartan():
     # the f4 Z3^3 grading is Jordan by pairs g_mu + g_-mu, not by components
-    _, lie, gr = magic.f4_z3_3()
+    _, gr = magic.induced("f4_z3_3")
+    lie = gr.algebra
     rep = magic.jordan_grading_check(lie, gr, cartan_mode="components")
     assert not rep.passed
     assert rep.details == {"stage": "component cartan",
@@ -341,7 +345,9 @@ def _theta_rebase_inputs():
     """(L, cycles, exponents) of theta-refined tables the rebase accepts:
     two Z3^3-graded f4 algebras on the iota basis, and an Albert algebra."""
     for params in ((1, 1), (2, 3)):
-        mag, _, gr = magic.f4_z3_3(params)
+        mag, gr = magic.graded_magic(
+            magic.graded_side(compose.s1(), ternary=True),
+            magic.graded_side(*magic.graded_okubo(params), True), True, "f4", "z3^3")
         yield mag.lie, magic._iota_cycles(mag), [deg[-1] for deg in gr.degrees]
     A = magic.albert(okubo11())
     cycles = [(0, 1, 2)] + [tuple(A.iota_index(i, a) for i in range(3))
@@ -406,7 +412,8 @@ def test_rebase_blockwise_rejects_a_table_neither_symmetric_nor_antisymmetric():
 
 
 def test_e6_dimension_and_types():
-    mag, lie, gr = magic.e6_z3_3()
+    _, gr = magic.induced("e6_z3_3")
+    lie = gr.algebra
     assert lie.dim == 78
     assert verify_grading(gr).passed
     assert grading_type(gr) == (0, 0, 26)
@@ -426,10 +433,10 @@ def test_graded_tri_zero_component_empty():
                          ids=["S2(1),S2(2)", "k,para-split-cayley"])
 def test_graded_magic_of_trivial_sides_is_the_z2x2_grading(build):
     S, Sp = build()
-    mag, lie, gr = magic.graded_magic(magic.graded_side(S), magic.graded_side(Sp),
-                                      False, "g", "z2^2")
+    mag, gr = magic.graded_magic(magic.graded_side(S), magic.graded_side(Sp),
+                                 False, "g", "z2^2")
     want = magic.magic_g(S, Sp).z22
-    assert lie is mag.lie
+    assert gr.algebra is mag.lie
     assert gr.group == want.group
     assert gr.degrees == want.degrees
 
@@ -569,7 +576,10 @@ def test_lie_automorphism_names_a_doubled_column():
 
 
 def test_f4_z3_3_generic_parameters():
-    _, lie, gr = magic.f4_z3_3((2, 3))
+    _, gr = magic.graded_magic(magic.graded_side(compose.s1(), ternary=True),
+                               magic.graded_side(*magic.graded_okubo((2, 3)), True),
+                               True, "f4", "z3^3")
+    lie = gr.algebra
     assert lie.dim == 52
     assert verify_grading(gr).passed
     assert grading_type(gr) == (0, 26)
@@ -762,7 +772,8 @@ def test_theta_eigenvalue_grading_by_coarsening():
     # the eigenspaces of the order-3 automorphism grade the algebra over Z3;
     # they appear as the theta coordinate of the ternary fine grading
     from forge.grading import AbelianGroup, GroupHom, coarsen
-    _, lie, gr = magic.f4_z3_3()
+    _, gr = magic.induced("f4_z3_3")
+    lie = gr.algebra
     tgt = AbelianGroup(0, (3,))
     hom = GroupHom(gr.group, tgt, ((0,), (0,), (1,)))
     grj = coarsen(gr, hom)
