@@ -773,7 +773,6 @@ def test_theta_eigenvalue_grading_by_coarsening():
     # they appear as the theta coordinate of the ternary fine grading
     from forge.grading import AbelianGroup, GroupHom, coarsen
     _, gr = magic.induced("f4_z3_3")
-    lie = gr.algebra
     tgt = AbelianGroup(0, (3,))
     hom = GroupHom(gr.group, tgt, ((0,), (0,), (1,)))
     grj = coarsen(gr, hom)
