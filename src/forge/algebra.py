@@ -630,14 +630,15 @@ def position_index(d: int, positions=None, offset: int = 0) -> dict:
     return {p: offset + k for k, p in enumerate(positions)}
 
 
-def kernel_matrix(vec: dict, index: dict, d: int) -> Matrix:
-    """The d x d matrix holding vec[index[(r, c)]] at each indexed position."""
-    m = Matrix.zero(d, d)
+def kernel_columns(vec: dict, index: dict, d: int):
+    """The sparse columns of the d x d map holding vec[index[(r, c)]] at each
+    indexed position: cols[c] = {r: entry (r, c)}."""
+    cols = [{} for _ in range(d)]
     for (r, c), k in index.items():
         v = vec.get(k)
         if v is not None:
-            m.data[r][c] = v
-    return m
+            cols[c][r] = v
+    return cols
 
 
 def _unknowns_by_column(index: dict, d: int):
@@ -706,19 +707,19 @@ def skew_rows(A: Algebra, index: dict):
 
 
 def derivation_algebra(A: Algebra):
-    """Exact basis of {d : d(xy) = d(x)y + x d(y)} as matrices."""
+    """Exact basis of {d : d(xy) = d(x)y + x d(y)}, each as sparse columns."""
     index = position_index(A.dim)
     kern = sparse_kernel(leibniz_rows(A, index), A.dim ** 2)
-    return [kernel_matrix(v, index, A.dim) for v in kern]
+    return [kernel_columns(v, index, A.dim) for v in kern]
 
 
 def orthogonal_algebra(A: Algebra):
-    """Exact basis of the norm-skew maps o(A, n)."""
+    """Exact basis of the norm-skew maps o(A, n), each as sparse columns."""
     if A.polar is None:
         raise MissingForm("orthogonal algebra needs a polar form")
     index = position_index(A.dim)
     kern = sparse_kernel(skew_rows(A, index), A.dim ** 2)
-    return [kernel_matrix(v, index, A.dim) for v in kern]
+    return [kernel_columns(v, index, A.dim) for v in kern]
 
 
 def multiplicative_failure(A: Algebra, B: Algebra, cols, anticommutative=False):
@@ -738,8 +739,9 @@ def multiplicative_failure(A: Algebra, B: Algebra, cols, anticommutative=False):
 _W = ((1, 0), (0, 1), (-1, -1))  # w^0, w^1, w^2 as integer pairs
 
 
-def rebase_blockwise(L: Algebra, cycles, exponents, name: str = None) -> Algebra:
-    """L on the theta-eigenbasis of the index triples that theta cycles.
+def rebase_blockwise(L: Algebra, cycles, exponents) -> Algebra:
+    """L, under its own name, on the theta-eigenbasis of the index triples
+    that theta cycles.
 
     theta e_{c_r} = e_{c_{r+1}} on each cycle (c0, c1, c2), and theta e_k =
     w^exponents[k] e_k off the cycles.  The new vector at c_j is
@@ -835,7 +837,7 @@ def rebase_blockwise(L: Algebra, cycles, exponents, name: str = None) -> Algebra
                                for k, (p, q) in split[mu].items() if p or q}
                         if out:
                             products[(row, col)] = out
-    return Algebra(d, name or (L.name + ":rebased"), products, labels=None)
+    return Algebra(d, L.name, products, labels=None)
 
 
 def subalgebra_generated(A: Algebra, gens):
@@ -888,22 +890,12 @@ def find_unity(A: Algebra):
     return e
 
 
-def operator_matrix(A: Algebra, kind: str, x: Element) -> Matrix:
-    """Matrix of left/right multiplication or ad by x on the basis."""
-    d = A.dim
-    m = Matrix.zero(d, d)
+def left_columns(A: Algebra, x: Element):
+    """The columns x e_j of left multiplication by x, one sparse dict per
+    basis vector e_j; for x = e_i, the table's own rows, which callers only
+    read.  On a Lie algebra these are the columns [x, e_j] of ad_x."""
     xs = x.sparse()
-    for j in range(d):
-        ej = {j: ONE}
-        if kind == "left":
-            out = A.multiply_sparse(xs, ej)
-        elif kind == "right":
-            out = A.multiply_sparse(ej, xs)
-        elif kind == "ad":
-            out = A.multiply_sparse(xs, ej)
-            vec_add_scaled(out, Scalar(-1), A.multiply_sparse(ej, xs))
-        else:
-            raise ValueError(kind)
-        for r, c in out.items():
-            m.data[r][j] = c
-    return m
+    if list(xs.values()) == [ONE]:
+        (i,) = xs
+        return [A.product(i, j) for j in range(A.dim)]
+    return [A.multiply_sparse(xs, {j: ONE}) for j in range(A.dim)]

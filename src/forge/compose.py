@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exact import MINUS_ONE, OMEGA, OMEGA2, ONE, TWO, ZERO, Scalar, sc
-from .algebra import (Algebra, Element, MissingForm, find_unity,
-                      multiplicative_failure, operator_matrix, verify_composition)
+from .algebra import (Algebra, Element, MissingForm, find_unity, left_columns,
+                      multiplicative_failure, verify_composition)
 from .linalg import Matrix, inverse, nullspace, rank
 
 
@@ -342,10 +342,9 @@ def okubo_from_quaternion(beta, alpha) -> Algebra:
     tau = Matrix.zero(8, 8)
     for i in range(4):
         tau.data[i][i] = ONE
-    lw = operator_matrix(Q, "left", w)
-    for i in range(4):
-        for j in range(4):
-            tau.data[4 + i][4 + j] = lw.data[i][j]
+    for j, col in enumerate(left_columns(Q, w)):
+        for i, v in col.items():
+            tau.data[4 + i][4 + j] = v
     S = petersson(C, tau)
     S.name = "okubo-quat(%s,%s)" % (b, a)
     return S

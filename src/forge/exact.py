@@ -44,10 +44,6 @@ class Scalar:
     # ---- constructors -------------------------------------------------
 
     @staticmethod
-    def rational(num: int, den: int = 1) -> "Scalar":
-        return Scalar(num, 0, den)
-
-    @staticmethod
     def from_fractions(a: Fraction, b: Fraction = Fraction(0)) -> "Scalar":
         d = a.denominator * b.denominator // gcd(a.denominator, b.denominator)
         return Scalar(a.numerator * (d // a.denominator),

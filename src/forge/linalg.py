@@ -1,7 +1,12 @@
 """Exact linear algebra over Q(w), plus one Smith normal form over Z.
 
-Dense matrices are lists of Scalar rows.  All elimination over Q(w) goes
-through SparseEchelon (dict-of-column sparse rows): rref, rank, nullspace,
+A linear map is a list of sparse columns, cols[j] = {r: entry}: column_apply
+makes the sparse apply that minimal_polynomial_op takes, and eigenspace reads
+ker(M - ev I) off the rows.  Dense Matrix (lists of Scalar rows) remains where
+a whole small matrix is the object: polar forms, compose's 8 x 8
+automorphisms and recognition, the rref/solve/inverse/nullspace/rank API, and
+the tests' dense references.  All elimination over Q(w) goes through
+SparseEchelon (dict-of-column sparse rows): rref, rank, nullspace,
 solve and inverse read one off a matrix's rows, and SpanCoords and the Krylov
 annihilator carry tag columns through one.  sparse_kernel feeds a row stream
 into one and reads the kernel off its back-substituted rows; it stops reading
@@ -99,11 +104,6 @@ class Matrix:
                     vec_add_scaled(acc, a, orow)
             out.append([acc.get(c, ZERO) for c in cols])
         return Matrix(out)
-
-    def flat(self) -> dict:
-        """Nonzero entries as a sparse vector, (r, c) keyed r*cols + c."""
-        return {r * self.cols + c: v for r, row in enumerate(self.data)
-                for c, v in enumerate(row) if v.p or v.q}
 
     def sparse_cols(self):
         """The columns as sparse dicts {row: entry}."""
@@ -363,6 +363,19 @@ def column_apply(cols):
             vec_add_scaled(out, c, cols[j])
         return out
     return apply_fn
+
+
+def eigenspace(cols, ev):
+    """Sparse basis of ker(M - ev I), M the square map with the sparse
+    columns cols: the reduced-echelon kernel of the rows of M - ev I, one
+    vector per free column."""
+    rows = [{} for _ in cols]
+    for j, col in enumerate(cols):
+        for r, v in col.items():
+            rows[r][j] = v
+    for r, row in enumerate(rows):
+        vec_add_scaled(row, -ev, {r: ONE})
+    return sparse_kernel(rows, len(cols))
 
 
 def minimal_polynomial_op(apply_fn, dim: int) -> Polynomial:

@@ -9,7 +9,9 @@ toral/Cartan and Jordan-grading certificates.
 A triality triple (d0, d1, d2) of d x d maps is one sparse dict: entry
 (r, c) of d_i sits at key i*d*d + r*d + c, and theta (d0, d1, d2) ->
 (d2, d0, d1) is the key rotation k -> k + d*d mod 3*d*d.  Triples are
-built, bracketed and solved for in that form; only matrix(i) is dense.
+built, bracketed and solved for in that form.  Every other linear map here
+(columns(i) of a triple, theta, D_i(a), the images of phi, ad_x) is a list
+of sparse columns, cols[j] = {r: entry}, as linalg.column_apply takes it.
 
 tri(S), Der(S) and o(S, n) are exact kernels of the rows that
 algebra.leibniz_rows and algebra.skew_rows build.  Adjoint minimal
@@ -42,16 +44,16 @@ from dataclasses import dataclass, field
 
 from . import compose
 from .algebra import (Algebra, Element, IncompatibleInputs, _pair_mul,
-                      generating_set, integer_table, kernel_matrix,
-                      leibniz_rows, multiplicative_failure, operator_matrix,
+                      generating_set, integer_table, kernel_columns,
+                      leibniz_rows, left_columns, multiplicative_failure,
                       position_index, rebase_blockwise, skew_rows, verify_lie,
                       verify_symmetric)
 from .exact import MINUS_ONE, ONE, OMEGA, OMEGA2, ZERO, HALF, Polynomial, sc
 from .grading import (AbelianGroup, Grading, GroupHom, cayley_grading, coarsen,
                       okubo_grading, verify_grading)
-from .linalg import (DependentVectors, Matrix, SpanCoords, SparseEchelon,
-                     column_apply, minimal_polynomial_op, nullspace,
-                     sparse_kernel, vec_add_scaled)
+from .linalg import (DependentVectors, SpanCoords, SparseEchelon, column_apply,
+                     eigenspace, minimal_polynomial_op, sparse_kernel,
+                     vec_add_scaled)
 # not called here; perfbench's tests patch the name magic.rank_mod_p
 from .linalg import rank_mod_p  # noqa: F401
 from .report import Report
@@ -81,14 +83,14 @@ class TriElement:
     d: int
     entries: dict
 
-    def matrix(self, i: int) -> Matrix:
-        """d_i as a dense matrix."""
+    def columns(self, i: int):
+        """d_i as sparse columns: cols[c] = {r: entry (r, c)}."""
         d = self.d
-        m = Matrix.zero(d, d)
+        cols = [{} for _ in range(d)]
         for k, v in self.entries.items():
             if k // (d * d) == i:
-                m.data[k // d % d][k % d] = v
-        return m
+                cols[k % d][k // d % d] = v
+        return cols
 
     def theta(self, power: int = 1) -> "TriElement":
         dd = self.d * self.d
@@ -183,12 +185,9 @@ class TriContext:
     def coords_sparse(self, t: TriElement) -> dict:
         return {i: c for i, c in enumerate(self.coords(t)) if c.p or c.q}
 
-    def theta_matrix(self) -> Matrix:
-        m = Matrix.zero(self.n, self.n)
-        for j, t in enumerate(self.basis):
-            for r, c in enumerate(self.coords(t.theta())):
-                m.data[r][j] = c
-        return m
+    def theta_columns(self):
+        """theta on the basis: column j holds the coordinates of theta(t_j)."""
+        return [self.coords_sparse(t.theta()) for t in self.basis]
 
 
 def tri_spans_by_pairs(ctx: TriContext) -> bool:
@@ -447,40 +446,30 @@ def magic_g(S: Algebra, Sp: Algebra, tri_s: TriContext = None,
     return mag
 
 
-def theta_matrix(mag: MagicAlgebra) -> Matrix:
+def theta_columns(mag: MagicAlgebra):
     """The order-3 automorphism of g(S,S'): theta on the tri parts, and
     iota_i -> iota_{i+1} on the tensor parts."""
-    n = mag.lie.dim
-    m = Matrix.zero(n, n)
-    for off, ctx in ((0, mag.tri_s), (mag.nt, mag.tri_sp)):
-        for r, row in enumerate(ctx.theta_matrix().data):
-            for c, v in enumerate(row):
-                m.data[off + r][off + c] = v
+    cols = [{off + r: c for r, c in col.items()}
+            for off, ctx in ((0, mag.tri_s), (mag.nt, mag.tri_sp))
+            for col in ctx.theta_columns()]
     d, dp = mag.S.dim, mag.Sp.dim
-    for i in range(3):
-        for a in range(d):
-            for b in range(dp):
-                m.data[mag.iota_index((i + 1) % 3, a, b)][mag.iota_index(i, a, b)] = ONE
-    return m
+    cols += [{mag.iota_index((i + 1) % 3, a, b): ONE}
+             for i in range(3) for a in range(d) for b in range(dp)]
+    return cols
 
 
-def is_lie_automorphism(L: Algebra, m: Matrix) -> Report:
-    """[m(x), m(y)] = m([x, y]) on all basis pairs."""
-    bad = multiplicative_failure(L, L, m.sparse_cols(), anticommutative=True)
+def is_lie_automorphism(L: Algebra, cols) -> Report:
+    """[m(x), m(y)] = m([x, y]) on all basis pairs, m given by its columns."""
+    bad = multiplicative_failure(L, L, cols, anticommutative=True)
     if bad is not None:
         return Report("automorphism(%s)" % L.name, False, witness=bad)
     return Report("automorphism(%s)" % L.name, True)
 
 
-def _eigenspace(m: Matrix, ev):
-    """Exact basis of ker(m - ev*I), as dense vectors."""
-    return nullspace(m - Matrix.identity(m.rows).scale(ev))
-
-
 def theta_eigenspace_dims(mag: MagicAlgebra):
     """Dimensions of the eigenspaces of the order-3 automorphism for 1, w, w^2."""
-    m = theta_matrix(mag)
-    return tuple(len(_eigenspace(m, ev)) for ev in (ONE, OMEGA, OMEGA2))
+    cols = theta_columns(mag)
+    return tuple(len(eigenspace(cols, ev)) for ev in (ONE, OMEGA, OMEGA2))
 
 
 # =========================================================================
@@ -551,59 +540,49 @@ def albert(S: Algebra) -> AlbertAlgebra:
     return AlbertAlgebra(jordan, S)
 
 
-def d_i_derivation(A: AlbertAlgebra, i: int, a: Element) -> Matrix:
-    """D_i(a) = 2 [L_{iota_i(a)}, L_{e_{i+1}}] acting on the Jordan algebra."""
+def d_i_derivation(A: AlbertAlgebra, i: int, a: Element):
+    """D_i(a) = [L_{2 iota_i(a)}, L_{e_{i+1}}] on the Jordan algebra, as
+    sparse columns."""
     J = A.jordan
     coords = [ZERO] * J.dim
-    for k, c in enumerate(a.coords):
-        coords[A.iota_index(i, k)] = c
-    li = operator_matrix(J, "left", J.element(coords))
-    le = operator_matrix(J, "left", J.basis_element((i + 1) % 3))
-    return li.commutator(le).scale(sc(2))
+    for k, c in a.sparse().items():
+        coords[A.iota_index(i, k)] = sc(2) * c
+    return _commutator_cols(left_columns(J, J.element(coords)),
+                            left_columns(J, J.basis_element((i + 1) % 3)))
 
 
 def check_d_i_rules(A: AlbertAlgebra, i: int, a: Element) -> Report:
     """The six action rules for D_i(a), checked on the whole basis."""
-    J, S = A.jordan, A.S
+    S = A.S
     D = d_i_derivation(A, i, a)
     name = "d_i_rules(%s,i=%d)" % (S.name, i)
 
-    def col(j):
-        return [D.data[r][j] for r in range(J.dim)]
+    def emb(i2, vec: Element, c=ONE):
+        return {A.iota_index(i2, k): c * v for k, v in vec.sparse().items()}
 
-    def emb(i2, vec: Element):
-        out = [ZERO] * J.dim
-        for k, c in enumerate(vec.coords):
-            out[A.iota_index(i2, k)] = c
-        return out
-
-    zero = [ZERO] * J.dim
-    ia_half = [c * HALF for c in emb(i, a)]
-    if col(A.diag_index(i)) != zero:
+    if D[A.diag_index(i)]:
         return Report(name, False, witness="e_i")
-    if col(A.diag_index((i + 1) % 3)) != ia_half:
+    if D[A.diag_index((i + 1) % 3)] != emb(i, a, HALF):
         return Report(name, False, witness="e_{i+1}")
-    if col(A.diag_index((i + 2) % 3)) != [-c for c in ia_half]:
+    if D[A.diag_index((i + 2) % 3)] != emb(i, a, -HALF):
         return Report(name, False, witness="e_{i+2}")
     for bidx in range(S.dim):
         b = S.basis_element(bidx)
-        if col(A.iota_index((i + 1) % 3, bidx)) != [-c for c in emb((i + 2) % 3, a * b)]:
+        if D[A.iota_index((i + 1) % 3, bidx)] != emb((i + 2) % 3, a * b, MINUS_ONE):
             return Report(name, False, witness=("iota_{i+1}", bidx))
-        if col(A.iota_index((i + 2) % 3, bidx)) != emb((i + 1) % 3, b * a):
+        if D[A.iota_index((i + 2) % 3, bidx)] != emb((i + 1) % 3, b * a):
             return Report(name, False, witness=("iota_{i+2}", bidx))
-        expected = [ZERO] * J.dim
         n2 = sc(2) * S.polar_pair_sparse(a.sparse(), {bidx: ONE})
-        expected[A.diag_index((i + 1) % 3)] = -n2
-        expected[A.diag_index((i + 2) % 3)] = n2
-        if col(A.iota_index(i, bidx)) != expected:
+        expected = {A.diag_index((i + 1) % 3): -n2,
+                    A.diag_index((i + 2) % 3): n2} if n2.p or n2.q else {}
+        if D[A.iota_index(i, bidx)] != expected:
             return Report(name, False, witness=("iota_i", bidx))
     return Report(name, True)
 
 
-def is_derivation(L: Algebra, m: Matrix) -> bool:
-    """Leibniz rule on all basis pairs."""
+def is_derivation(L: Algebra, cols) -> bool:
+    """Leibniz rule on all basis pairs, the map given by its columns."""
     d = L.dim
-    cols = m.sparse_cols()
     apply_m = column_apply(cols)
     for i in range(d):
         for j in range(d):
@@ -641,13 +620,13 @@ def phi_isomorphism(S: Algebra, mag: MagicAlgebra = None,
     for r in range(g.dim):
         images.append(_phi_image(mag, A, r))
     name = "phi(%s)" % S.name
-    for r, m in enumerate(images):
-        if not is_derivation(J, m):
+    for r, cols in enumerate(images):
+        if not is_derivation(J, cols):
             return Report(name, False, {"stage": "image is a derivation"},
                           witness=r)
     ech = SparseEchelon(nj * nj)
-    for m in images:
-        ech.insert(m.flat())
+    for cols in images:
+        ech.insert(_flat(cols))
     if ech.rank != g.dim:
         return Report(name, False, {"stage": "images independent"},
                       witness=ech.rank)
@@ -661,16 +640,15 @@ def phi_isomorphism(S: Algebra, mag: MagicAlgebra = None,
     if ech.rank < needed:
         return Report(name, False, {"stage": "derivation dimension"},
                       witness=nj * nj - ech.rank)
-    img_cols = [m.sparse_cols() for m in images]
     pairs = [(i, j) for i in range(g.dim) for j in range(i + 1, g.dim)]
     # For g Lie, the x with phi[x, y] = [phi x, phi y] for all y form a
     # subalgebra, so the pairs that contain a generator of g suffice.
     if verify_lie(g).passed:
         gens = set(generating_set(g))
-        if _hom_failure(g, img_cols, [p for p in pairs
-                                      if p[0] in gens or p[1] in gens]) is None:
+        if _hom_failure(g, images, [p for p in pairs
+                                    if p[0] in gens or p[1] in gens]) is None:
             return Report(name, True, {"dim": g.dim})
-    bad = _hom_failure(g, img_cols, pairs)
+    bad = _hom_failure(g, images, pairs)
     if bad is not None:
         return Report(name, False, {"stage": "lie homomorphism"}, witness=bad)
     return Report(name, True, {"dim": g.dim})
@@ -691,6 +669,7 @@ def _hom_failure(g: Algebra, img_cols, pairs):
 
 
 def _commutator_cols(a, b):
+    """The columns of [a, b] = ab - ba, a and b given by their columns."""
     apply_a, apply_b = column_apply(a), column_apply(b)
     out = []
     for ca, cb in zip(a, b):
@@ -700,20 +679,27 @@ def _commutator_cols(a, b):
     return out
 
 
-def _phi_image(mag: MagicAlgebra, A: AlbertAlgebra, r: int) -> Matrix:
-    J, S = A.jordan, A.S
-    nj = J.dim
-    m = Matrix.zero(nj, nj)
+def _flat(cols) -> dict:
+    """The entries of a square map as one sparse vector, (r, c) keyed
+    c * n + r."""
+    n = len(cols)
+    return {c * n + r: v for c, col in enumerate(cols) for r, v in col.items()}
+
+
+def _phi_image(mag: MagicAlgebra, A: AlbertAlgebra, r: int):
+    """The columns of phi(e_r) on the Jordan algebra."""
+    S = A.S
     nt, ntp = mag.nt, mag.ntp
     d = S.dim
     if r < nt:
         raise IncompatibleInputs("tri(k) should be trivial")
     if r < nt + ntp:
+        cols = [{} for _ in range(A.jordan.dim)]
         for k, v in mag.tri_sp.basis[r - nt].entries.items():
             i, rc = divmod(k, d * d)
             rr, cc = divmod(rc, d)
-            m.data[A.iota_index(i, rr)][A.iota_index(i, cc)] = v
-        return m
+            cols[A.iota_index(i, cc)][A.iota_index(i, rr)] = v
+        return cols
     pos = r - nt - ntp
     i, a = divmod(pos, d)
     return d_i_derivation(A, i, S.basis_element(a))
@@ -739,13 +725,12 @@ def graded_tri_basis(S: Algebra, gr: Grading, theta_refine: bool = False):
             degrees += [mu] * len(kern)
             basis += kern
             continue
-        th = TriContext(S, kern).theta_matrix()
+        th = TriContext(S, kern).theta_columns()
         for j, ev in enumerate((ONE, OMEGA, OMEGA2)):
-            for v in _eigenspace(th, ev):
+            for v in eigenspace(th, ev):
                 entries: dict = {}
-                for t, c in zip(kern, v):
-                    if c.p or c.q:
-                        vec_add_scaled(entries, c, t.entries)
+                for k in sorted(v):
+                    vec_add_scaled(entries, v[k], kern[k].entries)
                 degrees.append(mu + (j,))
                 basis.append(TriElement(S.dim, entries))
     return degrees, basis
@@ -763,17 +748,18 @@ def _degree_positions(gr: Grading):
 
 
 def lie_algebra_on_matrices(mats, name: str) -> Algebra:
-    """Lie algebra of a list of matrices under commutator, in that basis."""
+    """Lie algebra of a list of square maps, each as sparse columns, under
+    commutator, in that basis."""
     n = len(mats)
-    d = mats[0].rows
+    d = len(mats[0])
     try:
-        span = SpanCoords([m.flat() for m in mats], d * d)
+        span = SpanCoords([_flat(m) for m in mats], d * d)
     except DependentVectors:
         raise IncompatibleInputs("matrices are dependent")
     products = {}
     for i in range(n):
         for j in range(i + 1, n):
-            coords = span.coords(mats[i].commutator(mats[j]).flat())
+            coords = span.coords(_flat(_commutator_cols(mats[i], mats[j])))
             if coords is None:
                 raise IncompatibleInputs("commutator outside the span")
             vec = {kk: c for kk, c in enumerate(coords) if c.p or c.q}
@@ -787,7 +773,7 @@ def orthogonal_graded(S: Algebra, gr: Grading):
     """o(S, n) on a homogeneous basis, graded over group x Z3 by the
     degree of the map and the theta eigenvalue (local triality transport)."""
     degrees, basis = graded_tri_basis(S, gr, theta_refine=True)
-    mats = [t.matrix(0) for t in basis]
+    mats = [t.columns(0) for t in basis]
     L = lie_algebra_on_matrices(mats, "o(%s)" % S.name)
     group = AbelianGroup(gr.group.free_rank, gr.group.torsion + (3,))
     return L, Grading(L, group, tuple(degrees), name="induced"), basis
@@ -799,7 +785,7 @@ def derivations_graded(S: Algebra, gr: Grading):
     for mu, positions in _degree_positions(gr):
         index = position_index(S.dim, positions)
         for vec in sparse_kernel(leibniz_rows(S, index), len(positions)):
-            mats.append(kernel_matrix(vec, index, S.dim))
+            mats.append(kernel_columns(vec, index, S.dim))
             degrees.append(mu)
     L = lie_algebra_on_matrices(mats, "der(%s)" % S.name)
     return L, Grading(L, gr.group, tuple(degrees), name="induced")
@@ -809,34 +795,23 @@ def derivations_graded(S: Algebra, gr: Grading):
 # adjoint minimal polynomials
 # =========================================================================
 
-def ad_columns(L: Algebra, x: Element):
-    """The columns [x, e_j] of ad_x, one sparse dict per basis vector e_j;
-    for x = e_i, the table's own rows.  Callers (column_apply, the
-    centralizer rank, is_toral) only read them."""
-    xs = x.sparse()
-    if list(xs.values()) == [ONE]:
-        (i,) = xs
-        return [L.product(i, j) for j in range(L.dim)]
-    return [L.multiply_sparse(xs, {j: ONE}) for j in range(L.dim)]
-
-
 def adjoint_minimal_polynomial(L: Algebra, x: Element, cols=None) -> Polynomial:
     """Exact minimal polynomial m of ad_x = [x, -], the left multiplication by x.
 
-    linalg.minimal_polynomial_op gets the columns [x, e_j] (cols, if built
-    already) and returns an lcm f of Krylov-chain annihilators; each divides
-    m, so f | m.  It returns f only once f(ad_x) e_j = 0 is proved exactly
-    for every j, so m | f.
+    linalg.minimal_polynomial_op gets the columns [x, e_j] of left_columns
+    (cols, if built already) and returns an lcm f of Krylov-chain
+    annihilators; each divides m, so f | m.  It returns f only once
+    f(ad_x) e_j = 0 is proved exactly for every j, so m | f.
     """
     if cols is None:
-        cols = ad_columns(L, x)
+        cols = left_columns(L, x)
     return minimal_polynomial_op(column_apply(cols), L.dim)
 
 
 def is_toral(L: Algebra, elements, cols=None) -> Report:
     """Abelian span whose elements have squarefree adjoint minimal polynomials.
 
-    cols, when given, holds ad_columns(L, x) for each element x.
+    cols, when given, holds left_columns(L, x) for each element x.
     """
     from .exact import is_squarefree
     name = "toral(%s)" % L.name
@@ -870,7 +845,7 @@ def is_cartan(L: Algebra, elements) -> Report:
     name = "cartan(%s)" % L.name
     els = list(elements)
     k, d = len(els), L.dim
-    cols = [ad_columns(L, x) for x in els]
+    cols = [left_columns(L, x) for x in els]
     toral = is_toral(L, els, cols)
     if not toral.passed:
         return Report(name, False, {"stage": "toral", "inner": toral.details},
@@ -1013,8 +988,7 @@ def graded_magic(left, right, ternary: bool, name: str, grading_name: str):
     lie = mag.lie
     if ternary:
         lie = rebase_blockwise(lie, _iota_cycles(mag),
-                               [deg[-1] for deg in degrees],
-                               name="%s:%s" % (lie.name, grading_name))
+                               [deg[-1] for deg in degrees])
     return mag, Grading(lie, group, tuple(degrees), name=grading_name)
 
 
@@ -1032,8 +1006,7 @@ def graded_albert(S: Algebra, gr: Grading, ternary: bool, grading_name: str):
     if ternary:
         cycles = [(0, 1, 2)] + [tuple(A.iota_index(i, a) for i in range(3))
                                 for a in range(S.dim)]
-        J = rebase_blockwise(J, cycles, [deg[-1] for deg in degrees],
-                             name="%s:%s" % (J.name, grading_name))
+        J = rebase_blockwise(J, cycles, [deg[-1] for deg in degrees])
     return A, Grading(J, group, tuple(degrees), name=grading_name)
 
 

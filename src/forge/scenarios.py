@@ -14,7 +14,8 @@ from .grading import (CAYLEY_KINDS, DECLARED_GROUPS, OKUBO_KINDS,
                       QUATERNION_KINDS, cayley_grading, grading_type,
                       okubo_grading, quaternion_grading, two_dim_z3_grading,
                       universal_group, verify_grading)
-from .linalg import SparseEchelon, minimal_polynomial, nullspace
+from .linalg import (SparseEchelon, column_apply, eigenspace,
+                     minimal_polynomial_op, vec_add_scaled)
 from .report import Report
 
 DEFAULT_SEED = 271828
@@ -356,7 +357,7 @@ def scenario_magic_dimensions(seed=DEFAULT_SEED) -> Report:
                   "algebra, and Jacobi holds on every triple with a generator",
                   got=rep.details)
     cl.check_true("z2x2-grading-e8", verify_grading(mag8.z22).passed)
-    th = magic.theta_matrix(f4_mag())
+    th = magic.theta_columns(f4_mag())
     cl.check_true("theta-automorphism-f4",
                   magic.is_lie_automorphism(f4_mag().lie, th).passed,
                   "order-3 automorphism of the magic square algebra")
@@ -445,8 +446,11 @@ def scenario_toral_operator(seed=DEFAULT_SEED) -> Report:
     x = O.element([-1, 0, 0, 0, 0, 0, 0, 0])
     y = O.element([0, 0, -1, 0, 0, 0, 0, 0])
     t = magic.t_xy(O, x, y)
-    D = t.matrix(0) + t.matrix(1) + t.matrix(2)
-    mp = minimal_polynomial(D)
+    D = [{} for _ in range(O.dim)]   # d0 + d1 + d2
+    for i in range(3):
+        for acc, col in zip(D, t.columns(i)):
+            vec_add_scaled(acc, ONE, col)
+    mp = minimal_polynomial_op(column_apply(D), O.dim)
     X = Polynomial.x
     closed = (X(3) + Polynomial.constant(1)) * (X(3) - Polynomial.constant(1))
     cl.check("minimal-polynomial", str(mp), str(closed),
@@ -456,11 +460,11 @@ def scenario_toral_operator(seed=DEFAULT_SEED) -> Report:
     cl.check("minimal-polynomial-nonzero-part", str(on_image), str(closed),
              "away from the kernel the operator satisfies the closed form")
     cl.check_true("squarefree", is_squarefree(mp), got=str(mp))
-    kern = nullspace(D)
+    kern = eigenspace(D, ZERO)
     sub = subalgebra_generated(O, [y * x])
     ech = SparseEchelon(8)
     for v in kern:
-        ech.insert({i: c for i, c in enumerate(v) if not c.is_zero()})
+        ech.insert(v)
     same = len(kern) == len(sub) and all(ech.contains(b.sparse()) for b in sub)
     cl.check_true("kernel-is-subalgebra", same,
                   "kernel equals the subalgebra generated by y*x",

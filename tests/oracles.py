@@ -174,11 +174,41 @@ def int_det(rows) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def matrix_in_span(m: Matrix, basis, dim: int) -> bool:
+def _flat(cols, dim: int) -> dict:
+    return {r * dim + c: v for c, col in enumerate(cols) for r, v in col.items()
+            if v.p or v.q}
+
+
+def matrix_in_span(cols, basis, dim: int) -> bool:
+    """Is the dim x dim map with sparse columns cols in the span of basis,
+    a list of such maps?"""
     ech = SparseEchelon(dim * dim)
     for b in basis:
-        ech.insert(b.flat())
-    return ech.contains(m.flat())
+        ech.insert(_flat(b, dim))
+    return ech.contains(_flat(cols, dim))
+
+
+def dense(cols) -> Matrix:
+    """The dense square Matrix of a map given by its sparse columns."""
+    return Matrix([[col.get(r, ZERO) for col in cols] for r in range(len(cols))])
+
+
+def left_matrix(A: Algebra, x: Element) -> Matrix:
+    """Dense matrix of left multiplication by x: column j is x e_j."""
+    cols = [(x * e).coords for e in A.basis()]
+    return Matrix([[col[r] for col in cols] for r in range(A.dim)])
+
+
+def d_i_derivation(A, i: int, a: Element) -> Matrix:
+    """D_i(a) = 2 [L_x, L_e] in dense Matrix arithmetic, x = iota_i(a) and
+    e = E_{i+1} in the Albert algebra A."""
+    J = A.jordan
+    coords = [ZERO] * J.dim
+    for k, c in enumerate(a.coords):
+        coords[A.iota_index(i, k)] = c
+    lx = left_matrix(J, J.element(coords))
+    le = left_matrix(J, J.basis_element((i + 1) % 3))
+    return lx.commutator(le).scale(2)
 
 
 def commutative_center(A: Algebra):

@@ -6,14 +6,14 @@ from hypothesis import given, settings, strategies as st
 from forge import algebra, compose, magic
 from forge.algebra import (Algebra, MixedAlgebras, MissingForm,
                            algebra_from_text, derivation_algebra, find_unity,
-                           operator_matrix, orthogonal_algebra,
+                           left_columns, orthogonal_algebra,
                            subalgebra_generated, verify_composition,
                            verify_jordan, verify_lie, verify_symmetric)
 from forge.exact import MINUS_ONE, OMEGA, ONE, ZERO, Scalar, sc
 from forge.linalg import Matrix, vec_add_scaled
 from forge.scenarios import e8_pair, okubo11, para_split, split_cayley
 import oracles
-from oracles import (clear_denominators, commutative_center,
+from oracles import (clear_denominators, commutative_center, dense,
                      first_jacobi_failure, matrix_in_span)
 
 
@@ -154,7 +154,8 @@ def test_derivations_closed_and_skew():
     S = para_split()
     ders = derivation_algebra(S)
     skews = orthogonal_algebra(S)
-    assert matrix_in_span(ders[0].commutator(ders[1]), ders, S.dim)
+    bracket = dense(ders[0]).commutator(dense(ders[1]))
+    assert matrix_in_span(bracket.sparse_cols(), ders, S.dim)
     for d in ders[:4]:
         assert matrix_in_span(d, skews, S.dim)
 
@@ -465,13 +466,17 @@ def test_interchange_rejects_garbage():
         algebra_from_text("not a header\n")
 
 
-def test_operator_matrix():
+def test_left_columns():
     C = split_cayley()
     e1 = C.basis_element(0)
-    left = operator_matrix(C, "left", e1)
+    left = left_columns(C, e1)
     # left multiplication by e1 fixes e1, u_i and kills e2, v_i
-    assert left.data[0][0] == ONE and left.data[2][2] == ONE
-    assert all(left.data[r][1].is_zero() for r in range(8))
+    assert len(left) == 8
+    assert left[0] == {0: ONE} and left[2] == {2: ONE}
+    assert not left[1]
+    # the table rows of e1 and the general path for 2 e1 agree
+    assert left_columns(C, e1.scale(2)) == [{r: sc(2) * c for r, c in col.items()}
+                                            for col in left]
 
 
 def test_norm_polarization_identity():

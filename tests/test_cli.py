@@ -360,6 +360,15 @@ def test_magic_grade_builds_every_lie_row(grade, dim, want, capsys):
     assert gtype["details"]["type"] == want
 
 
+@pytest.mark.parametrize("grade, name", [("f4_z3_3", "grading(f4(okubo(1,1)):z3^3)"),
+                                         ("e6_z3_3", "grading(e6:z3^3)"),
+                                         ("z3_5", "grading(e8w:z3^5)")])
+def test_magic_grade_names_a_ternary_grading_once(grade, name, capsys):
+    # the theta-eigenbasis rebase keeps the name of the algebra it rebases
+    assert main(["magic", "--grade", grade, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)[1]["name"] == name
+
+
 def test_list_names_every_magic_grade(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out
