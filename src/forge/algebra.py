@@ -1,13 +1,15 @@
 """Structure-constant algebras over Q(w) and their identity checkers.
 
 An algebra is a sparse tensor (i, j) -> sum_k c_k e_k together with an
-optional polar form of a norm.  All identity checks work by full
-multilinearization on basis tuples, which is equivalent to the quadratic or
-cubic identities in characteristic zero.  The heavy scans (Jacobi, Jordan)
-run over denominator-cleared integer tables instead of Scalar objects, as
-does rebase_blockwise, the change to the eigenbasis of an order-3 monomial
-automorphism.  Each table is held once: an Algebra keeps the caller's product
-dicts, and an integer table shares one tuple per distinct entry and product.
+optional polar form of a norm, a dict {(i, j): n(e_i, e_j)} keyed like the
+products: zeros are dropped and both (i, j) and (j, i) are stored.  All
+identity checks work by full multilinearization on basis tuples, which is
+equivalent to the quadratic or cubic identities in characteristic zero.
+The heavy scans (Jacobi, Jordan) run over denominator-cleared integer tables
+instead of Scalar objects, as does rebase_blockwise, the change to the
+eigenbasis of an order-3 monomial automorphism.  Each table is held once: an
+Algebra keeps the caller's product dicts, and an integer table shares one
+tuple per distinct entry and product.
 """
 
 from __future__ import annotations
@@ -16,8 +18,7 @@ from math import comb, lcm
 
 from .exact import (OMEGA, OMEGA2, ONE, ZERO, Scalar, format_scalar, parse_int,
                     parse_scalar, sc)
-from .linalg import (Matrix, SparseEchelon, column_apply, rank, solve,
-                     sparse_kernel, vec_add_scaled)
+from .linalg import SparseEchelon, column_apply, sparse_kernel, vec_add_scaled
 from .report import Report
 
 
@@ -67,7 +68,8 @@ class Algebra:
     and its inner dicts and keeps them: it puts the shared Scalar of each
     value in place, coercing ints, and deletes zero entries and emptied
     products, so their values stay equal; they belong to no other Algebra,
-    and no caller mutates them afterwards.
+    and no caller mutates them afterwards.  polar, if given, is a dict
+    {(i, j): n(e_i, e_j)}; the Algebra keeps a copy without its zeros.
     """
 
     def __init__(self, dim: int, name: str, products: dict, polar=None, labels=None):
@@ -87,8 +89,9 @@ class Algebra:
         for ij in [ij for ij, vec in products.items() if not vec]:
             del products[ij]
         self.products = products
-        if polar is not None and not isinstance(polar, Matrix):
-            polar = Matrix(polar)
+        if polar is not None:
+            polar = {ij: sc(v) for ij, v in polar.items()}
+            polar = {ij: v for ij, v in polar.items() if v.p or v.q}
         self.polar = polar
         self.labels = list(labels) if labels else None
         self._cache: dict = {}
@@ -128,13 +131,12 @@ class Algebra:
     def polar_pair_sparse(self, a: dict, b: dict) -> Scalar:
         if self.polar is None:
             raise MissingForm("algebra %s has no polar form" % self.name)
-        pm = self.polar.data
+        pm = self.polar
         acc = ZERO
         for i, ca in a.items():
-            row = pm[i]
             for j, cb in b.items():
-                v = row[j]
-                if v.p or v.q:
+                v = pm.get((i, j))
+                if v is not None:
                     acc = acc + ca * cb * v
         return acc
 
@@ -146,7 +148,13 @@ class Algebra:
             raise MissingForm("algebra %s has no polar form" % self.name)
         key = "polar_nondeg"
         if key not in self._cache:
-            self._cache[key] = rank(self.polar) == self.dim
+            rows = [{} for _ in range(self.dim)]
+            for (i, j), v in self.polar.items():
+                rows[i][j] = v
+            ech = SparseEchelon(self.dim)
+            for row in rows:
+                ech.insert(row)
+            self._cache[key] = ech.rank == self.dim
         return self._cache[key]
 
     def __repr__(self):
@@ -179,11 +187,9 @@ class Algebra:
             terms = ",".join("%d:%s" % (k, fmt(vec[k])) for k in sorted(vec))
             lines.append("%d %d -> %s" % (i, j, terms))
         if self.polar is not None:
-            for i in range(self.dim):
-                for j in range(i, self.dim):
-                    v = self.polar.data[i][j]
-                    if not v.is_zero():
-                        lines.append("polar %d %d %s" % (i, j, fmt(v)))
+            for i, j in sorted(self.polar):
+                if i <= j:
+                    lines.append("polar %d %d %s" % (i, j, fmt(self.polar[(i, j)])))
         return "\n".join(lines) + "\n"
 
 
@@ -216,7 +222,7 @@ def algebra_from_text(text: str, name: str = "ingested") -> Algebra:
         return v
 
     products: dict = {}
-    polar_entries = {}
+    polar: dict = {}
     for ln in lines[1:]:
         if ln.startswith("polar "):
             fields = ln.split(None, 3)
@@ -224,9 +230,9 @@ def algebra_from_text(text: str, name: str = "ingested") -> Algebra:
                 raise ValueError("malformed line %r" % ln)
             _, i, j, val = fields
             i, j = sorted((index(i, ln), index(j, ln)))
-            if (i, j) in polar_entries:
+            if (i, j) in polar:
                 raise ValueError("second polar line for %d %d" % (i, j))
-            polar_entries[(i, j)] = scalar(val, ln)
+            polar[(i, j)] = polar[(j, i)] = scalar(val, ln)
         else:
             left, arrow, right = ln.partition("->")
             pair = left.split()
@@ -244,13 +250,7 @@ def algebra_from_text(text: str, name: str = "ingested") -> Algebra:
                                      % (k, i, j))
                 vec[k] = scalar(val, ln)
             products[(i, j)] = vec
-    polar = None
-    if polar_entries:
-        polar = Matrix.zero(dim, dim)
-        for (i, j), v in polar_entries.items():
-            polar.data[i][j] = v
-            polar.data[j][i] = v
-    return Algebra(dim, name, products, polar=polar)
+    return Algebra(dim, name, products, polar=polar or None)
 
 
 class Element:
@@ -331,16 +331,16 @@ def verify_composition(A: Algebra) -> Report:
                       witness="polar")
     d = A.dim
     P = [[A.product(i, j) for j in range(d)] for i in range(d)]
-    N = A.polar.data
+    N = A.polar
     for i in range(d):
         for j in range(d):
             pij = P[i][j]
             for k in range(d):
-                nik = N[i][k]
+                nik = N.get((i, k), ZERO)
                 for l in range(d):
                     lhs = A.polar_pair_sparse(pij, P[k][l]) \
                         + A.polar_pair_sparse(P[k][j], P[i][l])
-                    if lhs != nik * N[j][l]:
+                    if lhs != nik * N.get((j, l), ZERO):
                         return Report(name, False, witness=(i, j, k, l))
     return Report(name, True, {"dim": d})
 
@@ -355,7 +355,7 @@ def verify_symmetric(A: Algebra) -> Report:
                       witness="polar")
     d = A.dim
     P = [[A.product(i, j) for j in range(d)] for i in range(d)]
-    N = A.polar.data
+    N = A.polar
     for i in range(d):
         for j in range(d):
             for k in range(d):
@@ -370,7 +370,7 @@ def verify_symmetric(A: Algebra) -> Report:
                 acc: dict = {}
                 vec_add_scaled(acc, ONE, A.multiply_sparse(P[i][j], {k: ONE}))
                 vec_add_scaled(acc, ONE, A.multiply_sparse(P[k][j], {i: ONE}))
-                target = N[i][k]
+                target = N.get((i, k), ZERO)
                 ok = True
                 for m, v in acc.items():
                     want = target if m == j else ZERO
@@ -688,18 +688,18 @@ def leibniz_rows(A: Algebra, index0: dict, index1: dict = None, index2: dict = N
 def skew_rows(A: Algebra, index: dict):
     """Rows of n(d(e_a), e_b) + n(e_a, d(e_b)) = 0 for a <= b, d over index."""
     d = A.dim
-    N = A.polar.data
+    N = A.polar
     cols = _unknowns_by_column(index, d)
     for a in range(d):
         for b in range(a, d):
             row: dict = {}
             for r, k in cols[a]:
-                v = N[r][b]
-                if v.p or v.q:
+                v = N.get((r, b))
+                if v is not None:
                     row[k] = row.get(k, ZERO) + v
             for r, k in cols[b]:
-                v = N[a][r]
-                if v.p or v.q:
+                v = N.get((a, r))
+                if v is not None:
                     row[k] = row.get(k, ZERO) + v
             row = {k: v for k, v in row.items() if v.p or v.q}
             if row:
@@ -868,20 +868,28 @@ def subalgebra_generated(A: Algebra, gens):
 
 
 def find_unity(A: Algebra):
-    """The two-sided unity as an Element, or None."""
+    """The two-sided unity as an Element, or None.
+
+    The unknown e = sum_j x_j e_j solves e e_i = e_i = e_i e, one equation
+    per coordinate m of either side; column d of the one echelon holds the
+    right-hand side, so a pivot there means no solution.  The reduced
+    echelon gives the solution with every free unknown 0.
+    """
     d = A.dim
-    rows, rhs = [], []
-    for i in range(d):
-        for m in range(d):
-            row = [A.product(j, i).get(m, ZERO) for j in range(d)]
-            rows.append(row)
-            rhs.append(ONE if m == i else ZERO)
-            row = [A.product(i, j).get(m, ZERO) for j in range(d)]
-            rows.append(row)
-            rhs.append(ONE if m == i else ZERO)
-    x = solve(Matrix(rows), rhs)
-    if x is None:
+    rows = {(side, i, i): {d: ONE} for side in (0, 1) for i in range(d)}
+    for (a, b), vec in A.products.items():
+        for m, c in vec.items():
+            rows.setdefault((0, b, m), {})[a] = c   # (e e_b)_m
+            rows.setdefault((1, a, m), {})[b] = c   # (e_a e)_m
+    ech = SparseEchelon(d + 1)
+    for row in rows.values():
+        ech.insert(row)
+    if d in ech.pivot_rows:
         return None
+    ech.back_substitute()
+    x = [ZERO] * d
+    for lead, row in ech.pivot_rows.items():
+        x[lead] = row.get(d, ZERO)
     e = Element(A, x)
     for i in range(d):
         b = A.basis_element(i)

@@ -5,6 +5,11 @@ doubling towers, para-Hurwitz and Petersson twists, the isotropic Okubo
 algebras O(alpha, beta) on their standard basis, the quaternion-fixing
 presentation of Okubo algebras, and constructive recognition of an Okubo
 algebra from a pair of isotropic generators.
+
+Polar forms are dicts {(i, j): n(e_i, e_j)} as Algebra takes them.  Linear
+maps (conjugation, the order-3 automorphisms tau, the twisting maps of
+petersson and AlgebraMorphism.columns) are lists of sparse columns,
+cols[j] = {r: entry}, applied with linalg.column_apply.
 """
 
 from __future__ import annotations
@@ -14,7 +19,8 @@ from dataclasses import dataclass
 from .exact import MINUS_ONE, OMEGA, OMEGA2, ONE, TWO, ZERO, Scalar, sc
 from .algebra import (Algebra, Element, MissingForm, find_unity, left_columns,
                       multiplicative_failure, verify_composition)
-from .linalg import Matrix, inverse, nullspace, rank
+from .linalg import (DependentVectors, SpanCoords, SparseEchelon, column_apply,
+                     sparse_kernel, vec_add_scaled)
 
 
 class NotHurwitz(ValueError):
@@ -86,16 +92,15 @@ _CAYLEY_TABLE = {
 def split_cayley() -> Algebra:
     """The split Cayley algebra on a canonical basis e1,e2,u1..u3,v1..v3."""
     products = {key: {k: sc(s)} for key, (k, s) in _CAYLEY_TABLE.items()}
-    polar = Matrix.zero(8, 8)
+    polar = {}
     for i, j in ((0, 1), (2, 5), (3, 6), (4, 7)):
-        polar.data[i][j] = ONE
-        polar.data[j][i] = ONE
+        polar[(i, j)] = polar[(j, i)] = ONE
     return Algebra(8, "split-cayley", products, polar=polar, labels=CAYLEY_LABELS)
 
 
 def ground_field() -> Algebra:
     """The one-dimensional Hurwitz algebra k, n(1) = 1."""
-    return Algebra(1, "k", {(0, 0): {0: ONE}}, polar=Matrix([[TWO]]), labels=("1",))
+    return Algebra(1, "k", {(0, 0): {0: ONE}}, polar={(0, 0): TWO}, labels=("1",))
 
 
 def quadratic_algebra(mu) -> Algebra:
@@ -107,7 +112,7 @@ def quadratic_algebra(mu) -> Algebra:
         (0, 0): {0: ONE}, (0, 1): {1: ONE}, (1, 0): {1: ONE},
         (1, 1): {0: mu, 1: ONE},
     }
-    polar = Matrix([[TWO, ONE], [ONE, sc(-2) * mu]])
+    polar = {(0, 0): TWO, (0, 1): ONE, (1, 0): ONE, (1, 1): sc(-2) * mu}
     return Algebra(2, "K(%s)" % mu, products, polar=polar, labels=("1", "v"))
 
 
@@ -120,31 +125,28 @@ def split_quaternion() -> Algebra:
         (e12, e21): {e11: ONE}, (e12, e22): {e12: ONE},
         (e21, e12): {e22: ONE}, (e21, e11): {e21: ONE},
     }
-    polar = Matrix.zero(4, 4)
-    polar.data[e11][e22] = ONE
-    polar.data[e22][e11] = ONE
-    polar.data[e12][e21] = MINUS_ONE
-    polar.data[e21][e12] = MINUS_ONE
+    polar = {(e11, e22): ONE, (e22, e11): ONE,
+             (e12, e21): MINUS_ONE, (e21, e12): MINUS_ONE}
     return Algebra(4, "mat2", products, polar=polar,
                    labels=("E11", "E22", "E12", "E21"))
 
 
-def conjugation(C: Algebra) -> Matrix:
-    """Standard conjugation x -> n(x,1)1 - x of a unital Hurwitz algebra."""
+def conjugation(C: Algebra):
+    """Standard conjugation x -> n(x,1)1 - x of a unital Hurwitz algebra,
+    as sparse columns."""
     if C.polar is None:
         raise MissingForm("conjugation needs the polar form")
     e = find_unity(C)
     if e is None:
         raise NoUnity("algebra %s has no unity" % C.name)
-    d = C.dim
-    m = Matrix.zero(d, d)
     es = e.sparse()
-    for j in range(d):
-        t = C.polar_pair_sparse({j: ONE}, es)
-        for r, c in enumerate(e.coords):
-            m.data[r][j] = t * c
-        m.data[j][j] = m.data[j][j] - ONE
-    return m
+    cols = []
+    for j in range(C.dim):
+        col: dict = {}
+        vec_add_scaled(col, C.polar_pair_sparse({j: ONE}, es), es)
+        vec_add_scaled(col, MINUS_ONE, {j: ONE})
+        cols.append(col)
+    return cols
 
 
 def cd_double(B: Algebra, lam) -> Algebra:
@@ -159,7 +161,7 @@ def cd_double(B: Algebra, lam) -> Algebra:
     if find_unity(B) is None or not verify_composition(B).passed:
         raise NotHurwitz("can only double a Hurwitz algebra")
     d = B.dim
-    conj_col = conjugation(B).sparse_cols()
+    conj_col = conjugation(B)
     products: dict = {}
 
     def put(i, j, vec, offset):
@@ -176,11 +178,9 @@ def cd_double(B: Algebra, lam) -> Algebra:
             # (e_i u)(e_j u) = lam (conj(e_j) e_i)
             vec = B.multiply_sparse(conj_col[j], {i: ONE})
             put(d + i, d + j, {k: lam * v for k, v in vec.items()}, 0)
-    polar = Matrix.zero(2 * d, 2 * d)
-    for i in range(d):
-        for j in range(d):
-            polar.data[i][j] = B.polar.data[i][j]
-            polar.data[d + i][d + j] = -lam * B.polar.data[i][j]
+    polar = dict(B.polar)
+    for (i, j), v in B.polar.items():
+        polar[(d + i, d + j)] = -lam * v
     labels = None
     if B.labels:
         labels = list(B.labels) + [s + "u" for s in B.labels]
@@ -198,7 +198,7 @@ def cd_tower(*lams) -> Algebra:
 
 def para_hurwitz(C: Algebra) -> Algebra:
     """Same space and norm, product x . y = conj(x) conj(y)."""
-    col = conjugation(C).sparse_cols()
+    col = conjugation(C)
     d = C.dim
     products = {}
     for i in range(d):
@@ -206,7 +206,7 @@ def para_hurwitz(C: Algebra) -> Algebra:
             vec = C.multiply_sparse(col[i], col[j])
             if vec:
                 products[(i, j)] = vec
-    return Algebra(d, "para(%s)" % C.name, products, polar=C.polar.copy(),
+    return Algebra(d, "para(%s)" % C.name, products, polar=C.polar,
                    labels=C.labels)
 
 
@@ -214,55 +214,48 @@ def para_hurwitz(C: Algebra) -> Algebra:
 # order-3 automorphisms of the split Cayley algebra and Petersson twists
 # =========================================================================
 
-def tau_automorphism(kind: str) -> Matrix:
-    """An order-3 automorphism of the split Cayley algebra.
+def tau_automorphism(kind: str):
+    """An order-3 automorphism of the split Cayley algebra, as sparse columns.
 
     "st" cycles the canonical u and v triples, "nst" is unipotent on the
     Peirce spaces, "omega" scales u_i by w^i and v_i by w^(-i).
     """
-    m = Matrix.zero(8, 8)
-    m.data[0][0] = ONE
-    m.data[1][1] = ONE
+    cols = [{j: ONE} for j in range(8)]
     if kind == "st":
         for i in range(3):
-            m.data[2 + (i + 1) % 3][2 + i] = ONE
-            m.data[5 + (i + 1) % 3][5 + i] = ONE
+            cols[2 + i] = {2 + (i + 1) % 3: ONE}
+            cols[5 + i] = {5 + (i + 1) % 3: ONE}
     elif kind == "nst":
         # u1 -> u2, u2 -> -u1-u2, u3 -> u3; v1 -> -v1+v2, v2 -> -v1, v3 -> v3
-        m.data[3][2] = ONE
-        m.data[2][3] = MINUS_ONE
-        m.data[3][3] = MINUS_ONE
-        m.data[4][4] = ONE
-        m.data[5][5] = MINUS_ONE
-        m.data[6][5] = ONE
-        m.data[5][6] = MINUS_ONE
-        m.data[7][7] = ONE
+        cols[2] = {3: ONE}
+        cols[3] = {2: MINUS_ONE, 3: MINUS_ONE}
+        cols[5] = {5: MINUS_ONE, 6: ONE}
+        cols[6] = {5: MINUS_ONE}
     elif kind == "omega":
-        pow_u = (OMEGA, OMEGA2, ONE)
-        pow_v = (OMEGA2, OMEGA, ONE)
-        for i in range(3):
-            m.data[2 + i][2 + i] = pow_u[i]
-            m.data[5 + i][5 + i] = pow_v[i]
+        for i, (wu, wv) in enumerate(((OMEGA, OMEGA2), (OMEGA2, OMEGA), (ONE, ONE))):
+            cols[2 + i] = {2 + i: wu}
+            cols[5 + i] = {5 + i: wv}
     else:
         raise ValueError("unknown automorphism kind %r" % kind)
-    return m
+    return cols
 
 
-def _check_automorphism(C: Algebra, tau: Matrix):
-    bad = multiplicative_failure(C, C, tau.sparse_cols())
+def _check_automorphism(C: Algebra, tau):
+    bad = multiplicative_failure(C, C, tau)
     if bad is not None:
         raise NotAutomorphism("not multiplicative at basis pair (%d,%d)" % bad)
-    t3 = tau * tau * tau
-    if t3 != Matrix.identity(C.dim):
+    t = column_apply(tau)
+    if any(t(t(col)) != {j: ONE} for j, col in enumerate(tau)):
         raise NotOrderDividing3("cube is not the identity")
 
 
-def petersson(C: Algebra, tau: Matrix) -> Algebra:
-    """Twist x*y = tau(conj x) tau^2(conj y) by an order-3 automorphism."""
+def petersson(C: Algebra, tau) -> Algebra:
+    """Twist x*y = tau(conj x) tau^2(conj y) by an order-3 automorphism tau,
+    given by its sparse columns."""
     _check_automorphism(C, tau)
-    conj = conjugation(C)
-    col1 = (tau * conj).sparse_cols()
-    col2 = (tau * tau * conj).sparse_cols()
+    t = column_apply(tau)
+    col1 = [t(col) for col in conjugation(C)]   # tau conj
+    col2 = [t(col) for col in col1]             # tau^2 conj
     d = C.dim
     products = {}
     for i in range(d):
@@ -270,7 +263,7 @@ def petersson(C: Algebra, tau: Matrix) -> Algebra:
             vec = C.multiply_sparse(col1[i], col2[j])
             if vec:
                 products[(i, j)] = vec
-    return Algebra(d, "petersson(%s)" % C.name, products, polar=C.polar.copy(),
+    return Algebra(d, "petersson(%s)" % C.name, products, polar=C.polar,
                    labels=C.labels)
 
 
@@ -316,10 +309,9 @@ def okubo(alpha, beta) -> Algebra:
         (7, 1, one, 3), (7, 3, bi, 4), (7, 4, a, 1), (7, 7, -a * bi, 6),
     ]
     products = {(i, j): {k: c} for i, j, c, k in rows}
-    polar = Matrix.zero(8, 8)
+    polar = {}
     for i, j in ((0, 1), (2, 3), (4, 5), (6, 7)):
-        polar.data[i][j] = ONE
-        polar.data[j][i] = ONE
+        polar[(i, j)] = polar[(j, i)] = ONE
     labels = tuple("x(%d,%d)" % ij for ij in OKUBO_DEGREES)
     return Algebra(8, "okubo(%s,%s)" % (a, b), products, polar=polar, labels=labels)
 
@@ -339,12 +331,8 @@ def okubo_from_quaternion(beta, alpha) -> Algebra:
     C = cd_double(Q, a)
     # w = -v inside K, embedded in Q = K + Ku'
     w = Q.element([ZERO, MINUS_ONE, ZERO, ZERO])
-    tau = Matrix.zero(8, 8)
-    for i in range(4):
-        tau.data[i][i] = ONE
-    for j, col in enumerate(left_columns(Q, w)):
-        for i, v in col.items():
-            tau.data[4 + i][4 + j] = v
+    tau = [{i: ONE} for i in range(4)]
+    tau += [{4 + i: v for i, v in col.items()} for col in left_columns(Q, w)]
     S = petersson(C, tau)
     S.name = "okubo-quat(%s,%s)" % (b, a)
     return S
@@ -366,7 +354,7 @@ def s2(xi=1) -> Algebra:
     if xi.is_zero():
         raise ZeroParameter("xi must be nonzero")
     products = {(0, 0): {1: ONE}, (1, 1): {0: xi}}
-    polar = Matrix([[ZERO, xi], [xi, ZERO]])
+    polar = {(0, 1): xi, (1, 0): xi}
     return Algebra(2, "S2(%s)" % xi, products, polar=polar, labels=("a", "b"))
 
 
@@ -376,18 +364,22 @@ def s2(xi=1) -> Algebra:
 
 @dataclass
 class AlgebraMorphism:
-    """A linear map between algebras, stored column-wise on the source basis."""
+    """A linear map between algebras: columns[j] is the sparse image of the
+    source's basis vector e_j in the target."""
 
     source: Algebra
     target: Algebra
-    matrix: Matrix
+    columns: list
 
     def is_multiplicative(self) -> bool:
         return multiplicative_failure(self.source, self.target,
-                                      self.matrix.sparse_cols()) is None
+                                      self.columns) is None
 
     def is_invertible(self) -> bool:
-        return rank(self.matrix) == self.source.dim
+        ech = SparseEchelon(self.target.dim)
+        for col in self.columns:
+            ech.insert(col)
+        return ech.rank == self.source.dim
 
 
 _SEARCH_COEFFS = (ONE, MINUS_ONE, sc(2), sc(-2), Scalar(1, 0, 2), Scalar(-1, 0, 2),
@@ -410,14 +402,14 @@ def complete_okubo_pair(S: Algebra, x: Element) -> Element:
     if not S.norm_sparse(xs).is_zero() or S.polar_pair_sparse(xs, xx).is_zero():
         raise HypothesesFail("x must be isotropic with n(x, x*x) nonzero")
     d = S.dim
-    rows = []
-    for m in range(d):
-        row = [S.multiply_sparse(xs, {j: ONE}).get(m, ZERO) for j in range(d)]
-        rows.append(row)
-    rows.append([S.polar_pair_sparse({j: ONE}, xs) for j in range(d)])
-    rows.append([S.polar_pair_sparse({j: ONE}, xx) for j in range(d)])
-    space = [{i: c for i, c in enumerate(v) if not c.is_zero()}
-             for v in nullspace(Matrix(rows))]
+    rows = [{} for _ in range(d)]   # x*y = 0, one row per coordinate
+    for j, col in enumerate(left_columns(S, x)):
+        for m, v in col.items():
+            rows[m][j] = v
+    for z in (xs, xx):              # n(y, x) = n(y, x*x) = 0
+        row = {j: S.polar_pair_sparse({j: ONE}, z) for j in range(d)}
+        rows.append({j: v for j, v in row.items() if v.p or v.q})
+    space = sparse_kernel(rows, d)
 
     def combine(base, vec, cf):
         out = dict(base)
@@ -517,24 +509,17 @@ def okubo_recognize(S: Algebra, x: Element, y: Element):
     beta = S.polar_pair_sparse(ys, yy.sparse())
     model = okubo(alpha, beta)
     basis = [x, xx, y, yy, y * x, yy * xx, x * yy, xx * y]
-    images = [
-        model.element([MINUS_ONE, 0, 0, 0, 0, 0, 0, 0]),
-        model.element([0, -alpha, 0, 0, 0, 0, 0, 0]),
-        model.element([0, 0, MINUS_ONE, 0, 0, 0, 0, 0]),
-        model.element([0, 0, 0, -beta, 0, 0, 0, 0]),
-        model.element([0, 0, 0, 0, ONE, 0, 0, 0]),
-        model.element([0, 0, 0, 0, 0, alpha * beta, 0, 0]),
-        model.element([0, 0, 0, 0, 0, 0, 0, beta]),
-        model.element([0, 0, 0, 0, 0, 0, alpha, 0]),
-    ]
-    mb = Matrix([[b.coords[r] for b in basis] for r in range(8)])
-    mi = Matrix([[im.coords[r] for im in images] for r in range(8)])
+    # basis[k] goes to c * e_r of the model, (r, c) = images[k]
+    images = [(0, MINUS_ONE), (1, -alpha), (2, MINUS_ONE), (3, -beta),
+              (4, ONE), (5, alpha * beta), (7, beta), (6, alpha)]
     try:
-        phi = mi * inverse(mb)
-    except ValueError:
+        span = SpanCoords([b.sparse() for b in basis], 8)
+    except DependentVectors:
         raise HypothesesFail("derived octet is not a basis")
-    morphism = AlgebraMorphism(S, model, phi)
-    bad = multiplicative_failure(S, model, phi.sparse_cols())
+    cols = [{r: a * c for a, (r, c) in zip(span.coords({j: ONE}), images)
+             if a.p or a.q} for j in range(8)]
+    morphism = AlgebraMorphism(S, model, cols)
+    bad = multiplicative_failure(S, model, cols)
     if bad is not None:
         raise NotMultiplicative("recognition is not multiplicative at basis "
                                 "pair (%d,%d)" % bad, bad)

@@ -251,13 +251,11 @@ def verify_grading(gr: Grading) -> Report:
                               {"rule": "product lands outside A_{g+h}"},
                               witness=(i, j, k))
     if A.polar is not None:
-        pm = A.polar.data
-        for i in range(A.dim):
-            for j in range(A.dim):
-                if not pm[i][j].is_zero() and sums[code[i] + code[j]]:
-                    return Report(name, False,
-                                  {"rule": "n(A_g, A_h) = 0 unless g + h = 0"},
-                                  witness=(i, j))
+        for i, j in sorted(A.polar):
+            if sums[code[i] + code[j]]:
+                return Report(name, False,
+                              {"rule": "n(A_g, A_h) = 0 unless g + h = 0"},
+                              witness=(i, j))
     support = set(gr.degrees)
     if not G.elements_generate(support):
         return Report(name, False, {"rule": "support must generate the group"},
@@ -312,8 +310,7 @@ def universal_group(gr: Grading):
                 for (i, j), vec in A.products.items() if vec]
     if A.polar is not None:
         rel_rows += [relation((code[i], 1), (code[j], 1))
-                     for i, row in enumerate(A.polar.data)
-                     for j, v in enumerate(row) if not v.is_zero()]
+                     for i, j in sorted(A.polar)]
     inv, R = smith_normal_form(rel_rows, s)
     free_pos = [j for j in range(s) if inv[j] == 0]
     tors_pos = [j for j in range(s) if inv[j] > 1]

@@ -2,29 +2,27 @@
 
 A linear map is a list of sparse columns, cols[j] = {r: entry}: column_apply
 makes the sparse apply that minimal_polynomial_op takes, and eigenspace reads
-ker(M - ev I) off the rows.  Dense Matrix (lists of Scalar rows) remains where
-a whole small matrix is the object: polar forms, compose's 8 x 8
-automorphisms and recognition, the rref/solve/inverse/nullspace/rank API, and
-the tests' dense references.  All elimination over Q(w) goes through
-SparseEchelon (dict-of-column sparse rows): rref, rank, nullspace,
-solve and inverse read one off a matrix's rows, and SpanCoords and the Krylov
-annihilator carry tag columns through one.  sparse_kernel feeds a row stream
-into one and reads the kernel off its back-substituted rows; it stops reading
-early only once the rank is the column count.  An echelon's rank, read until
-a target is met, certifies "the kernel is no bigger than the part we
-exhibit".  No checker calls rank_mod_p, a numpy modular rank bound (rank mod
-p <= rank over Q).  Integer-pair tables (denominators cleared) have one
-builder, algebra.integer_table.  Over Z the one eliminator is
-smith_normal_form, a sparse elimination that pivots on units first.
+ker(M - ev I) off the rows.  A bilinear form is a dict {(i, j): entry}, as
+Algebra.polar holds it.  No module above this one uses a dense form: dense
+Matrix (lists of Scalar rows), rref and solve have no caller in the package
+and stay only because the benchmark's layer spans name Matrix.__mul__, rref
+and solve; the tests build their dense references on Matrix.  All
+elimination over Q(w) goes through SparseEchelon (dict-of-column sparse
+rows): rref and solve read one off a matrix's rows, and SpanCoords and the
+Krylov annihilator carry tag columns through one.
+sparse_kernel feeds a row stream into one and reads the kernel off its
+back-substituted rows; it stops reading early only once the rank is the
+column count.  An echelon's rank, read until a target is met, certifies "the
+kernel is no bigger than the part we exhibit".  No checker calls rank_mod_p,
+a numpy modular rank bound (rank mod p <= rank over Q).  Integer-pair tables
+(denominators cleared) have one builder, algebra.integer_table.  Over Z the
+one eliminator is smith_normal_form, a sparse elimination that pivots on
+units first.
 """
 
 from __future__ import annotations
 
 from .exact import ONE, ZERO, Polynomial, Scalar, poly_lcm, sc
-
-
-class NotSquare(ValueError):
-    pass
 
 
 class DependentVectors(ValueError):
@@ -112,9 +110,6 @@ class Matrix:
 
     def is_zero(self) -> bool:
         return all(x.is_zero() for row in self.data for x in row)
-
-    def commutator(self, other: "Matrix") -> "Matrix":
-        return self * other - other * self
 
     def __repr__(self):
         return "Matrix(%d x %d)" % (self.rows, self.cols)
@@ -243,16 +238,6 @@ def rref(m: Matrix):
     return Matrix(data), len(pivots), pivots
 
 
-def rank(m: Matrix) -> int:
-    return _echelon(m).rank
-
-
-def nullspace(m: Matrix):
-    """Exact basis of the right kernel, as dense vectors, one per free column."""
-    cols = range(m.cols)
-    return [[v.get(c, ZERO) for c in cols] for v in _echelon(m).kernel()]
-
-
 def solve(m: Matrix, rhs):
     """One exact solution of m x = rhs, or None if inconsistent."""
     aug = Matrix([row + [b] for row, b in zip(m.data, [sc(x) for x in rhs])])
@@ -263,17 +248,6 @@ def solve(m: Matrix, rhs):
     for i, pc in enumerate(pivots):
         x[pc] = red.data[i][m.cols]
     return x
-
-
-def inverse(m: Matrix) -> Matrix:
-    if m.rows != m.cols:
-        raise NotSquare("inverse of non-square matrix")
-    aug = Matrix([row + list(idr) for row, idr in
-                  zip(m.data, Matrix.identity(m.rows).data)])
-    red, r, pivots = rref(aug)
-    if r < m.rows or pivots[:m.rows] != list(range(m.rows)):
-        raise ValueError("singular matrix")
-    return Matrix([row[m.rows:] for row in red.data])
 
 
 def sparse_kernel(rows, ncols: int):
@@ -408,12 +382,6 @@ def minimal_polynomial_op(apply_fn, dim: int) -> Polynomial:
             f = poly_lcm(f, _krylov_annihilator(apply_fn, orbit[0], dim))
         covered.update(next(iter(v)) for v in orbit if len(v) == 1)
     return f
-
-
-def minimal_polynomial(m: Matrix) -> Polynomial:
-    if m.rows != m.cols:
-        raise NotSquare("minimal polynomial needs a square matrix")
-    return minimal_polynomial_op(column_apply(m.sparse_cols()), m.rows)
 
 
 # =========================================================================

@@ -250,10 +250,10 @@ def triality_bracket_failures(S: Algebra):
     basis = S.basis()
     table = {(a, b): t_xy(S, basis[a], basis[b]).entries
              for a in range(d) for b in range(d)}
-    for i, row in enumerate(S.polar.data):
-        table[("polar", i)] = {j: v for j, v in enumerate(row) if v.p or v.q}
+    for (i, j), v in S.polar.items():
+        table.setdefault(("polar", i), {})[j] = v
     _, scaled, _ = integer_table(table)
-    polar = {(i, j): (p, q) for i, row in scaled.pop("polar").items()
+    polar = {(i, j): (p, q) for i, row in scaled.pop("polar", {}).items()
              for j, p, q in row}
     # per triple, entry (r, c) of d_i as (c, p, q) in row i*d + r
     rows = {}
@@ -403,7 +403,7 @@ def magic_g(S: Algebra, Sp: Algebra, tri_s: TriContext = None,
 
     tcoords = coord_table(S, ctx)
     tpcoords = tcoords if same else coord_table(Sp, ctxp)
-    pm, pmp = S.polar.data, Sp.polar.data
+    pm, pmp = S.polar, Sp.polar
     for i in range(3):
         for a in range(d):
             for b in range(dp):
@@ -414,12 +414,12 @@ def magic_g(S: Algebra, Sp: Algebra, tri_s: TriContext = None,
                         if ic <= ia:
                             continue
                         vec = {}
-                        nbe = pmp[b][e]
-                        if nbe.p or nbe.q:
+                        nbe = pmp.get((b, e))
+                        if nbe is not None:
                             for kk, v in tcoords[i][a][c].items():
                                 vec[kk] = vec.get(kk, ZERO) + nbe * v
-                        nac = pm[a][c]
-                        if nac.p or nac.q:
+                        nac = pm.get((a, c))
+                        if nac is not None:
                             for kk, v in tpcoords[i][b][e].items():
                                 key = nt + kk
                                 vec[key] = vec.get(key, ZERO) + nac * v
@@ -520,7 +520,7 @@ def albert(S: Algebra) -> AlbertAlgebra:
             if j != i:
                 for a in range(d):
                     add_to(j, idx(i, a), {idx(i, a): HALF})
-    pm = S.polar.data
+    pm = S.polar
     for i in range(3):
         for a in range(d):
             for b in range(d):
@@ -528,8 +528,9 @@ def albert(S: Algebra) -> AlbertAlgebra:
                        for k, v in S.product(a, b).items()}
                 add_to(idx(i, a), idx((i + 1) % 3, b), vec)
             for b in range(a, d):
-                n2 = sc(2) * pm[a][b]
-                if n2.p or n2.q:
+                nab = pm.get((a, b))
+                if nab is not None:
+                    n2 = sc(2) * nab
                     add_to(idx(i, a), idx(i, b),
                            {(i + 1) % 3: n2, (i + 2) % 3: n2})
     labels = ["E0", "E1", "E2"]

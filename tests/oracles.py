@@ -10,8 +10,64 @@ from math import gcd
 from forge import magic
 from forge.algebra import Algebra, Element
 from forge.exact import ONE, ZERO, Polynomial, Scalar, poly_gcd
-from forge.linalg import (Matrix, NotSquare, SparseEchelon, column_apply,
-                          sparse_kernel)
+from forge.linalg import (Matrix, SparseEchelon, column_apply,
+                          minimal_polynomial_op, rref, sparse_kernel)
+
+
+class NotSquare(ValueError):
+    pass
+
+
+# =========================================================================
+# dense Matrix references: the package keeps linear maps as sparse columns
+# and bilinear forms as {(i, j): value}
+# =========================================================================
+
+def commutator(a: Matrix, b: Matrix) -> Matrix:
+    return a * b - b * a
+
+
+def rank(m: Matrix) -> int:
+    return rref(m)[1]
+
+
+def nullspace(m: Matrix):
+    """Basis of the right kernel, as dense vectors, one per free column, read
+    off the reduced row echelon form."""
+    red, _, pivots = rref(m)
+    basis = []
+    for f in range(m.cols):
+        if f in pivots:
+            continue
+        v = [ZERO] * m.cols
+        v[f] = ONE
+        for i, p in enumerate(pivots):
+            v[p] = -red.data[i][f]
+        basis.append(v)
+    return basis
+
+
+def inverse(m: Matrix) -> Matrix:
+    if m.rows != m.cols:
+        raise NotSquare("inverse of non-square matrix")
+    aug = Matrix([row + list(idr) for row, idr in
+                  zip(m.data, Matrix.identity(m.rows).data)])
+    red, r, pivots = rref(aug)
+    if r < m.rows or pivots[:m.rows] != list(range(m.rows)):
+        raise ValueError("singular matrix")
+    return Matrix([row[m.rows:] for row in red.data])
+
+
+def minimal_polynomial(m: Matrix) -> Polynomial:
+    if m.rows != m.cols:
+        raise NotSquare("minimal polynomial needs a square matrix")
+    return minimal_polynomial_op(column_apply(m.sparse_cols()), m.rows)
+
+
+def polar_matrix(A: Algebra) -> Matrix:
+    """The dense Gram matrix of A's polar form."""
+    return Matrix([[A.polar.get((i, j), ZERO) for j in range(A.dim)]
+                   for i in range(A.dim)])
 
 
 class IntMatrix:
@@ -208,7 +264,7 @@ def d_i_derivation(A, i: int, a: Element) -> Matrix:
         coords[A.iota_index(i, k)] = c
     lx = left_matrix(J, J.element(coords))
     le = left_matrix(J, J.basis_element((i + 1) % 3))
-    return lx.commutator(le).scale(2)
+    return commutator(lx, le).scale(2)
 
 
 def commutative_center(A: Algebra):
@@ -364,7 +420,7 @@ def triality_bracket_failures(S: Algebra):
     """All 4096 basis quadruples (a, b, x, y), in order, with
     [t_{a,b}, t_{x,y}] != n(a,x)t_{b,y} - n(b,x)t_{a,y} + n(a,y)t_{x,b}
     - n(b,y)t_{x,a}, in Scalar arithmetic from magic.t_xy and S.polar."""
-    d, n = S.dim, S.polar.data
+    d, n = S.dim, polar_matrix(S).data
     basis = S.basis()
     t = {(a, b): magic.t_xy(S, basis[a], basis[b])
          for a in range(d) for b in range(d)}

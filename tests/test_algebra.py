@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest.mock import patch
 
 import pytest
@@ -10,10 +11,10 @@ from forge.algebra import (Algebra, MixedAlgebras, MissingForm,
                            subalgebra_generated, verify_composition,
                            verify_jordan, verify_lie, verify_symmetric)
 from forge.exact import MINUS_ONE, OMEGA, ONE, ZERO, Scalar, sc
-from forge.linalg import Matrix, vec_add_scaled
+from forge.linalg import vec_add_scaled
 from forge.scenarios import e8_pair, okubo11, para_split, split_cayley
 import oracles
-from oracles import (clear_denominators, commutative_center, dense,
+from oracles import (clear_denominators, commutative_center, commutator, dense,
                      first_jacobi_failure, matrix_in_span)
 
 
@@ -49,10 +50,10 @@ def test_verify_composition():
 
 def _composition_defect(A, i, j, k, l):
     """n(e_i e_j, e_k e_l) + n(e_k e_j, e_i e_l) - n(e_i, e_k) n(e_j, e_l)."""
-    N = A.polar.data
+    N = A.polar
     return (A.polar_pair_sparse(A.product(i, j), A.product(k, l))
             + A.polar_pair_sparse(A.product(k, j), A.product(i, l))
-            - N[i][k] * N[j][l])
+            - N.get((i, k), ZERO) * N.get((j, l), ZERO))
 
 
 def test_verify_composition_names_a_corrupted_product():
@@ -154,7 +155,7 @@ def test_derivations_closed_and_skew():
     S = para_split()
     ders = derivation_algebra(S)
     skews = orthogonal_algebra(S)
-    bracket = dense(ders[0]).commutator(dense(ders[1]))
+    bracket = commutator(dense(ders[0]), dense(ders[1]))
     assert matrix_in_span(bracket.sparse_cols(), ders, S.dim)
     for d in ders[:4]:
         assert matrix_in_span(d, skews, S.dim)
@@ -413,10 +414,10 @@ def _sparse_algebras(draw):
                                     max_size=dim * dim))
     polar = None
     if draw(st.booleans()):
-        polar = Matrix.zero(dim, dim)
+        polar = {}
         for (i, j), v in draw(st.dictionaries(st.tuples(index, index), _coeffs,
                                               max_size=dim * dim)).items():
-            polar.data[i][j] = polar.data[j][i] = v
+            polar[(i, j)] = polar[(j, i)] = v
     # the constructor adopts the inner dicts it is given: hand it copies
     return products, Algebra(dim, "random", {ij: dict(vec) for ij, vec in products.items()},
                              polar=polar)
@@ -433,7 +434,22 @@ def test_interchange_round_trip_of_random_sparse_algebras(case):
     back = algebra_from_text(text)
     assert back.to_text() == text
     assert back.products == A.products
-    assert back.polar == A.polar or (A.polar.is_zero() and back.polar is None)
+    assert back.polar == A.polar or (not A.polar and back.polar is None)
+
+
+def test_one_polar_line_costs_no_dense_form():
+    # a dense form of this table would hold 2000 x 2000 entries (about 64 MB
+    # of row lists); the sparse one holds the two entries of the one line
+    text = "dim 2000 over Q(w)\npolar 0 1 1\n"
+    tracemalloc.start()
+    try:
+        A = algebra_from_text(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert A.polar == {(0, 1): ONE, (1, 0): ONE}
+    assert A.to_text() == text
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,12 +1,13 @@
 import pytest
 
 from forge import compose
-from forge.algebra import find_unity, verify_composition, verify_symmetric
+from forge.algebra import (find_unity, multiplicative_failure, verify_composition,
+                           verify_symmetric)
 from forge.exact import MINUS_ONE, OMEGA, ONE, ZERO, Scalar, sc
 from forge.grading import okubo_grading
 from forge.linalg import Matrix
 from forge.scenarios import okubo11, para_split, petersson_nst, split_cayley
-from oracles import commutative_center, mat_vec
+from oracles import commutative_center, dense, mat_vec, polar_matrix
 
 
 def test_split_cayley_spot_products():
@@ -41,7 +42,7 @@ def test_cd_double_rejects():
 
 def test_conjugation_properties():
     C = split_cayley()
-    conj = compose.conjugation(C)
+    conj = dense(compose.conjugation(C))
     e = find_unity(C)
     # conj(1) = 1, conj(e1) = e2, conj(u1) = -u1
     assert mat_vec(conj, e.coords) == list(e.coords)
@@ -80,31 +81,62 @@ def test_para_hurwitz():
 
 def test_tau_automorphisms():
     C = split_cayley()
-    st = compose.tau_automorphism("st")
+    st = dense(compose.tau_automorphism("st"))
     assert mat_vec(st, [ZERO] * 4 + [ONE] + [ZERO] * 3)[2] == ONE  # u3 -> u1
-    nst = compose.tau_automorphism("nst")
+    nst = dense(compose.tau_automorphism("nst"))
     v1img = [nst.data[r][5] for r in range(8)]
     assert v1img[5] == MINUS_ONE and v1img[6] == ONE            # v1 -> -v1+v2
-    om = compose.tau_automorphism("omega")
+    om = dense(compose.tau_automorphism("omega"))
     assert om.data[6][6] == OMEGA                               # v2 -> w v2
     for tau in (st, nst, om):
         assert tau * tau * tau == Matrix.identity(8)
         assert tau != Matrix.identity(8)
-        compose.petersson(C, tau)                               # validates
+        compose.petersson(C, tau.sparse_cols())                 # validates
 
 
 def test_petersson_identity_is_para():
     C = split_cayley()
-    P = compose.petersson(C, Matrix.identity(8))
+    P = compose.petersson(C, [{j: ONE} for j in range(8)])
     assert P.products == para_split().products
 
 
 def test_petersson_rejects_non_automorphism():
     C = split_cayley()
-    bad = Matrix.identity(8)
-    bad.data[2][2] = sc(2)
+    bad = [{j: ONE} for j in range(8)]
+    bad[2] = {2: sc(2)}
     with pytest.raises((compose.NotAutomorphism, compose.NotOrderDividing3)):
         compose.petersson(C, bad)
+
+
+def test_petersson_rejects_an_automorphism_of_order_2():
+    # diag(1, 1, -1, -1, 1, -1, -1, 1) is multiplicative, and its cube is
+    # itself, not the identity
+    C = split_cayley()
+    signs = (1, 1, -1, -1, 1, -1, -1, 1)
+    tau = [{j: sc(s)} for j, s in enumerate(signs)]
+    assert multiplicative_failure(C, C, tau) is None
+    with pytest.raises(compose.NotOrderDividing3):
+        compose.petersson(C, tau)
+
+
+def test_check_automorphism_names_the_pair_of_a_doubled_column():
+    C = split_cayley()
+    tau = compose.tau_automorphism("st")
+    compose._check_automorphism(C, tau)
+    tau[2] = {r: sc(2) * v for r, v in tau[2].items()}   # u1 -> 2 u2
+    with pytest.raises(compose.NotAutomorphism) as err:
+        compose._check_automorphism(C, tau)
+    assert "(2,3)" in str(err.value)           # u1 u2 = v3 -> v1, not 2 v1
+    with pytest.raises(compose.NotAutomorphism):
+        compose.petersson(C, tau)
+
+
+def test_morphism_guards_reject_planted_maps():
+    O = compose.okubo(1, 1)
+    double = compose.AlgebraMorphism(O, O, [{j: sc(2)} for j in range(8)])
+    assert double.is_invertible() and not double.is_multiplicative()
+    flat = compose.AlgebraMorphism(O, O, [{j: ONE} for j in range(7)] + [{}])
+    assert not flat.is_invertible()
 
 
 def test_petersson_nst_product():
@@ -145,7 +177,7 @@ def test_okubo_polar_derived_from_defining_identity():
                 vals.add(lhs.get(j, ZERO))
             assert len(vals) == 1
             derived.data[i][k] = vals.pop()
-    assert derived == O.polar
+    assert derived == polar_matrix(O)
 
 
 def test_okubo_from_quaternion():
@@ -186,7 +218,7 @@ def test_recognition_on_model():
     y = O.element([0, 0, -1, 0, 0, 0, 0, 0])
     a, b, iso = compose.okubo_recognize(O, x, y)
     assert (a, b) == (sc(2), sc(3))
-    assert iso.matrix == Matrix.identity(8)
+    assert dense(iso.columns) == Matrix.identity(8)
     assert iso.is_multiplicative() and iso.is_invertible()
 
 

@@ -4,13 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from forge.exact import OMEGA, ONE, ZERO, Polynomial, Scalar, sc
-from forge.linalg import (DependentVectors, Matrix, NotSquare,
-                          SpanCoords, SparseEchelon, _krylov_annihilator, column_apply,
-                          inverse, minimal_polynomial, minimal_polynomial_op,
-                          nullspace, rank, rank_mod_p, rref, smith_normal_form,
-                          solve, sparse_kernel, vec_add_scaled)
-from oracles import (IntMatrix, dense_smith_invariants, hermite_basis, int_det,
-                     mat_vec)
+from forge.linalg import (DependentVectors, Matrix, SpanCoords, SparseEchelon,
+                          _krylov_annihilator, column_apply, minimal_polynomial_op,
+                          rank_mod_p, rref, smith_normal_form, solve,
+                          sparse_kernel, vec_add_scaled)
+from oracles import (IntMatrix, NotSquare, dense_smith_invariants, hermite_basis,
+                     int_det, inverse, mat_vec, minimal_polynomial, nullspace,
+                     rank)
 
 X = Polynomial.x
 C = Polynomial.constant

@@ -12,12 +12,12 @@ from forge.algebra import (Algebra, ad_closure_rank, derivation_algebra,
 from forge.exact import (OMEGA, OMEGA2, ONE, ZERO, Polynomial, Scalar,
                          is_squarefree, sc)
 from forge.grading import AbelianGroup, Grading, grading_type, verify_grading
-from forge.linalg import (Matrix, column_apply, eigenspace, minimal_polynomial,
-                          nullspace, vec_add_scaled)
+from forge.linalg import Matrix, column_apply, eigenspace, vec_add_scaled
 from forge.scenarios import (albert_para, e8_pair, f4_mag, okubo11,
                              para_split, split_cayley)
 import oracles
-from oracles import compose_linear, dense, left_matrix, mat_vec
+from oracles import (commutator, compose_linear, dense, left_matrix, mat_vec,
+                     minimal_polynomial, nullspace)
 from test_linalg import _dense_inverse
 
 X = Polynomial.x
@@ -88,7 +88,7 @@ def test_sparse_triality_matches_dense_oracle():
                 com = ts[x].commutator(ts[y])
                 for i in range(3):
                     assert dense(com.columns(i)) == \
-                        dense(ts[x].columns(i)).commutator(dense(ts[y].columns(i)))
+                        commutator(dense(ts[x].columns(i)), dense(ts[y].columns(i)))
 
 
 def test_magic_dimension_formula():
@@ -141,7 +141,7 @@ def test_albert_products():
     for i in range(3):
         a, b = 0, 1
         lhs = J.basis_element(A.iota_index(i, a)) * J.basis_element(A.iota_index(i, b))
-        n2 = sc(2) * S.polar.data[a][b]
+        n2 = sc(2) * S.polar.get((a, b), ZERO)
         want = [ZERO] * J.dim
         want[(i + 1) % 3] = n2
         want[(i + 2) % 3] = n2
@@ -203,13 +203,23 @@ def test_is_derivation_rejects_left_multiplication_by_an_idempotent():
     assert magic.is_derivation(J, [{} for _ in range(J.dim)])
 
 
-def test_magic_and_scenarios_bind_no_dense_matrix():
-    # linear maps above linalg are sparse columns; Matrix stays in linalg,
-    # algebra (polar forms, find_unity) and compose
+def test_no_module_above_linalg_binds_the_dense_api():
+    # linear maps above linalg are sparse columns and polar forms are
+    # {(i, j): value}; the dense API stays in linalg and tests/oracles.py
+    import importlib
+    import pkgutil
+    import forge
     from forge import linalg
-    for module in (magic, scenarios):
-        assert "Matrix" not in vars(module)
-        assert all(v is not linalg.Matrix for v in vars(module).values())
+    dense_api = ("Matrix", "rref", "solve", "rank", "nullspace", "inverse")
+    dense_objects = [linalg.Matrix, linalg.rref, linalg.solve]
+    names = [info.name for info in pkgutil.iter_modules(forge.__path__)]
+    assert {"algebra", "compose", "grading", "magic", "scenarios", "cli"} <= set(names)
+    for name in names:
+        if name == "linalg":
+            continue
+        bound = vars(importlib.import_module("forge." + name))
+        assert not set(dense_api) & set(bound), name
+        assert not any(v is obj for v in bound.values() for obj in dense_objects), name
 
 
 def test_adjoint_minimal_polynomial_matches_dense():
@@ -771,8 +781,8 @@ def test_reduced_triality_scan_agrees_with_the_oracle(algebra_of, a, k, entry,
         assert bad and bad == oracles.triality_bracket_failures(S)
     assert seen == 378 + 4096
     # n(a, b) != n(b, a): the polar check fails, so the 4096 are read at once
-    polar = Matrix([row[:] for row in S.polar.data])
-    polar.data[a][b] = polar.data[a][b] + delta
+    polar = dict(S.polar)
+    polar[(a, b)] = polar.get((a, b), ZERO) + delta
     T = Algebra(S.dim, S.name, {ij: dict(v) for ij, v in S.products.items()},
                 polar=polar)
     assert _counted_scan(T) == (oracles.triality_bracket_failures(T), 4096)
