@@ -8,8 +8,11 @@ equivalent to the quadratic or cubic identities in characteristic zero.
 The heavy scans (Jacobi, Jordan) run over denominator-cleared integer tables
 instead of Scalar objects, as does rebase_blockwise, the change to the
 eigenbasis of an order-3 monomial automorphism.  Each table is held once: an
-Algebra keeps the caller's product dicts, and an integer table shares one
-tuple per distinct entry and product.
+Algebra keeps one of the caller's product dicts per distinct row, shared by
+every product equal to it, and an integer table shares one tuple per
+distinct entry and row.  Rows are read-only, and the passes over a whole
+table (integer tables, text, the sign check) do their per-row work once per
+distinct row.
 """
 
 from __future__ import annotations
@@ -37,24 +40,27 @@ class IncompatibleInputs(ValueError):
 def integer_table(products: dict):
     """(D, table, rational) with table[i][j] = ((m, p, q), ...) for D * c,
     where products[(i, j)][m] = c, D the lcm of the denominators; rational
-    when every q is 0.  Built in one pass, with one tuple per distinct entry
-    (m, p, q) and one per distinct product tuple: the 248-dimensional table
-    has 49,440 entries but 976 entry and 1,088 product objects."""
-    D = lcm(*{c.d for vec in products.values() for c in vec.values()})
+    when every q is 0.  Built in one pass over the distinct row objects, with
+    one tuple per distinct entry (m, p, q) and one per row object: the
+    248-dimensional table has 44,064 products but 1,088 rows, and 49,440
+    entries but 976 entry objects."""
+    vecs = {id(vec): vec for vec in products.values()}
+    D = lcm(*{c.d for vec in vecs.values() for c in vec.values()})
     entries: dict = {}
-    rows: dict = {}
-    table: dict = {}
-    for (i, j), vec in products.items():
+    rows: dict = {}  # id(vec) -> its tuple
+    for key, vec in vecs.items():
         row = []
         for m, c in vec.items():
             f = D // c.d
             e = (m, c.p * f, c.q * f)
             row.append(entries.setdefault(e, e))
-        row = tuple(row)
+        rows[key] = tuple(row)
+    table: dict = {}
+    for (i, j), vec in products.items():
         ti = table.get(i)
         if ti is None:
             ti = table[i] = {}
-        ti[j] = rows.setdefault(row, row)
+        ti[j] = rows[id(vec)]
     return D, table, not any(q for _, _, q in entries)
 
 
@@ -64,12 +70,16 @@ class Algebra:
     products[(i, j)] = {k: c} with every c a nonzero Scalar.  The table holds
     one Scalar object per distinct value (a 248-dimensional table has about
     50,000 constants but only a handful of values), which Scalars, being
-    immutable values, allow.  The constructor takes ownership of `products`
-    and its inner dicts and keeps them: it puts the shared Scalar of each
-    value in place, coercing ints, and deletes zero entries and emptied
-    products, so their values stay equal; they belong to no other Algebra,
-    and no caller mutates them afterwards.  polar, if given, is a dict
-    {(i, j): n(e_i, e_j)}; the Algebra keeps a copy without its zeros.
+    immutable values, allow, and one dict object per distinct row: equal
+    products, with the same keys in the same order, share the first dict
+    given (44,064 products, 1,088 rows).  Rows are read-only.  The
+    constructor takes ownership of `products` and its inner dicts and keeps
+    the outer dict: it puts the shared Scalar of each value in place,
+    coercing ints, deletes zero entries and emptied products, so their
+    values stay equal, and then puts the first equal row in place of each
+    product; they belong to no other Algebra, and no caller mutates them
+    afterwards.  polar, if given, is a dict {(i, j): n(e_i, e_j)}; the
+    Algebra keeps a copy without its zeros.
     """
 
     def __init__(self, dim: int, name: str, products: dict, polar=None, labels=None):
@@ -88,6 +98,9 @@ class Algebra:
             vec.pop(k, None)   # a dict given under two keys is listed twice
         for ij in [ij for ij, vec in products.items() if not vec]:
             del products[ij]
+        rows: dict = {}  # (*keys, *ids of their Scalars) -> the first such row
+        for ij, vec in products.items():
+            products[ij] = rows.setdefault((*vec, *map(id, vec.values())), vec)
         self.products = products
         if polar is not None:
             polar = {ij: sc(v) for ij, v in polar.items()}
@@ -181,10 +194,14 @@ class Algebra:
                 s = text[key] = format_scalar(v)
             return s
 
+        rows: dict = {}  # id(row) -> its terms, each row formatted once
         lines = ["dim %d over Q(w)" % self.dim]
         for (i, j) in sorted(self.products):
             vec = self.products[(i, j)]
-            terms = ",".join("%d:%s" % (k, fmt(vec[k])) for k in sorted(vec))
+            terms = rows.get(id(vec))
+            if terms is None:
+                terms = rows[id(vec)] = ",".join(
+                    "%d:%s" % (k, fmt(vec[k])) for k in sorted(vec))
             lines.append("%d %d -> %s" % (i, j, terms))
         if self.polar is not None:
             for i, j in sorted(self.polar):
@@ -221,6 +238,7 @@ def algebra_from_text(text: str, name: str = "ingested") -> Algebra:
                 raise ValueError("malformed line %r" % ln) from None
         return v
 
+    rows: dict = {}  # right-hand side text -> its row, each text parsed once
     products: dict = {}
     polar: dict = {}
     for ln in lines[1:]:
@@ -236,19 +254,22 @@ def algebra_from_text(text: str, name: str = "ingested") -> Algebra:
         else:
             left, arrow, right = ln.partition("->")
             pair = left.split()
-            terms = [t.split(":", 1) for t in right.split(",")]
-            if not arrow or len(pair) != 2 or min(map(len, terms)) != 2:
+            vec = rows.get(right)
+            terms = [t.split(":", 1) for t in right.split(",")] if vec is None else ()
+            if not arrow or len(pair) != 2 or min(map(len, terms), default=2) != 2:
                 raise ValueError("malformed line %r" % ln)
             i, j = index(pair[0], ln), index(pair[1], ln)
             if (i, j) in products:
                 raise ValueError("second line for the product %d %d" % (i, j))
-            vec = {}
-            for k, val in terms:
-                k = index(k, ln)
-                if k in vec:
-                    raise ValueError("second term %d in the product %d %d"
-                                     % (k, i, j))
-                vec[k] = scalar(val, ln)
+            if vec is None:
+                vec = {}
+                for k, val in terms:
+                    k = index(k, ln)
+                    if k in vec:
+                        raise ValueError("second term %d in the product %d %d"
+                                         % (k, i, j))
+                    vec[k] = scalar(val, ln)
+                rows[right] = vec
             products[(i, j)] = vec
     return Algebra(dim, name, products, polar=polar or None)
 
@@ -392,15 +413,26 @@ def _pair_mul(p1, q1, p2, q2):
 
 
 def sign_failure(A: Algebra, sign: int):
-    """First pair (i, j), i <= j, with e_j e_i != sign * e_i e_j, or None."""
+    """First pair (i, j), i <= j, with e_j e_i != sign * e_i e_j, or None.
+    A pair of table rows is compared once, however many pairs share it."""
+    P = A.products
+    passed = set()  # (id(e_i e_j), id(e_j e_i)) of the row pairs that hold
     for i in range(A.dim):
         for j in range(i, A.dim):
-            a, b = A.product(i, j), A.product(j, i)
+            a, b = P.get((i, j)), P.get((j, i))
+            if not a or not b:
+                if a or b:
+                    return i, j
+                continue
+            key = (id(a), id(b))
+            if key in passed:
+                continue
             if a.keys() != b.keys():
                 return i, j
             for m, c in a.items():
                 if (e := b[m]).p != sign * c.p or e.q != sign * c.q or e.d != c.d:
                     return i, j
+            passed.add(key)
     return None
 
 

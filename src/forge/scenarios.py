@@ -390,7 +390,7 @@ def scenario_jordan_layer(seed=DEFAULT_SEED) -> Report:
                       for i in range(3))
         cl.check_true("d-i-leibniz(%s)" % S.name, ok_leib)
     for S, A in ((para_split(), albert_para()), (okubo11(), albert_okubo())):
-        mag = magic.magic_g(compose.s1(), S)
+        mag = f4_mag() if S is para_split() else magic.magic_g(compose.s1(), S)
         rep = magic.phi_isomorphism(S, mag=mag, A=A)
         cl.check_true("phi-isomorphism(%s)" % S.name, rep.passed,
                       "the magic square algebra is the derivation algebra of "

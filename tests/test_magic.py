@@ -115,6 +115,25 @@ def test_magic_with_one_context_on_both_sides_builds_tri_once(monkeypatch):
     assert shared.lie.labels == separate.lie.labels
 
 
+@pytest.mark.parametrize("S", [para_split(), okubo11()], ids=["para", "okubo"])
+def test_tri_spans_by_pairs_rejects_a_planted_dependent_triple(monkeypatch, S):
+    # the 28 triples t_{e_a, e_b}, a < b, are a basis of the 28-dimensional
+    # tri(S); planted, every pair (1, b) gives 2 t_{e_0, e_1} instead
+    ctx = magic.TriContext(S)
+    assert magic.tri_spans_by_pairs(ctx)
+    t_xy = magic.t_xy
+    base = t_xy(S, S.basis_element(0), S.basis_element(1))
+
+    def planted(S_, x, y):
+        if list(x.sparse()) == [1]:
+            return magic.TriElement(base.d, {k: sc(2) * v
+                                             for k, v in base.entries.items()})
+        return t_xy(S_, x, y)
+
+    monkeypatch.setattr(magic, "t_xy", planted)
+    assert not magic.tri_spans_by_pairs(ctx)
+
+
 def test_magic_rejects_bad_inputs():
     with pytest.raises(magic.NotSymmetricComposition):
         magic.magic_g(compose.s1(), split_cayley())
