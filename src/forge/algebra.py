@@ -86,21 +86,26 @@ class Algebra:
         self.dim = dim
         self.name = name
         shared: dict = {}  # (p, q, d) -> the one Scalar of that value
+        rows: dict = {}  # (*keys, *ids of their Scalars) -> the first such row
+        done = set()  # ids of those rows: a row given again needs no pass
         zeros = []
-        for vec in products.values():
+        for ij, vec in products.items():
+            if id(vec) in done:
+                continue
             for k, c in vec.items():
                 c = sc(c)
                 if c.p or c.q:
                     vec[k] = shared.setdefault((c.p, c.q, c.d), c)
                 else:
-                    zeros.append((vec, k))
-        for vec, k in zeros:
-            vec.pop(k, None)   # a dict given under two keys is listed twice
+                    zeros.append(k)
+            for k in zeros:
+                del vec[k]
+            zeros.clear()
+            row = products[ij] = rows.setdefault((*vec, *map(id, vec.values())), vec)
+            if row is vec:
+                done.add(id(vec))
         for ij in [ij for ij, vec in products.items() if not vec]:
             del products[ij]
-        rows: dict = {}  # (*keys, *ids of their Scalars) -> the first such row
-        for ij, vec in products.items():
-            products[ij] = rows.setdefault((*vec, *map(id, vec.values())), vec)
         self.products = products
         if polar is not None:
             polar = {ij: sc(v) for ij, v in polar.items()}
@@ -255,8 +260,11 @@ def algebra_from_text(text: str, name: str = "ingested") -> Algebra:
             left, arrow, right = ln.partition("->")
             pair = left.split()
             vec = rows.get(right)
-            terms = [t.split(":", 1) for t in right.split(",")] if vec is None else ()
-            if not arrow or len(pair) != 2 or min(map(len, terms), default=2) != 2:
+            if vec is None:
+                terms = [t.split(":", 1) for t in right.split(",")]
+                if min(map(len, terms)) != 2:
+                    raise ValueError("malformed line %r" % ln)
+            if not arrow or len(pair) != 2:
                 raise ValueError("malformed line %r" % ln)
             i, j = index(pair[0], ln), index(pair[1], ln)
             if (i, j) in products:
