@@ -2,9 +2,11 @@
 
 An algebra is a sparse tensor (i, j) -> sum_k c_k e_k together with an
 optional polar form of a norm, a dict {(i, j): n(e_i, e_j)} keyed like the
-products: zeros are dropped and both (i, j) and (j, i) are stored.  All
-identity checks work by full multilinearization on basis tuples, which is
-equivalent to the quadratic or cubic identities in characteristic zero.
+products: zeros are dropped and both (i, j) and (j, i) are stored.  A vector
+is a dict {k: nonzero Scalar} with zeros dropped: e_i is {i: ONE}, 0 is {}
+and x*y is multiply_sparse(x, y).  All identity checks work by full
+multilinearization on basis tuples, which is equivalent to the quadratic or
+cubic identities in characteristic zero.
 The heavy scans (Jacobi, Jordan) run over denominator-cleared integer tables
 instead of Scalar objects, as does rebase_blockwise, the change to the
 eigenbasis of an order-3 monomial automorphism.  Each table is held once: an
@@ -23,10 +25,6 @@ from .exact import (OMEGA, OMEGA2, ONE, ZERO, Scalar, format_scalar, parse_int,
                     parse_scalar, sc)
 from .linalg import SparseEchelon, column_apply, sparse_kernel, vec_add_scaled
 from .report import Report
-
-
-class MixedAlgebras(ValueError):
-    pass
 
 
 class MissingForm(ValueError):
@@ -118,20 +116,6 @@ class Algebra:
 
     def product(self, i: int, j: int) -> dict:
         return self.products.get((i, j), {})
-
-    def element(self, coords) -> "Element":
-        return Element(self, coords)
-
-    def basis_element(self, i: int) -> "Element":
-        coords = [ZERO] * self.dim
-        coords[i] = ONE
-        return Element(self, coords)
-
-    def basis(self):
-        return [self.basis_element(i) for i in range(self.dim)]
-
-    def zero(self) -> "Element":
-        return Element(self, [ZERO] * self.dim)
 
     def label(self, i: int) -> str:
         return self.labels[i] if self.labels else "e%d" % i
@@ -280,70 +264,6 @@ def algebra_from_text(text: str, name: str = "ingested") -> Algebra:
                 rows[right] = vec
             products[(i, j)] = vec
     return Algebra(dim, name, products, polar=polar or None)
-
-
-class Element:
-    """Vector of exact coordinates in a fixed algebra."""
-
-    __slots__ = ("algebra", "coords")
-
-    def __init__(self, algebra: Algebra, coords):
-        coords = tuple(sc(c) for c in coords)
-        if len(coords) != algebra.dim:
-            raise ValueError("coordinate length %d != dim %d"
-                             % (len(coords), algebra.dim))
-        self.algebra = algebra
-        self.coords = coords
-
-    def sparse(self) -> dict:
-        return {i: c for i, c in enumerate(self.coords) if c.p or c.q}
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coords)
-
-    def __add__(self, other: "Element") -> "Element":
-        self._check(other)
-        return Element(self.algebra, [a + b for a, b in zip(self.coords, other.coords)])
-
-    def __sub__(self, other: "Element") -> "Element":
-        self._check(other)
-        return Element(self.algebra, [a - b for a, b in zip(self.coords, other.coords)])
-
-    def __neg__(self) -> "Element":
-        return Element(self.algebra, [-a for a in self.coords])
-
-    def scale(self, c) -> "Element":
-        c = sc(c)
-        return Element(self.algebra, [c * a for a in self.coords])
-
-    def __mul__(self, other: "Element") -> "Element":
-        self._check(other)
-        out = self.algebra.multiply_sparse(self.sparse(), other.sparse())
-        coords = [ZERO] * self.algebra.dim
-        for k, v in out.items():
-            coords[k] = v
-        return Element(self.algebra, coords)
-
-    def _check(self, other: "Element"):
-        if other.algebra is not self.algebra:
-            raise MixedAlgebras("elements of different algebras")
-
-    def __eq__(self, other):
-        if not isinstance(other, Element):
-            return NotImplemented
-        return self.algebra is other.algebra and self.coords == other.coords
-
-    def __hash__(self):
-        return hash(self.coords)
-
-    def __repr__(self):
-        terms = []
-        for i, c in enumerate(self.coords):
-            if c.is_zero():
-                continue
-            cs = format_scalar(c)
-            terms.append("%s*%s" % (cs, self.algebra.label(i)))
-        return " + ".join(terms) if terms else "0"
 
 
 # =========================================================================
@@ -881,12 +801,11 @@ def rebase_blockwise(L: Algebra, cycles, exponents) -> Algebra:
 
 
 def subalgebra_generated(A: Algebra, gens):
-    """Closure of the span of gens under multiplication; echelonized basis."""
-    d = A.dim
-    ech = SparseEchelon(d)
+    """Closure of the span of the vectors gens under multiplication: the
+    echelon's pivot rows, in leading-coordinate order."""
+    ech = SparseEchelon(A.dim)
     for g in gens:
-        v = g.sparse() if isinstance(g, Element) else dict(g)
-        ech.insert(v)
+        ech.insert(g)
     while True:
         current = [dict(r) for r in ech.pivot_rows.values()]
         grew = False
@@ -897,18 +816,11 @@ def subalgebra_generated(A: Algebra, gens):
                     grew = True
         if not grew:
             break
-    basis = []
-    for lead in sorted(ech.pivot_rows):
-        row = ech.pivot_rows[lead]
-        coords = [ZERO] * d
-        for k, c in row.items():
-            coords[k] = c
-        basis.append(Element(A, coords))
-    return basis
+    return [ech.pivot_rows[lead] for lead in sorted(ech.pivot_rows)]
 
 
 def find_unity(A: Algebra):
-    """The two-sided unity as an Element, or None.
+    """The two-sided unity as a vector, or None.
 
     The unknown e = sum_j x_j e_j solves e e_i = e_i = e_i e, one equation
     per coordinate m of either side; column d of the one echelon holds the
@@ -927,23 +839,21 @@ def find_unity(A: Algebra):
     if d in ech.pivot_rows:
         return None
     ech.back_substitute()
-    x = [ZERO] * d
-    for lead, row in ech.pivot_rows.items():
-        x[lead] = row.get(d, ZERO)
-    e = Element(A, x)
+    rows = ech.pivot_rows
+    e = {lead: rows[lead][d] for lead in sorted(rows) if d in rows[lead]}
     for i in range(d):
-        b = A.basis_element(i)
-        if e * b != b or b * e != b:
+        b = {i: ONE}
+        if A.multiply_sparse(e, b) != b or A.multiply_sparse(b, e) != b:
             return None
     return e
 
 
-def left_columns(A: Algebra, x: Element):
-    """The columns x e_j of left multiplication by x, one sparse dict per
-    basis vector e_j; for x = e_i, the table's own rows, which callers only
-    read.  On a Lie algebra these are the columns [x, e_j] of ad_x."""
-    xs = x.sparse()
-    if list(xs.values()) == [ONE]:
-        (i,) = xs
+def left_columns(A: Algebra, x: dict):
+    """The columns x e_j of left multiplication by the vector x, one sparse
+    dict per basis vector e_j; for x = e_i, the table's own rows, which
+    callers only read.  On a Lie algebra these are the columns [x, e_j] of
+    ad_x."""
+    if list(x.values()) == [ONE]:
+        (i,) = x
         return [A.product(i, j) for j in range(A.dim)]
-    return [A.multiply_sparse(xs, {j: ONE}) for j in range(A.dim)]
+    return [A.multiply_sparse(x, {j: ONE}) for j in range(A.dim)]

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exact import MINUS_ONE, OMEGA, OMEGA2, ONE, TWO, ZERO, Scalar, sc
-from .algebra import (Algebra, Element, MissingForm, find_unity, left_columns,
+from .exact import MINUS_ONE, OMEGA, OMEGA2, ONE, TWO, Scalar, sc
+from .algebra import (Algebra, MissingForm, find_unity, left_columns,
                       multiplicative_failure, verify_composition)
 from .linalg import (DependentVectors, SpanCoords, SparseEchelon, column_apply,
                      sparse_kernel, vec_add_scaled)
@@ -136,10 +136,9 @@ def conjugation(C: Algebra):
     as sparse columns."""
     if C.polar is None:
         raise MissingForm("conjugation needs the polar form")
-    e = find_unity(C)
-    if e is None:
+    es = find_unity(C)
+    if es is None:
         raise NoUnity("algebra %s has no unity" % C.name)
-    es = e.sparse()
     cols = []
     for j in range(C.dim):
         col: dict = {}
@@ -330,7 +329,7 @@ def okubo_from_quaternion(beta, alpha) -> Algebra:
     Q = cd_double(K, b)
     C = cd_double(Q, a)
     # w = -v inside K, embedded in Q = K + Ku'
-    w = Q.element([ZERO, MINUS_ONE, ZERO, ZERO])
+    w = {1: MINUS_ONE}
     tau = [{i: ONE} for i in range(4)]
     tau += [{4 + i: v for i, v in col.items()} for col in left_columns(Q, w)]
     S = petersson(C, tau)
@@ -391,34 +390,29 @@ def _cubic_value(S: Algebra, y: dict) -> Scalar:
     return S.polar_pair_sparse(y, S.multiply_sparse(y, y))
 
 
-def complete_okubo_pair(S: Algebra, x: Element) -> Element:
+def complete_okubo_pair(S: Algebra, x: dict) -> dict:
     """A partner y for x: n(y) = 0 != n(y, y*y), x*y = 0, alg(x) _|_ alg(y).
 
-    Solves the linear system for the candidate space and searches it over a
-    small fixed coefficient set, preferring a candidate with cubic value 1.
+    x and y are vectors {k: nonzero Scalar}.  Solves the linear system for
+    the candidate space and searches it over a small fixed coefficient set,
+    preferring a candidate with cubic value 1.
     """
-    xs = x.sparse()
-    xx = S.multiply_sparse(xs, xs)
-    if not S.norm_sparse(xs).is_zero() or S.polar_pair_sparse(xs, xx).is_zero():
+    xx = S.multiply_sparse(x, x)
+    if not S.norm_sparse(x).is_zero() or S.polar_pair_sparse(x, xx).is_zero():
         raise HypothesesFail("x must be isotropic with n(x, x*x) nonzero")
     d = S.dim
     rows = [{} for _ in range(d)]   # x*y = 0, one row per coordinate
     for j, col in enumerate(left_columns(S, x)):
         for m, v in col.items():
             rows[m][j] = v
-    for z in (xs, xx):              # n(y, x) = n(y, x*x) = 0
+    for z in (x, xx):               # n(y, x) = n(y, x*x) = 0
         row = {j: S.polar_pair_sparse({j: ONE}, z) for j in range(d)}
         rows.append({j: v for j, v in row.items() if v.p or v.q})
     space = sparse_kernel(rows, d)
 
     def combine(base, vec, cf):
         out = dict(base)
-        for k, c in vec.items():
-            cur = out.get(k, ZERO) + cf * c
-            if cur.p or cur.q:
-                out[k] = cur
-            elif k in out:
-                del out[k]
+        vec_add_scaled(out, cf, vec)
         return out
 
     def candidates():
@@ -452,68 +446,61 @@ def complete_okubo_pair(S: Algebra, x: Element) -> Element:
         if cy.is_zero():
             continue
         yy = S.multiply_sparse(y, y)
-        pairings = (S.polar_pair_sparse(xs, y), S.polar_pair_sparse(xs, yy),
+        pairings = (S.polar_pair_sparse(x, y), S.polar_pair_sparse(x, yy),
                     S.polar_pair_sparse(xx, y), S.polar_pair_sparse(xx, yy))
         if any(not p.is_zero() for p in pairings):
             continue
-        if S.multiply_sparse(xs, y):
+        if S.multiply_sparse(x, y):
             continue
         if cy == ONE:
-            return _to_element(S, y)
+            return y
         valid.append(y)
     if valid:
-        return _to_element(S, valid[0])
+        return valid[0]
     raise SearchExhausted("no isotropic partner found in the bounded search")
 
 
-def _to_element(S: Algebra, v: dict) -> Element:
-    coords = [ZERO] * S.dim
-    for k, c in v.items():
-        coords[k] = c
-    return Element(S, coords)
-
-
-def okubo_dichotomy(S: Algebra, x: Element, y: Element):
-    """(x*y == 0, y*x == 0) after checking the pair hypotheses."""
+def okubo_dichotomy(S: Algebra, x: dict, y: dict):
+    """(x*y == 0, y*x == 0) for vectors x, y after checking the pair
+    hypotheses."""
     _check_pair_hypotheses(S, x, y)
-    return ((x * y).is_zero(), (y * x).is_zero())
+    return (not S.multiply_sparse(x, y), not S.multiply_sparse(y, x))
 
 
-def _check_pair_hypotheses(S: Algebra, x: Element, y: Element):
-    xs, ys = x.sparse(), y.sparse()
-    xx = S.multiply_sparse(xs, xs)
-    yy = S.multiply_sparse(ys, ys)
-    if not S.norm_sparse(xs).is_zero() or not S.norm_sparse(ys).is_zero():
+def _check_pair_hypotheses(S: Algebra, x: dict, y: dict):
+    xx = S.multiply_sparse(x, x)
+    yy = S.multiply_sparse(y, y)
+    if not S.norm_sparse(x).is_zero() or not S.norm_sparse(y).is_zero():
         raise HypothesesFail("both elements must be isotropic")
-    if S.polar_pair_sparse(xs, xx).is_zero() or S.polar_pair_sparse(ys, yy).is_zero():
+    if S.polar_pair_sparse(x, xx).is_zero() or S.polar_pair_sparse(y, yy).is_zero():
         raise HypothesesFail("cubic values must be nonzero")
-    for u in (ys, yy):
-        for v in (xs, xx):
+    for u in (y, yy):
+        for v in (x, xx):
             if not S.polar_pair_sparse(v, u).is_zero():
                 raise HypothesesFail("generated subalgebras must be orthogonal")
 
 
-def okubo_recognize(S: Algebra, x: Element, y: Element):
-    """Isomorphism onto the model O(alpha, beta) sending x, y to -x10, -x01.
+def okubo_recognize(S: Algebra, x: dict, y: dict):
+    """Isomorphism onto the model O(alpha, beta) sending the vectors x, y to
+    -x10, -x01.
 
     Requires x*y = 0 on top of the pair hypotheses; the caller swaps the pair
     or replaces x by x*x when y*x = 0 instead.
     """
     _check_pair_hypotheses(S, x, y)
-    if not (x * y).is_zero():
+    m = S.multiply_sparse
+    if m(x, y):
         raise HypothesesFail("x*y must vanish (swap or substitute x by x*x)")
-    xs, ys = x.sparse(), y.sparse()
-    xx = _to_element(S, S.multiply_sparse(xs, xs))
-    yy = _to_element(S, S.multiply_sparse(ys, ys))
-    alpha = S.polar_pair_sparse(xs, xx.sparse())
-    beta = S.polar_pair_sparse(ys, yy.sparse())
+    xx, yy = m(x, x), m(y, y)
+    alpha = S.polar_pair_sparse(x, xx)
+    beta = S.polar_pair_sparse(y, yy)
     model = okubo(alpha, beta)
-    basis = [x, xx, y, yy, y * x, yy * xx, x * yy, xx * y]
+    basis = [x, xx, y, yy, m(y, x), m(yy, xx), m(x, yy), m(xx, y)]
     # basis[k] goes to c * e_r of the model, (r, c) = images[k]
     images = [(0, MINUS_ONE), (1, -alpha), (2, MINUS_ONE), (3, -beta),
               (4, ONE), (5, alpha * beta), (7, beta), (6, alpha)]
     try:
-        span = SpanCoords([b.sparse() for b in basis], 8)
+        span = SpanCoords(basis, 8)
     except DependentVectors:
         raise HypothesesFail("derived octet is not a basis")
     cols = [{r: a * c for a, (r, c) in zip(span.coords({j: ONE}), images)

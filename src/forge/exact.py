@@ -90,10 +90,6 @@ class Scalar:
         t = q1 * q2
         return Scalar(p1 * p2 - t, p1 * q2 + q1 * p2 - t, self.d * other.d)
 
-    def conj(self) -> "Scalar":
-        """Image under w -> w^2."""
-        return Scalar(self.p - self.q, -self.q, self.d)
-
     def inv(self) -> "Scalar":
         n = self.p * self.p - self.p * self.q + self.q * self.q
         if n == 0:

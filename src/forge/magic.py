@@ -12,6 +12,7 @@ A triality triple (d0, d1, d2) of d x d maps is one sparse dict: entry
 built, bracketed and solved for in that form.  Every other linear map here
 (columns(i) of a triple, theta, D_i(a), the images of phi, ad_x) is a list
 of sparse columns, cols[j] = {r: entry}, as linalg.column_apply takes it.
+A vector (x, y, a, the elements of h) is a dict {k: nonzero Scalar}.
 
 tri(S), Der(S) and o(S, n) are exact kernels of the rows that
 algebra.leibniz_rows and algebra.skew_rows build.  Adjoint minimal
@@ -43,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import compose
-from .algebra import (Algebra, Element, IncompatibleInputs, _pair_mul,
+from .algebra import (Algebra, IncompatibleInputs, _pair_mul,
                       generating_set, integer_table, kernel_columns,
                       leibniz_rows, left_columns, multiplicative_failure,
                       position_index, rebase_blockwise, skew_rows, verify_lie,
@@ -137,21 +138,20 @@ def tri(S: Algebra):
     return _triality_kernel(S, [(r, c) for r in range(d) for c in range(d)])
 
 
-def t_xy(S: Algebra, x: Element, y: Element) -> TriElement:
-    """The local-triality triple attached to a pair of elements:
+def t_xy(S: Algebra, x: dict, y: dict) -> TriElement:
+    """The local-triality triple attached to a pair of vectors:
     (sigma_{x,y}, n(x,y)/2 - r_x l_y, n(x,y)/2 - l_x r_y)."""
     d = S.dim
-    xs, ys = x.sparse(), y.sparse()
-    half_n = S.polar_pair_sparse(xs, ys) * HALF
+    half_n = S.polar_pair_sparse(x, y) * HALF
     entries = {}
     for j in range(d):
         ej = {j: ONE}
-        yx = S.multiply_sparse(S.multiply_sparse(ys, ej), xs)   # (y e_j) x
-        xy = S.multiply_sparse(xs, S.multiply_sparse(ej, ys))   # x (e_j y)
+        yx = S.multiply_sparse(S.multiply_sparse(y, ej), x)   # (y e_j) x
+        xy = S.multiply_sparse(x, S.multiply_sparse(ej, y))   # x (e_j y)
         cols = ({}, {j: half_n}, {j: half_n})
         # sigma_{x,y}(e_j) = n(x, e_j) y - n(y, e_j) x
-        vec_add_scaled(cols[0], S.polar_pair_sparse(xs, ej), ys)
-        vec_add_scaled(cols[0], -S.polar_pair_sparse(ys, ej), xs)
+        vec_add_scaled(cols[0], S.polar_pair_sparse(x, ej), y)
+        vec_add_scaled(cols[0], -S.polar_pair_sparse(y, ej), x)
         vec_add_scaled(cols[1], MINUS_ONE, yx)
         vec_add_scaled(cols[2], MINUS_ONE, xy)
         for i, col in enumerate(cols):
@@ -196,7 +196,7 @@ def tri_spans_by_pairs(ctx: TriContext) -> bool:
     d = ctx.S.dim
     for a in range(d):
         for b in range(a + 1, d):
-            t = t_xy(ctx.S, ctx.S.basis_element(a), ctx.S.basis_element(b))
+            t = t_xy(ctx.S, {a: ONE}, {b: ONE})
             ech.insert(t.entries)
     return ech.rank == ctx.n
 
@@ -247,8 +247,7 @@ def triality_bracket_failures(S: Algebra):
     in order.
     """
     d = S.dim
-    basis = S.basis()
-    table = {(a, b): t_xy(S, basis[a], basis[b]).entries
+    table = {(a, b): t_xy(S, {a: ONE}, {b: ONE}).entries
              for a in range(d) for b in range(d)}
     for (i, j), v in S.polar.items():
         table.setdefault(("polar", i), {})[j] = v
@@ -396,7 +395,7 @@ def magic_g(S: Algebra, Sp: Algebra, tri_s: TriContext = None,
         tab = [[[None] * n for _ in range(n)] for _ in range(3)]
         for a in range(n):
             for b in range(n):
-                t = t_xy(A, A.basis_element(a), A.basis_element(b))
+                t = t_xy(A, {a: ONE}, {b: ONE})
                 for i in range(3):
                     tab[i][a][b] = c.coords_sparse(t.theta(i))
         return tab
@@ -541,25 +540,23 @@ def albert(S: Algebra) -> AlbertAlgebra:
     return AlbertAlgebra(jordan, S)
 
 
-def d_i_derivation(A: AlbertAlgebra, i: int, a: Element):
+def d_i_derivation(A: AlbertAlgebra, i: int, a: dict):
     """D_i(a) = [L_{2 iota_i(a)}, L_{e_{i+1}}] on the Jordan algebra, as
     sparse columns."""
     J = A.jordan
-    coords = [ZERO] * J.dim
-    for k, c in a.sparse().items():
-        coords[A.iota_index(i, k)] = sc(2) * c
-    return _commutator_cols(left_columns(J, J.element(coords)),
-                            left_columns(J, J.basis_element((i + 1) % 3)))
+    x = {A.iota_index(i, k): sc(2) * c for k, c in a.items()}
+    return _commutator_cols(left_columns(J, x),
+                            left_columns(J, {(i + 1) % 3: ONE}))
 
 
-def check_d_i_rules(A: AlbertAlgebra, i: int, a: Element) -> Report:
+def check_d_i_rules(A: AlbertAlgebra, i: int, a: dict) -> Report:
     """The six action rules for D_i(a), checked on the whole basis."""
     S = A.S
     D = d_i_derivation(A, i, a)
     name = "d_i_rules(%s,i=%d)" % (S.name, i)
 
-    def emb(i2, vec: Element, c=ONE):
-        return {A.iota_index(i2, k): c * v for k, v in vec.sparse().items()}
+    def emb(i2, vec: dict, c=ONE):
+        return {A.iota_index(i2, k): c * v for k, v in vec.items()}
 
     if D[A.diag_index(i)]:
         return Report(name, False, witness="e_i")
@@ -567,13 +564,14 @@ def check_d_i_rules(A: AlbertAlgebra, i: int, a: Element) -> Report:
         return Report(name, False, witness="e_{i+1}")
     if D[A.diag_index((i + 2) % 3)] != emb(i, a, -HALF):
         return Report(name, False, witness="e_{i+2}")
+    m = S.multiply_sparse
     for bidx in range(S.dim):
-        b = S.basis_element(bidx)
-        if D[A.iota_index((i + 1) % 3, bidx)] != emb((i + 2) % 3, a * b, MINUS_ONE):
+        b = {bidx: ONE}
+        if D[A.iota_index((i + 1) % 3, bidx)] != emb((i + 2) % 3, m(a, b), MINUS_ONE):
             return Report(name, False, witness=("iota_{i+1}", bidx))
-        if D[A.iota_index((i + 2) % 3, bidx)] != emb((i + 1) % 3, b * a):
+        if D[A.iota_index((i + 2) % 3, bidx)] != emb((i + 1) % 3, m(b, a)):
             return Report(name, False, witness=("iota_{i+2}", bidx))
-        n2 = sc(2) * S.polar_pair_sparse(a.sparse(), {bidx: ONE})
+        n2 = sc(2) * S.polar_pair_sparse(a, b)
         expected = {A.diag_index((i + 1) % 3): -n2,
                     A.diag_index((i + 2) % 3): n2} if n2.p or n2.q else {}
         if D[A.iota_index(i, bidx)] != expected:
@@ -703,7 +701,7 @@ def _phi_image(mag: MagicAlgebra, A: AlbertAlgebra, r: int):
         return cols
     pos = r - nt - ntp
     i, a = divmod(pos, d)
-    return d_i_derivation(A, i, S.basis_element(a))
+    return d_i_derivation(A, i, {a: ONE})
 
 
 # =========================================================================
@@ -796,7 +794,7 @@ def derivations_graded(S: Algebra, gr: Grading):
 # adjoint minimal polynomials
 # =========================================================================
 
-def adjoint_minimal_polynomial(L: Algebra, x: Element, cols=None) -> Polynomial:
+def adjoint_minimal_polynomial(L: Algebra, x: dict, cols=None) -> Polynomial:
     """Exact minimal polynomial m of ad_x = [x, -], the left multiplication by x.
 
     linalg.minimal_polynomial_op gets the columns [x, e_j] of left_columns
@@ -819,7 +817,7 @@ def is_toral(L: Algebra, elements, cols=None) -> Report:
     els = list(elements)
     for i, x in enumerate(els):
         for j in range(i + 1, len(els)):
-            if L.multiply_sparse(x.sparse(), els[j].sparse()):
+            if L.multiply_sparse(x, els[j]):
                 return Report(name, False, {"stage": "abelian"}, witness=(i, j))
     polys = []
     for i, x in enumerate(els):
@@ -853,7 +851,7 @@ def is_cartan(L: Algebra, elements) -> Report:
                       witness=toral.witness)
     span_ech = SparseEchelon(d)
     for x in els:
-        span_ech.insert(x.sparse())
+        span_ech.insert(x)
     if span_ech.rank != k:
         return Report(name, False, {"stage": "independent span"}, witness=k)
     ech = SparseEchelon(k * d)
@@ -893,7 +891,7 @@ def jordan_grading_check(L: Algebra, gr: Grading, cartan_mode: str = "pairs") ->
     results = {"components": len(comps), "component_dim": next(iter(dims.values()))}
     if cartan_mode == "components":
         for d, idxs in sorted(comps.items()):
-            rep = is_cartan(L, [L.basis_element(i) for i in idxs])
+            rep = is_cartan(L, [{i: ONE} for i in idxs])
             if not rep.passed:
                 return Report(name, False, {"stage": "component cartan",
                                             "inner": rep.details}, witness=d)
@@ -908,7 +906,7 @@ def jordan_grading_check(L: Algebra, gr: Grading, cartan_mode: str = "pairs") ->
             idxs = list(comps[d])
             if nd != d:
                 idxs += comps[nd]
-            rep = is_cartan(L, [L.basis_element(i) for i in idxs])
+            rep = is_cartan(L, [{i: ONE} for i in idxs])
             if not rep.passed:
                 return Report(name, False, {"stage": "pair cartan",
                                             "inner": rep.details}, witness=d)

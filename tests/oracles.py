@@ -8,10 +8,11 @@ from itertools import product
 from math import gcd
 
 from forge import magic
-from forge.algebra import Algebra, Element
-from forge.exact import ONE, ZERO, Polynomial, Scalar, poly_gcd
+from forge.algebra import Algebra
+from forge.exact import ONE, ZERO, Polynomial, Scalar, poly_gcd, sc
 from forge.linalg import (Matrix, SparseEchelon, column_apply,
-                          minimal_polynomial_op, rref, sparse_kernel)
+                          minimal_polynomial_op, rref, sparse_kernel,
+                          vec_add_scaled)
 
 
 class NotSquare(ValueError):
@@ -249,26 +250,22 @@ def dense(cols) -> Matrix:
     return Matrix([[col.get(r, ZERO) for col in cols] for r in range(len(cols))])
 
 
-def left_matrix(A: Algebra, x: Element) -> Matrix:
-    """Dense matrix of left multiplication by x: column j is x e_j."""
-    cols = [(x * e).coords for e in A.basis()]
-    return Matrix([[col[r] for col in cols] for r in range(A.dim)])
+def left_matrix(A: Algebra, x: dict) -> Matrix:
+    """Dense matrix of left multiplication by the vector x: column j is
+    x e_j."""
+    return dense([A.multiply_sparse(x, {j: ONE}) for j in range(A.dim)])
 
 
-def d_i_derivation(A, i: int, a: Element) -> Matrix:
+def d_i_derivation(A, i: int, a: dict) -> Matrix:
     """D_i(a) = 2 [L_x, L_e] in dense Matrix arithmetic, x = iota_i(a) and
     e = E_{i+1} in the Albert algebra A."""
-    J = A.jordan
-    coords = [ZERO] * J.dim
-    for k, c in enumerate(a.coords):
-        coords[A.iota_index(i, k)] = c
-    lx = left_matrix(J, J.element(coords))
-    le = left_matrix(J, J.basis_element((i + 1) % 3))
+    lx = left_matrix(A.jordan, {A.iota_index(i, k): c for k, c in a.items()})
+    le = left_matrix(A.jordan, {(i + 1) % 3: ONE})
     return commutator(lx, le).scale(2)
 
 
 def commutative_center(A: Algebra):
-    """Basis of {x : xy = yx for all y}."""
+    """Basis of {x : xy = yx for all y}, as vectors."""
     d = A.dim
     P = [[A.product(i, j) for j in range(d)] for i in range(d)]
 
@@ -283,14 +280,7 @@ def commutative_center(A: Algebra):
                 if row:
                     yield row
 
-    kern = sparse_kernel(rows(), d)
-    out = []
-    for v in kern:
-        coords = [ZERO] * d
-        for k, c in v.items():
-            coords[k] = c
-        out.append(Element(A, coords))
-    return out
+    return sparse_kernel(rows(), d)
 
 
 def mat_vec(m: Matrix, vec):
@@ -298,6 +288,14 @@ def mat_vec(m: Matrix, vec):
     out = column_apply(m.sparse_cols())({j: c for j, c in enumerate(vec)
                                          if c.p or c.q})
     return [out.get(i, ZERO) for i in range(m.rows)]
+
+
+def combination(*terms):
+    """The vector sum of c * v over the pairs (c, v) in terms."""
+    out: dict = {}
+    for c, v in terms:
+        vec_add_scaled(out, sc(c), v)
+    return out
 
 
 def compose_linear(p: Polynomial, a: Scalar) -> Polynomial:
@@ -421,8 +419,7 @@ def triality_bracket_failures(S: Algebra):
     [t_{a,b}, t_{x,y}] != n(a,x)t_{b,y} - n(b,x)t_{a,y} + n(a,y)t_{x,b}
     - n(b,y)t_{x,a}, in Scalar arithmetic from magic.t_xy and S.polar."""
     d, n = S.dim, polar_matrix(S).data
-    basis = S.basis()
-    t = {(a, b): magic.t_xy(S, basis[a], basis[b])
+    t = {(a, b): magic.t_xy(S, {a: ONE}, {b: ONE})
          for a in range(d) for b in range(d)}
     bad = []
     for a, b, x, y in product(range(d), repeat=4):

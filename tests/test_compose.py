@@ -5,9 +5,10 @@ from forge.algebra import (find_unity, multiplicative_failure, verify_compositio
                            verify_symmetric)
 from forge.exact import MINUS_ONE, OMEGA, ONE, ZERO, Scalar, sc
 from forge.grading import okubo_grading
-from forge.linalg import Matrix
+from forge.linalg import Matrix, column_apply
 from forge.scenarios import okubo11, para_split, petersson_nst, split_cayley
-from oracles import commutative_center, dense, mat_vec, polar_matrix
+from oracles import (combination, commutative_center, dense, mat_vec,
+                     polar_matrix)
 
 
 def test_split_cayley_spot_products():
@@ -15,11 +16,11 @@ def test_split_cayley_spot_products():
     lab = {n: i for i, n in enumerate(compose.CAYLEY_LABELS)}
 
     def prod(a, b):
-        return C.basis_element(lab[a]) * C.basis_element(lab[b])
+        return C.multiply_sparse({lab[a]: ONE}, {lab[b]: ONE})
 
-    assert prod("u2", "u3") == C.basis_element(lab["v1"])
-    assert prod("v3", "v1") == C.basis_element(lab["u2"])
-    assert prod("e1", "u1") == C.basis_element(lab["u1"])
+    assert prod("u2", "u3") == {lab["v1"]: ONE}
+    assert prod("v3", "v1") == {lab["u2"]: ONE}
+    assert prod("e1", "u1") == {lab["u1"]: ONE}
 
 
 def test_cd_tower():
@@ -28,9 +29,9 @@ def test_cd_tower():
     assert verify_composition(A).passed
     B = compose.cd_tower(1)
     D = compose.cd_double(B, sc(7))
-    u = D.basis_element(2)                 # the doubling generator
-    assert (u * u) == D.element([7, 0, 0, 0])
-    assert D.norm_sparse(u.sparse()) == sc(-7)
+    u = {2: ONE}                           # the doubling generator
+    assert D.multiply_sparse(u, u) == {0: sc(7)}
+    assert D.norm_sparse(u) == sc(-7)
 
 
 def test_cd_double_rejects():
@@ -42,39 +43,38 @@ def test_cd_double_rejects():
 
 def test_conjugation_properties():
     C = split_cayley()
-    conj = dense(compose.conjugation(C))
+    cols = compose.conjugation(C)
+    conj, bar = dense(cols), column_apply(cols)
     e = find_unity(C)
+    m = C.multiply_sparse
     # conj(1) = 1, conj(e1) = e2, conj(u1) = -u1
-    assert mat_vec(conj, e.coords) == list(e.coords)
+    assert bar(e) == e
     assert conj.data[1][0] == ONE and conj.data[0][0].is_zero()
     assert conj.data[2][2] == MINUS_ONE
     assert conj * conj == Matrix.identity(8)
     for i in range(8):
-        x = C.basis_element(i)
-        xbar = C.element(mat_vec(conj, x.coords))
-        t = C.polar_pair_sparse(x.sparse(), e.sparse())
-        assert x + xbar == e.scale(t)
+        x = {i: ONE}
+        t = C.polar_pair_sparse(x, e)
+        assert combination((1, x), (1, bar(x))) == combination((t, e))
     # x xbar = n(x) 1 linearized on basis pairs: x ybar + y xbar = n(x,y) 1
     for i in range(8):
         for j in range(8):
-            x, y = C.basis_element(i), C.basis_element(j)
-            xbar = C.element(mat_vec(conj, x.coords))
-            ybar = C.element(mat_vec(conj, y.coords))
-            lhs = x * ybar + y * xbar
-            n = C.polar_pair_sparse(x.sparse(), y.sparse())
-            assert lhs == e.scale(n)
+            x, y = {i: ONE}, {j: ONE}
+            lhs = combination((1, m(x, bar(y))), (1, m(y, bar(x))))
+            n = C.polar_pair_sparse(x, y)
+            assert lhs == combination((n, e))
 
 
 def test_para_hurwitz():
     P = para_split()
-    assert (P.basis_element(0) * P.basis_element(0)) == P.basis_element(1)
-    e = find_unity(split_cayley())
-    epar = P.element(e.coords)
+    m = P.multiply_sparse
+    assert m({0: ONE}, {0: ONE}) == {1: ONE}
+    epar = find_unity(split_cayley())
     for i in range(8):
-        x = P.basis_element(i)
-        n = P.polar_pair_sparse(epar.sparse(), x.sparse())
-        assert epar * x == epar.scale(n) - x
-        assert x * epar == epar.scale(n) - x
+        x = {i: ONE}
+        n = P.polar_pair_sparse(epar, x)
+        assert m(epar, x) == combination((n, epar), (-1, x))
+        assert m(x, epar) == combination((n, epar), (-1, x))
     center = commutative_center(P)
     assert len(center) == 1
 
@@ -141,8 +141,8 @@ def test_morphism_guards_reject_planted_maps():
 
 def test_petersson_nst_product():
     P = petersson_nst()
-    s = P.element([1, 1, 0, 0, 0, 0, 0, 0])
-    assert s * P.basis_element(5) == P.basis_element(6)   # (e1+e2)*v1 = v2
+    s = {0: ONE, 1: ONE}
+    assert P.multiply_sparse(s, {5: ONE}) == {6: ONE}   # (e1+e2)*v1 = v2
 
 
 def test_okubo_rejects_zero_parameters():
@@ -192,30 +192,31 @@ def test_okubo_from_quaternion():
 def test_s2_symmetric():
     S = compose.s2(sc(5))
     assert verify_symmetric(S).passed
-    a, b = S.basis_element(0), S.basis_element(1)
-    assert a * a == b
-    assert b * b == a.scale(5)
-    assert (a * b).is_zero() and (b * a).is_zero()
+    m = S.multiply_sparse
+    a, b = {0: ONE}, {1: ONE}
+    assert m(a, a) == b
+    assert m(b, b) == {0: sc(5)}
+    assert not m(a, b) and not m(b, a)
 
 
 def test_complete_pair_examples():
     O = okubo11()
-    y = compose.complete_okubo_pair(O, O.element([1, 0, 0, 0, 0, 0, 0, 0]))
-    xy = O.multiply_sparse({0: ONE}, y.sparse())
+    y = compose.complete_okubo_pair(O, {0: ONE})
+    xy = O.multiply_sparse({0: ONE}, y)
     assert not xy
     P = petersson_nst()
-    y = compose.complete_okubo_pair(P, P.basis_element(0))
+    y = compose.complete_okubo_pair(P, {0: ONE})
     third = Scalar(1, 0, 3)
-    assert y == P.element([0, 0, 1, 0, third, 0, 0, 0])   # u1 + u3/3
+    assert y == {2: ONE, 4: third}                       # u1 + u3/3
     with pytest.raises(compose.HypothesesFail):
         # e1 + e2 has nonzero norm
-        compose.complete_okubo_pair(P, P.element([1, 1, 0, 0, 0, 0, 0, 0]))
+        compose.complete_okubo_pair(P, {0: ONE, 1: ONE})
 
 
 def test_recognition_on_model():
     O = compose.okubo(sc(2), sc(3))
-    x = O.element([-1, 0, 0, 0, 0, 0, 0, 0])
-    y = O.element([0, 0, -1, 0, 0, 0, 0, 0])
+    x = {0: MINUS_ONE}
+    y = {2: MINUS_ONE}
     a, b, iso = compose.okubo_recognize(O, x, y)
     assert (a, b) == (sc(2), sc(3))
     assert dense(iso.columns) == Matrix.identity(8)
@@ -232,8 +233,8 @@ def test_recognition_names_the_pair_of_a_corrupted_model_product(monkeypatch):
         return model
 
     S = okubo(sc(2), sc(3))
-    x = S.element([-1, 0, 0, 0, 0, 0, 0, 0])
-    y = S.element([0, 0, -1, 0, 0, 0, 0, 0])
+    x = {0: MINUS_ONE}
+    y = {2: MINUS_ONE}
     monkeypatch.setattr(compose, "okubo", corrupted)
     with pytest.raises(compose.NotMultiplicative) as err:
         compose.okubo_recognize(S, x, y)
@@ -243,21 +244,42 @@ def test_recognition_names_the_pair_of_a_corrupted_model_product(monkeypatch):
 
 def test_recognition_requires_xy_zero():
     O = okubo11()
-    x = O.element([-1, 0, 0, 0, 0, 0, 0, 0])
-    y = O.element([0, 0, 0, -1, 0, 0, 0, 0])     # x * x0-1 = x1-1 != 0
+    x = {0: MINUS_ONE}
+    y = {3: MINUS_ONE}                           # x * x0-1 = x1-1 != 0
     with pytest.raises(compose.HypothesesFail):
         compose.okubo_recognize(O, x, y)
+
+
+@pytest.mark.parametrize("x, y, message", [
+    ({0: ONE, 1: ONE}, {2: MINUS_ONE}, "both elements must be isotropic"),
+    ({}, {2: MINUS_ONE}, "cubic values must be nonzero"),
+    ({0: ONE}, {1: ONE}, "generated subalgebras must be orthogonal"),
+], ids=["not-isotropic", "zero-cubic-value", "not-orthogonal"])
+def test_pair_guards_name_each_planted_defect(x, y, message):
+    # n(x10, x-10) != 0, so x10 + x-10 is not isotropic and x-10, a multiple
+    # of x10 * x10, is not orthogonal to alg(x10); 0 has cubic value 0
+    O = okubo11()
+    for check in (compose.okubo_dichotomy, compose.okubo_recognize):
+        with pytest.raises(compose.HypothesesFail) as err:
+            check(O, x, y)
+        assert str(err.value) == message
+
+
+def test_okubo_dichotomy_of_the_model_pair():
+    # -x10 * -x01 = 0 while -x01 * -x10 = x11 != 0
+    O = okubo11()
+    assert compose.okubo_dichotomy(O, {0: MINUS_ONE}, {2: MINUS_ONE}) == (True, False)
 
 
 def test_alternating_trilinear_on_peirce_space():
     # (x, y, z) -> n(x, yz) on U = span{u1,u2,u3} is alternating and nonzero
     C = split_cayley()
-    U = [C.basis_element(i) for i in (2, 3, 4)]
+    U = [{i: ONE} for i in (2, 3, 4)]
     vals = {}
     for i, x in enumerate(U):
         for j, y in enumerate(U):
             for k, z in enumerate(U):
-                v = C.polar_pair_sparse(x.sparse(), (y * z).sparse())
+                v = C.polar_pair_sparse(x, C.multiply_sparse(y, z))
                 vals[(i, j, k)] = v
                 if len({i, j, k}) < 3:
                     assert v.is_zero()
@@ -269,7 +291,7 @@ def test_complete_pair_on_omega_twist():
     # the omega twist has no valid partner on any coordinate plane of the
     # solution space; the three-term search stage finds u1 + u2 + u3
     P = compose.petersson(split_cayley(), compose.tau_automorphism("omega"))
-    x = P.basis_element(0)
+    x = {0: ONE}
     y = compose.complete_okubo_pair(P, x)
     a, b, iso = compose.okubo_recognize(P, x, y)
     assert a == ONE
@@ -279,7 +301,7 @@ def test_complete_pair_on_omega_twist():
 
 def test_recognition_on_quaternion_presentation():
     S = compose.okubo_from_quaternion(1, 1)
-    x = S.element([OMEGA, ONE, 0, 0, 0, 0, 0, 0])   # isotropic inside K
+    x = {0: OMEGA, 1: ONE}                       # isotropic inside K
     y = compose.complete_okubo_pair(S, x)
     a, b, iso = compose.okubo_recognize(S, x, y)
     assert iso.is_multiplicative() and iso.is_invertible()

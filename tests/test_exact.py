@@ -224,7 +224,6 @@ def test_field_axioms_property(x, y, z):
     if not x.is_zero():
         assert x * x.inv() == ONE
         assert (y / x) * x == y
-    assert x.conj().conj() == x and (x * y).conj() == x.conj() * y.conj()
 
 
 @settings(max_examples=100, deadline=None)

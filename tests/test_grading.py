@@ -173,6 +173,28 @@ def test_grading_file_round_trip():
         assert back.degrees == gr.degrees and back.group == gr.group
 
 
+@st.composite
+def sparse_gradings(draw):
+    """A grading of a small algebra by a random group, free rank <= dim and
+    torsion moduli >= 2, with mostly zero degree coordinates."""
+    dim = draw(st.integers(1, 5))
+    group = AbelianGroup(draw(st.integers(0, dim)),
+                         tuple(draw(st.lists(st.integers(2, 12), max_size=3))))
+    coord = st.one_of(st.just(0), st.integers(-40, 40))
+    degree = st.tuples(*[coord] * group.ncoords)
+    degrees = draw(st.lists(degree, min_size=dim, max_size=dim))
+    return Grading(Algebra(dim, "small", {}), group, tuple(degrees))
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_gradings())
+def test_grading_file_round_trip_property(gr):
+    text = gr.to_text()
+    back = grading_from_text(text, gr.algebra)
+    assert back.to_text() == text
+    assert back.degrees == gr.degrees and back.group == gr.group
+
+
 def test_okubo_z2_gradings_from_quaternion_presentation():
     for kind in ("z2", "z2^2"):
         gr = okubo_grading(kind, (1, 1))

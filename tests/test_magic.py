@@ -16,8 +16,8 @@ from forge.linalg import Matrix, column_apply, eigenspace, vec_add_scaled
 from forge.scenarios import (albert_para, e8_pair, f4_mag, okubo11,
                              para_split, split_cayley)
 import oracles
-from oracles import (commutator, compose_linear, dense, left_matrix, mat_vec,
-                     minimal_polynomial, nullspace)
+from oracles import (combination, commutator, compose_linear, dense,
+                     left_matrix, mat_vec, minimal_polynomial, nullspace)
 from test_linalg import _dense_inverse
 
 X = Polynomial.x
@@ -54,21 +54,20 @@ def test_theta_fixed_subalgebras():
 def test_t_xx_is_zero():
     S = para_split()
     for i in range(8):
-        t = magic.t_xy(S, S.basis_element(i), S.basis_element(i))
+        t = magic.t_xy(S, {i: ONE}, {i: ONE})
         assert not t.entries
     # and the first slot (keys below 64) vanishes for sigma_{x,x} even when scaled
-    t = magic.t_xy(S, S.basis_element(0), S.basis_element(0).scale(3))
+    t = magic.t_xy(S, {0: ONE}, {0: sc(3)})
     assert all(k >= 64 for k in t.entries)
 
 
 def test_sparse_triality_matches_dense_oracle():
     for S in (para_split(), okubo11()):
-        basis = S.basis()
         for u in range(8):
             for v in range(8):
-                t = magic.t_xy(S, basis[u], basis[v])
+                t = magic.t_xy(S, {u: ONE}, {v: ONE})
                 # t_{x,y} = -t_{y,x}
-                assert magic.t_xy(S, basis[v], basis[u]).entries == \
+                assert magic.t_xy(S, {v: ONE}, {u: ONE}).entries == \
                     {k: -c for k, c in t.entries.items()}
                 d0, d1, d2 = (t.columns(i) for i in range(3))
                 apply0 = column_apply(d0)
@@ -122,10 +121,10 @@ def test_tri_spans_by_pairs_rejects_a_planted_dependent_triple(monkeypatch, S):
     ctx = magic.TriContext(S)
     assert magic.tri_spans_by_pairs(ctx)
     t_xy = magic.t_xy
-    base = t_xy(S, S.basis_element(0), S.basis_element(1))
+    base = t_xy(S, {0: ONE}, {1: ONE})
 
     def planted(S_, x, y):
-        if list(x.sparse()) == [1]:
+        if list(x) == [1]:
             return magic.TriElement(base.d, {k: sc(2) * v
                                              for k, v in base.entries.items()})
         return t_xy(S_, x, y)
@@ -159,22 +158,21 @@ def test_albert_products():
     S = A.S
     for i in range(3):
         a, b = 0, 1
-        lhs = J.basis_element(A.iota_index(i, a)) * J.basis_element(A.iota_index(i, b))
+        lhs = J.multiply_sparse({A.iota_index(i, a): ONE}, {A.iota_index(i, b): ONE})
         n2 = sc(2) * S.polar.get((a, b), ZERO)
         want = [ZERO] * J.dim
         want[(i + 1) % 3] = n2
         want[(i + 2) % 3] = n2
-        assert list(lhs.coords) == want
-    one = J.element([1, 1, 1] + [0] * 24)
+        assert [lhs.get(k, ZERO) for k in range(J.dim)] == want
+    one = {0: ONE, 1: ONE, 2: ONE}
     for i in range(J.dim):
-        assert one * J.basis_element(i) == J.basis_element(i)
+        assert J.multiply_sparse(one, {i: ONE}) == {i: ONE}
     assert verify_jordan(J).passed
 
 
 def test_d_i_examples():
     A = albert_para()
-    S = A.S
-    a = S.basis_element(2)
+    a = {2: ONE}
     for i in range(3):
         D = magic.d_i_derivation(A, i, a)
         assert not D[A.diag_index(i)]
@@ -186,10 +184,10 @@ def test_d_i_examples():
 def test_d_i_derivation_matches_the_dense_oracle():
     rng = random.Random(7)
     for A in (albert_para(), scenarios.albert_okubo()):
-        S = A.S
-        generic = S.element([sc(rng.randint(-2, 2)) for _ in range(8)])
+        generic = {k: sc(v) for k, v in
+                   enumerate(rng.randint(-2, 2) for _ in range(8)) if v}
         for i in range(3):
-            for a in (S.basis_element(0), S.basis_element(5), generic):
+            for a in ({0: ONE}, {5: ONE}, generic):
                 assert dense(magic.d_i_derivation(A, i, a)) == \
                     oracles.d_i_derivation(A, i, a)
 
@@ -198,7 +196,7 @@ def test_check_d_i_rules_names_a_doubled_column(monkeypatch):
     # a * e_3 != 0, so doubling the column of iota_{i+1}(e_3) breaks the rule
     # D_i(a) iota_{i+1}(b) = -iota_{i+2}(a b) first at b = e_3
     A = albert_para()
-    a = A.S.basis_element(2)
+    a = {2: ONE}
     intact = magic.d_i_derivation
     for i in range(3):
         j = A.iota_index((i + 1) % 3, 3)
@@ -218,13 +216,14 @@ def test_check_d_i_rules_names_a_doubled_column(monkeypatch):
 def test_is_derivation_rejects_left_multiplication_by_an_idempotent():
     # L_E0 (E0 E0) = E0, but L_E0(E0) E0 + E0 L_E0(E0) = 2 E0
     J = albert_para().jordan
-    assert not magic.is_derivation(J, algebra.left_columns(J, J.basis_element(0)))
+    assert not magic.is_derivation(J, algebra.left_columns(J, {0: ONE}))
     assert magic.is_derivation(J, [{} for _ in range(J.dim)])
 
 
 def test_no_module_above_linalg_binds_the_dense_api():
-    # linear maps above linalg are sparse columns and polar forms are
-    # {(i, j): value}; the dense API stays in linalg and tests/oracles.py
+    # linear maps above linalg are sparse columns, polar forms are
+    # {(i, j): value} and vectors are {k: value}; the dense API stays in
+    # linalg and tests/oracles.py
     import importlib
     import pkgutil
     import forge
@@ -234,17 +233,20 @@ def test_no_module_above_linalg_binds_the_dense_api():
     names = [info.name for info in pkgutil.iter_modules(forge.__path__)]
     assert {"algebra", "compose", "grading", "magic", "scenarios", "cli"} <= set(names)
     for name in names:
+        bound = vars(importlib.import_module("forge." + name))
+        assert "Element" not in bound, name
         if name == "linalg":
             continue
-        bound = vars(importlib.import_module("forge." + name))
         assert not set(dense_api) & set(bound), name
         assert not any(v is obj for v in bound.values() for obj in dense_objects), name
+    for attr in ("element", "basis_element", "basis", "zero"):
+        assert not hasattr(Algebra, attr), attr
 
 
 def test_adjoint_minimal_polynomial_matches_dense():
     # on a Lie algebra the product is the bracket, so ad = left multiplication
     L = f4_mag().lie
-    el = L.element([sc(1 if i in (0, 13, 40) else 0) for i in range(52)])
+    el = {0: ONE, 13: ONE, 40: ONE}
     fast = magic.adjoint_minimal_polynomial(L, el)
     assert fast == minimal_polynomial(left_matrix(L, el))
 
@@ -254,20 +256,18 @@ def test_left_columns_of_a_basis_vector_are_the_general_columns():
     L = f4_mag().lie
     for i in (0, 13, 51):
         general = [L.multiply_sparse({i: ONE}, {j: ONE}) for j in range(L.dim)]
-        assert algebra.left_columns(L, L.basis_element(i)) == general
-        twice = algebra.left_columns(L, L.element([sc(2 if k == i else 0)
-                                                   for k in range(52)]))
+        assert algebra.left_columns(L, {i: ONE}) == general
+        twice = algebra.left_columns(L, {i: sc(2)})
         assert twice == [{k: sc(2) * c for k, c in col.items()} for col in general]
 
 
 def test_adjoint_minimal_polynomial_non_integral_coordinates():
     # x = (1/3) e0 + (w/2) e13 + e40 has denominators 3 and 2, and 6x is integral
     L = f4_mag().lie
-    coords = {0: Scalar(1, 0, 3), 13: Scalar(0, 1, 2), 40: ONE}
-    x = L.element([coords.get(i, ZERO) for i in range(52)])
+    x = {0: Scalar(1, 0, 3), 13: Scalar(0, 1, 2), 40: ONE}
     mp = magic.adjoint_minimal_polynomial(L, x)
     assert mp == minimal_polynomial(left_matrix(L, x))
-    six_x = L.element([sc(6) * c for c in x.coords])
+    six_x = {k: sc(6) * c for k, c in x.items()}
     assert compose_linear(magic.adjoint_minimal_polynomial(L, six_x), sc(6)).monic() == mp
 
 
@@ -275,15 +275,13 @@ def test_is_toral_names_a_planted_nilpotent_element():
     mag8, gr8 = e8_pair()
     L = mag8.lie
     comp = magic.e8_dempwolff(gr8).components()[(0, 1, 0, 0, 0)]
-    h = [L.basis_element(k) for k in comp]
+    h = [{k: ONE} for k in comp]
     assert magic.is_toral(L, h).passed
     # iota_2((x1 + x3) x y7) is nilpotent: x1 + x3 is isotropic
-    n = L.zero()
-    for a in (1, 3):
-        n = n + L.basis_element(mag8.iota_index(2, a, 7))
+    n = {mag8.iota_index(2, a, 7): ONE for a in (1, 3)}
     assert magic.is_toral(L, h + [n]).details["stage"] == "abelian"
     # a Cartan subalgebra is its own centralizer: keep the part commuting with n
-    keep = [e for e in h if not L.multiply_sparse(e.sparse(), n.sparse())]
+    keep = [e for e in h if not L.multiply_sparse(e, n)]
     assert len(keep) == 6
     rep = magic.is_toral(L, keep + [n])
     assert not rep.passed
@@ -297,7 +295,7 @@ def test_is_toral_examples():
     lie = gr.algebra
     comps = gr.components()
     # the (0,0,j) components span the natural Cartan subalgebra
-    h = [lie.basis_element(i) for i in comps[(0, 0, 1)] + comps[(0, 0, 2)]]
+    h = [{i: ONE} for i in comps[(0, 0, 1)] + comps[(0, 0, 2)]]
     rep = magic.is_toral(lie, h)
     assert rep.passed
     rep = magic.is_cartan(lie, h)
@@ -306,7 +304,7 @@ def test_is_toral_examples():
                                                "rank": 48}
     # a single root vector is not self-normalizing
     mu = (1, 0, 0)
-    root = [lie.basis_element(comps[mu][0])]
+    root = [{comps[mu][0]: ONE}]
     rep = magic.is_cartan(lie, root)
     assert not rep.passed
 
@@ -316,7 +314,7 @@ def test_is_cartan_one_element_certifies_sl2():
     L = magic.magic_g(compose.s1(), compose.s1()).lie
     assert L.dim == 3
     for i in range(3):
-        rep = magic.is_cartan(L, [L.basis_element(i)])
+        rep = magic.is_cartan(L, [{i: ONE}])
         assert rep.details["self_normalizing"] == {"method": "centralizer",
                                                    "rank": 2}
 
@@ -328,9 +326,9 @@ def test_is_cartan_certifies_a_non_regular_basis_by_the_centralizer_rank():
     _, gr = magic.induced("f4_z3_3")
     lie = gr.algebra
     comps = gr.components()
-    e = [lie.basis_element(i) for i in comps[(0, 0, 1)] + comps[(0, 0, 2)]]
-    h = [e[0] - e[1] - e[3]]
-    h += [e[i].scale(Scalar(1, 0, 1009 ** i)) for i in (1, 2, 3)]
+    e = [{i: ONE} for i in comps[(0, 0, 1)] + comps[(0, 0, 2)]]
+    h = [combination((1, e[0]), (-1, e[1]), (-1, e[3]))]
+    h += [combination((Scalar(1, 0, 1009 ** i), e[i])) for i in (1, 2, 3)]
     rep = magic.is_cartan(lie, h)
     assert rep.passed
     assert rep.details["self_normalizing"] == {"method": "centralizer",
@@ -343,10 +341,10 @@ def test_squarefree_certificate_of_a_degree_49_minimal_polynomial(monkeypatch):
     _, gr = magic.induced("f4_z3_3")
     lie = gr.algebra
     comps = gr.components()
-    e = [lie.basis_element(i) for i in comps[(0, 0, 1)] + comps[(0, 0, 2)]]
-    x = e[0] - e[1] - e[3]
+    e = [{i: ONE} for i in comps[(0, 0, 1)] + comps[(0, 0, 2)]]
+    x = combination((1, e[0]), (-1, e[1]), (-1, e[3]))
     for i in (1, 2, 3):
-        x = x - e[i].scale(sc(1009 ** i))
+        x = combination((1, x), (-sc(1009 ** i), e[i]))
     mp = magic.adjoint_minimal_polynomial(lie, x)
     assert mp.degree() == 49
     assert max(len(str(c.p)) for c in mp.coeffs) == 417
@@ -364,7 +362,7 @@ def test_is_cartan_names_the_normalizer_of_a_dempwolff_component_minus_one():
     mag8, gr8 = e8_pair()
     L = mag8.lie
     comps = magic.e8_dempwolff(gr8).components()
-    h = [L.basis_element(i) for i in comps[(0, 1, 0, 0, 0)]]
+    h = [{i: ONE} for i in comps[(0, 1, 0, 0, 0)]]
     assert magic.is_cartan(L, h).passed
     for drop in range(8):
         rep = magic.is_cartan(L, h[:drop] + h[drop + 1:])
@@ -390,7 +388,7 @@ def test_iota_adjoint_annihilator():
     mag8, _ = e8_pair()
     lie = mag8.lie
     a_idx = 0                      # the tower unit has norm 1
-    el = lie.basis_element(mag8.iota_index(0, a_idx, a_idx))
+    el = {mag8.iota_index(0, a_idx, a_idx): ONE}
     mp = magic.adjoint_minimal_polynomial(lie, el)
     annihilator = X() * (X(2) + C(4)) * (X(2) + C(1))
     assert annihilator % mp == Polynomial([])
@@ -401,7 +399,7 @@ def test_nilpotent_element_not_toral():
     mag = f4_mag()
     lie = mag.lie
     # iota_0(1 x u1) with isotropic u1: cube of ad vanishes
-    el = lie.basis_element(mag.iota_index(0, 0, 2))
+    el = {mag.iota_index(0, 0, 2): ONE}
     rep = magic.is_toral(lie, [el])
     assert not rep.passed
     mp = magic.adjoint_minimal_polynomial(lie, el)
@@ -728,7 +726,7 @@ def test_triality_scan_names_a_corrupted_triple(monkeypatch):
     intact = magic.t_xy
     for S in (para_split(), okubo11()):
         assert magic.triality_bracket_failures(S) == []
-        pair = (S.basis_element(2), S.basis_element(5))
+        pair = ({2: ONE}, {5: ONE})
 
         def corrupted(S_, x, y):
             t = intact(S_, x, y)
@@ -763,12 +761,12 @@ def _counted_scan(S):
 
 def _t_plus(S, shifts, entry):
     """magic.t_xy with shifts[(u, v)] added to the flat entry of t_{u,v}."""
-    intact, basis = magic.t_xy, S.basis()
+    intact = magic.t_xy
 
     def shifted(S_, x, y):
         t = intact(S_, x, y)
         for (u, v), delta in shifts.items():
-            if (x, y) == (basis[u], basis[v]):
+            if (x, y) == ({u: ONE}, {v: ONE}):
                 entries = dict(t.entries)
                 entries[entry] = entries.get(entry, ZERO) + delta
                 return magic.TriElement(t.d, {k: c for k, c in entries.items()
@@ -846,7 +844,7 @@ def test_o8_okubo_coarse_grading_with_cartan_zero_part():
     gr = coarsen(grL, hom)
     assert verify_grading(gr).passed
     assert grading_type(gr) == (0, 0, 8, 1)
-    zero = [L.basis_element(i) for i, d in enumerate(gr.degrees)
+    zero = [{i: ONE} for i, d in enumerate(gr.degrees)
             if d == (0, 0)]
     assert len(zero) == 4
     assert magic.is_cartan(L, zero).passed
