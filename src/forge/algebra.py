@@ -7,14 +7,14 @@ is a dict {k: nonzero Scalar} with zeros dropped: e_i is {i: ONE}, 0 is {}
 and x*y is multiply_sparse(x, y).  All identity checks work by full
 multilinearization on basis tuples, which is equivalent to the quadratic or
 cubic identities in characteristic zero.
-The heavy scans (Jacobi, Jordan) run over denominator-cleared integer tables
-instead of Scalar objects, as does rebase_blockwise, the change to the
-eigenbasis of an order-3 monomial automorphism.  Each table is held once: an
-Algebra keeps one of the caller's product dicts per distinct row, shared by
-every product equal to it, and an integer table shares one tuple per
-distinct entry and row.  Rows are read-only, and the passes over a whole
-table (integer tables, text, the sign check) do their per-row work once per
-distinct row.
+The heavy scans (Jacobi, Jordan) run over denominator-cleared integer tables,
+p + q*w held as one int (see integer_table), instead of Scalar objects, as
+does rebase_blockwise, the change to the eigenbasis of an order-3 monomial
+automorphism.  Each table is held once: an Algebra keeps one of the
+caller's product dicts per distinct row, shared by every product equal to
+it, and an integer table shares one tuple per distinct entry and row.  Rows
+are read-only, and the passes over a whole table (integer tables, text, the
+sign check) do their per-row work once per distinct row.
 """
 
 from __future__ import annotations
@@ -36,21 +36,35 @@ class IncompatibleInputs(ValueError):
 
 
 def integer_table(products: dict):
-    """(D, table, rational) with table[i][j] = ((m, p, q), ...) for D * c,
-    where products[(i, j)][m] = c, D the lcm of the denominators; rational
-    when every q is 0.  Built in one pass over the distinct row objects, with
-    one tuple per distinct entry (m, p, q) and one per row object: the
-    248-dimensional table has 44,064 products but 1,088 rows, and 49,440
-    entries but 976 entry objects."""
+    """(D, table, B) with table[i][j] = ((m, n), ...) for D * c, where
+    products[(i, j)][m] = c and D is the lcm of the denominators.
+
+    D * c = p + q*w is held as the one int n = p + q*B, B = 2^k: the ring
+    map Z[w] -> Z/P, w -> B, P = B^2 + B + 1, whose kernel is the ideal
+    (B - w).  Its nonzero elements have norm at least N(B - w) = P, and a
+    nonzero p + q*w with |p|, |q| < B/2 has norm p^2 - pq + q^2 < P.  So
+    below that bound a sum of products of codes is 0 mod P exactly when it
+    stands for 0, and decode(n, B) gives back (p, q); over Q, n = p.  With
+    N distinct indices m and M = max(3, largest |p| or |q|), a product of
+    two entries has |p|, |q| <= 3M^2, one of three <= 9M^3, and B >
+    2 * 6N^2 * 9M^3 covers the largest sums a kernel forms (each kernel
+    states its own): 6N^2 products of three entries.  One tuple per
+    distinct entry (m, n) and one per row object: the 248-dimensional table
+    has 44,064 products but 1,088 rows, and 49,440 entries but 976 entry
+    objects."""
     vecs = {id(vec): vec for vec in products.values()}
-    D = lcm(*{c.d for vec in vecs.values() for c in vec.values()})
+    values = {id(c): c for vec in vecs.values() for c in vec.values()}
+    D = lcm(*{c.d for c in values.values()})
+    M = max([3, *(abs(x) * (D // c.d) for c in values.values() for x in (c.p, c.q))])
+    N = len({m for vec in vecs.values() for m in vec})
+    B = 1 << (108 * N * N * M ** 3).bit_length()
+    codes = {key: (c.p + c.q * B) * (D // c.d) for key, c in values.items()}
     entries: dict = {}
     rows: dict = {}  # id(vec) -> its tuple
     for key, vec in vecs.items():
         row = []
         for m, c in vec.items():
-            f = D // c.d
-            e = (m, c.p * f, c.q * f)
+            e = (m, codes[id(c)])
             row.append(entries.setdefault(e, e))
         rows[key] = tuple(row)
     table: dict = {}
@@ -59,7 +73,18 @@ def integer_table(products: dict):
         if ti is None:
             ti = table[i] = {}
         ti[j] = rows[id(vec)]
-    return D, table, not any(q for _, _, q in entries)
+    return D, table, B
+
+
+def decode(n: int, B: int):
+    """(p, q) with p + q*B = n mod B^2 + B + 1 and |p|, |q| < B/2: the number
+    p + q*w that the code n of integer_table stands for."""
+    P = B * B + B + 1
+    r = n % P
+    if r > P // 2:
+        r -= P
+    q, p = divmod(r + B // 2, B)
+    return p - B // 2, q
 
 
 class Algebra:
@@ -335,11 +360,6 @@ def verify_symmetric(A: Algebra) -> Report:
     return Report(name, True, {"dim": d})
 
 
-def _pair_mul(p1, q1, p2, q2):
-    t = q1 * q2
-    return p1 * p2 - t, p1 * q2 + q1 * p2 - t
-
-
 def sign_failure(A: Algebra, sign: int):
     """First pair (i, j), i <= j, with e_j e_i != sign * e_i e_j, or None.
     A pair of table rows is compared once, however many pairs share it."""
@@ -364,51 +384,33 @@ def sign_failure(A: Algebra, sign: int):
     return None
 
 
-def _jacobi_first_failure(T, rational, g, a, bs):
-    """First b in bs with [g,[a,b]] + [a,[b,g]] + [b,[g,a]] != 0, or None."""
+def _jacobi_first_failure(T, P, g, a, bs):
+    """First b in bs with [g,[a,b]] + [a,[b,g]] + [b,[g,a]] != 0, or None.
+    T is an integer table and P = B^2 + B + 1 for its B: each coordinate is
+    a sum of at most 3N products of two entries, zero exactly when 0 mod P."""
     empty: dict = {}
     tg, ta = T.get(g, empty), T.get(a, empty)
     ga = tg.get(a, ())
     for b in bs:
         tb = T.get(b, empty)
-        if rational:
-            acc: dict = {}
-            for m, p1, _ in ta.get(b, ()):
-                for r, p2, _ in tg.get(m, ()):
-                    acc[r] = acc.get(r, 0) + p1 * p2
-            for m, p1, _ in tb.get(g, ()):
-                for r, p2, _ in ta.get(m, ()):
-                    acc[r] = acc.get(r, 0) + p1 * p2
-            for m, p1, _ in ga:
-                for r, p2, _ in tb.get(m, ()):
-                    acc[r] = acc.get(r, 0) + p1 * p2
-            if any(acc.values()):
-                return b
-            continue
-        accp, accq = {}, {}
-        for m, p1, q1 in ta.get(b, ()):
-            for r, p2, q2 in tg.get(m, ()):
-                t = q1 * q2
-                accp[r] = accp.get(r, 0) + p1 * p2 - t
-                accq[r] = accq.get(r, 0) + p1 * q2 + q1 * p2 - t
-        for m, p1, q1 in tb.get(g, ()):
-            for r, p2, q2 in ta.get(m, ()):
-                t = q1 * q2
-                accp[r] = accp.get(r, 0) + p1 * p2 - t
-                accq[r] = accq.get(r, 0) + p1 * q2 + q1 * p2 - t
-        for m, p1, q1 in ga:
-            for r, p2, q2 in tb.get(m, ()):
-                t = q1 * q2
-                accp[r] = accp.get(r, 0) + p1 * p2 - t
-                accq[r] = accq.get(r, 0) + p1 * q2 + q1 * p2 - t
-        if any(accp.values()) or any(accq.values()):
+        acc: dict = {}
+        for m, n1 in ta.get(b, ()):
+            for r, n2 in tg.get(m, ()):
+                acc[r] = acc.get(r, 0) + n1 * n2
+        for m, n1 in tb.get(g, ()):
+            for r, n2 in ta.get(m, ()):
+                acc[r] = acc.get(r, 0) + n1 * n2
+        for m, n1 in ga:
+            for r, n2 in tb.get(m, ()):
+                acc[r] = acc.get(r, 0) + n1 * n2
+        if any(acc.values()) and any(v % P for v in acc.values()):
             return b
     return None
 
 
-def _jacobi_with_ok(T, rational, g, rest) -> bool:
+def _jacobi_with_ok(T, P, g, rest) -> bool:
     """Jacobi on the triples (g, a, b) with a before b in rest."""
-    return all(_jacobi_first_failure(T, rational, g, a, rest[n + 1:]) is None
+    return all(_jacobi_first_failure(T, P, g, a, rest[n + 1:]) is None
                for n, a in enumerate(rest))
 
 
@@ -503,13 +505,14 @@ def verify_lie(L: Algebra) -> Report:
     bad = sign_failure(L, -1)
     if bad is not None:
         return Report(name, False, {"identity": "[x,y]=-[y,x]"}, witness=bad)
-    _, T, rational = L.int_table()
+    _, T, B = L.int_table()
+    P = B * B + B + 1
     gens = generating_set(L)
     if ad_closure_rank(L, gens) == d:
         seen = set()
         for g in gens:
             seen.add(g)
-            if not _jacobi_with_ok(T, rational, g,
+            if not _jacobi_with_ok(T, P, g,
                                    [x for x in range(d) if x not in seen]):
                 break
         else:
@@ -517,7 +520,7 @@ def verify_lie(L: Algebra) -> Report:
                                        "triples": comb(d, 3) - comb(d - len(gens), 3)})
     for i in range(d):
         for j in range(i + 1, d):
-            k = _jacobi_first_failure(T, rational, i, j, range(j + 1, d))
+            k = _jacobi_first_failure(T, P, i, j, range(j + 1, d))
             if k is not None:
                 return Report(name, False, {"identity": "jacobi"},
                               witness=(i, j, k))
@@ -532,33 +535,34 @@ def verify_jordan(J: Algebra) -> Report:
     substitutions; with commutativity it is column l of
     D_ijk = sum over (a, b, c) of [L_c, L_{e_a e_b}], L_x the left
     multiplication by x.  Each [L_c, L_m] is built once, on the integer
-    table, and the first nonzero column names the witness (i, j, k, l).
+    table, and the first nonzero column names the witness (i, j, k, l).  A
+    coordinate of [L_c, L_m] is a sum of 2N products of two entries, and
+    one of D_ijk a sum of 6N^2 products of three.
     """
     name = "jordan(%s)" % J.name
     d = J.dim
     bad = sign_failure(J, 1)
     if bad is not None:
         return Report(name, False, {"identity": "commutativity"}, witness=bad)
-    _, T, _ = J.int_table()
+    _, T, B = J.int_table()
+    P = B * B + B + 1
     empty: dict = {}
     comms: dict = {}
 
     def comm(c, m):
-        # [L_c, L_m] as (l*d + r, p, q): entry r of e_c(e_m e_l) - e_m(e_c e_l)
+        # [L_c, L_m] as (l*d + r, n): entry r of e_c(e_m e_l) - e_m(e_c e_l)
         op = comms.get((c, m))
         if op is None:
             acc: dict = {}
             for outer, inner, sign in ((c, m, 1), (m, c, -1)):
                 to = T.get(outer, empty)
                 for l, lst in T.get(inner, empty).items():
-                    for w, p1, q1 in lst:
-                        for r, p2, q2 in to.get(w, ()):
-                            pp, qq = _pair_mul(sign * p1, sign * q1, p2, q2)
+                    for w, n1 in lst:
+                        n1 *= sign
+                        for r, n2 in to.get(w, ()):
                             key = l * d + r
-                            cur = acc.get(key)
-                            acc[key] = (pp, qq) if cur is None else (cur[0] + pp, cur[1] + qq)
-            op = tuple((key, p, q) for key, (p, q) in acc.items() if p or q)
-            comms[(c, m)] = op
+                            acc[key] = acc.get(key, 0) + n1 * n2
+            op = comms[(c, m)] = tuple((key, n) for key, n in acc.items() if n)
         return op
 
     for i in range(d):
@@ -566,12 +570,10 @@ def verify_jordan(J: Algebra) -> Report:
             for k in range(j, d):
                 acc: dict = {}
                 for a, b, c in ((i, j, k), (j, k, i), (i, k, j)):
-                    for m, p1, q1 in T.get(a, empty).get(b, ()):
-                        for key, p2, q2 in comm(c, m):
-                            pp, qq = _pair_mul(p1, q1, p2, q2)
-                            cur = acc.get(key)
-                            acc[key] = (pp, qq) if cur is None else (cur[0] + pp, cur[1] + qq)
-                bad = [key for key, (p, q) in acc.items() if p or q]
+                    for m, n1 in T.get(a, empty).get(b, ()):
+                        for key, n2 in comm(c, m):
+                            acc[key] = acc.get(key, 0) + n1 * n2
+                bad = [key for key, n in acc.items() if n % P]
                 if bad:
                     return Report(name, False, {"identity": "jordan linearized"},
                                   witness=(i, j, k, min(bad) // d))
@@ -696,9 +698,6 @@ def multiplicative_failure(A: Algebra, B: Algebra, cols, anticommutative=False):
     return None
 
 
-_W = ((1, 0), (0, 1), (-1, -1))  # w^0, w^1, w^2 as integer pairs
-
-
 def rebase_blockwise(L: Algebra, cycles, exponents) -> Algebra:
     """L, under its own name, on the theta-eigenbasis of the index triples
     that theta cycles.
@@ -716,8 +715,10 @@ def rebase_blockwise(L: Algebra, cycles, exponents) -> Algebra:
     sum_r w^{rm} z_{c_r} / 3 of z with w^m = mu.  So one old product
     z = [e_{c0}, v] gives the three rows of a cycle.  Only the pairs whose
     row group (a cycle or one index) does not come after the column group
-    are computed; the sign fills in the rest.  The results share one Scalar
-    per numerator over 3 D, D the denominator of L's table.
+    are computed; the sign fills in the rest.  On integer_table's codes,
+    each new numerator over 3 D is at most 3 times a sum of 9 products of
+    an entry and a power of w: its p and q are at most 54 M, inside the
+    table's bound.  The results share one Scalar per numerator.
     """
     d = L.dim
     if len(exponents) != d or any(e not in (0, 1, 2) for e in exponents):
@@ -744,59 +745,58 @@ def rebase_blockwise(L: Algebra, cycles, exponents) -> Algebra:
         raise IncompatibleInputs("theta is not an automorphism of %s at "
                                  "(i, j) = %r" % (L.name, bad))
 
-    D, T, _ = integer_table(L.products)
-    shared: dict = {}  # numerator pair -> its one Scalar over 3 D
+    D, T, B = integer_table(L.products)
+    P = B * B + B + 1
+    W = (1, B, -1 - B)  # the codes of w^0, w^1, w^2
+    shared: dict = {}  # numerator code mod P -> its one Scalar over 3 D
 
-    def scalar(p, q):
-        c = shared.get((p, q))
+    def scalar(n):
+        key = n % P
+        c = shared.get(key)
         if c is None:
-            c = shared[(p, q)] = Scalar(p, q, 3 * D)
+            p, q = decode(n, B)
+            c = shared[key] = Scalar(p, q, 3 * D)
         return c
 
-    cols = [((k, 1, 0),) for k in range(d)]  # new vectors in old coordinates
+    cols = [((k, 1),) for k in range(d)]  # new vectors in old coordinates
     for c in cycles:
         for m in range(3):
-            cols[c[m]] = tuple((c[r],) + _W[-r * m % 3] for r in range(3))
+            cols[c[m]] = tuple((c[r], W[-r * m % 3]) for r in range(3))
     groups = sorted([(k,) for k in range(d) if k not in place] + cycles, key=min)
     products = {}
-    for g, B in enumerate(groups):
-        TB = T.get(B[0], {})
+    for g, R in enumerate(groups):
+        TR = T.get(R[0], {})
         for C in groups[g:]:
             for v in C:
                 z: dict = {}
-                for b, wp, wq in cols[v]:
-                    for k, p, q in TB.get(b, ()):
-                        x, y = _pair_mul(p, q, wp, wq)
-                        cur = z.get(k, (0, 0))
-                        z[k] = (cur[0] + x, cur[1] + y)
+                for b, wn in cols[v]:
+                    for k, n in TR.get(b, ()):
+                        z[k] = z.get(k, 0) + n * wn
                 ev = exponents[v]
-                if len(B) == 1:
-                    rows = [(B[0], (exponents[B[0]] + ev) % 3, 1)]
+                if len(R) == 1:
+                    rows = [(R[0], (exponents[R[0]] + ev) % 3, 1)]
                 else:
-                    rows = [(B[j], (j + ev) % 3, 3) for j in range(3)]
+                    rows = [(R[j], (j + ev) % 3, 3) for j in range(3)]
                 # pi_mu(z) as numerators over 3 D; off the cycles, z is zero
                 # at exponents not wanted, as theta is an automorphism
                 split = {mu: {} for _, mu, _ in rows}
-                for k, (p, q) in z.items():
+                for k, n in z.items():
                     at = place.get(k)
                     if at is None:
                         vec = split.get(exponents[k])
                         if vec is not None:
-                            vec[k] = (3 * p, 3 * q)
+                            vec[k] = 3 * n
                         continue
                     c, r = at
                     for mu, vec in split.items():
-                        wp, wq = _W[r * mu % 3]
-                        x, y = _pair_mul(p, q, wp, wq)
-                        cur = vec.get(c[mu], (0, 0))
-                        vec[c[mu]] = (cur[0] + x, cur[1] + y)
+                        vec[c[mu]] = vec.get(c[mu], 0) + n * W[r * mu % 3]
                 for i, mu, f in rows:
-                    cells = ((i, v, f),) if C is B else ((i, v, f), (v, i, sign * f))
+                    terms = [(k, n) for k, n in split[mu].items() if n % P]
+                    if not terms:
+                        continue
+                    cells = ((i, v, f),) if C is R else ((i, v, f), (v, i, sign * f))
                     for row, col, s in cells:
-                        out = {k: scalar(s * p, s * q)
-                               for k, (p, q) in split[mu].items() if p or q}
-                        if out:
-                            products[(row, col)] = out
+                        products[(row, col)] = {k: scalar(s * n) for k, n in terms}
     return Algebra(d, L.name, products, labels=None)
 
 

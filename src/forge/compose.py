@@ -503,8 +503,8 @@ def okubo_recognize(S: Algebra, x: dict, y: dict):
         span = SpanCoords(basis, 8)
     except DependentVectors:
         raise HypothesesFail("derived octet is not a basis")
-    cols = [{r: a * c for a, (r, c) in zip(span.coords({j: ONE}), images)
-             if a.p or a.q} for j in range(8)]
+    cols = [{images[k][0]: a * images[k][1] for k, a in span.coords({j: ONE}).items()}
+            for j in range(8)]
     morphism = AlgebraMorphism(S, model, cols)
     bad = multiplicative_failure(S, model, cols)
     if bad is not None:

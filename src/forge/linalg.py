@@ -14,10 +14,10 @@ sparse_kernel feeds a row stream into one and reads the kernel off its
 back-substituted rows; it stops reading early only once the rank is the
 column count.  An echelon's rank, read until a target is met, certifies "the
 kernel is no bigger than the part we exhibit".  No checker calls rank_mod_p,
-a numpy modular rank bound (rank mod p <= rank over Q).  Integer-pair tables
-(denominators cleared) have one builder, algebra.integer_table.  Over Z the
-one eliminator is smith_normal_form, a sparse elimination that pivots on
-units first.
+a numpy modular rank bound (rank mod p <= rank over Q).  Integer tables
+(denominators cleared, each p + q*w held as one int) have one builder,
+algebra.integer_table.  Over Z the one eliminator is smith_normal_form, a
+sparse elimination that pivots on units first.
 """
 
 from __future__ import annotations
@@ -290,18 +290,20 @@ class SpanCoords:
                          if k >= ncols} for r in self.pivots]
 
     def coords(self, f: dict):
-        """Dense coordinates of the sparse vector f, or None outside the span."""
-        sparse: dict = {}
+        """The coordinates {i: nonzero c} of the sparse vector f, or None
+        outside the span.  They come as a compact dict in index order, as
+        callers keep them in tables."""
+        coords: dict = {}
         for r, col in zip(self.pivots, self.columns):
             c = f.get(r)
             if c is not None and (c.p or c.q):
-                vec_add_scaled(sparse, c, col)
+                vec_add_scaled(coords, c, col)
         check: dict = {}
-        for i, c in sparse.items():
+        for i, c in coords.items():
             vec_add_scaled(check, c, self.vectors[i])
         if check != f:
             return None
-        return [sparse.get(i, ZERO) for i in range(len(self.vectors))]
+        return {i: coords[i] for i in sorted(coords)}
 
 
 # =========================================================================

@@ -44,11 +44,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import compose
-from .algebra import (Algebra, IncompatibleInputs, _pair_mul,
-                      generating_set, integer_table, kernel_columns,
-                      leibniz_rows, left_columns, multiplicative_failure,
-                      position_index, rebase_blockwise, skew_rows, verify_lie,
-                      verify_symmetric)
+from .algebra import (Algebra, IncompatibleInputs, generating_set,
+                      integer_table, kernel_columns, leibniz_rows,
+                      left_columns, multiplicative_failure, position_index,
+                      rebase_blockwise, skew_rows, verify_lie, verify_symmetric)
 from .exact import MINUS_ONE, ONE, OMEGA, OMEGA2, ZERO, HALF, Polynomial, sc
 from .grading import (AbelianGroup, Grading, GroupHom, cayley_grading, coarsen,
                       okubo_grading, verify_grading)
@@ -175,19 +174,17 @@ class TriContext:
         except DependentVectors:
             raise IncompatibleInputs("supplied tri basis is dependent")
 
-    def coords(self, t: TriElement):
-        """Exact coordinates of a triple in the basis; verifies membership."""
+    def coords(self, t: TriElement) -> dict:
+        """Exact coordinates {i: nonzero c} of a triple in the basis;
+        verifies membership."""
         coords = self.span.coords(t.entries)
         if coords is None:
             raise IncompatibleInputs("triple outside the triality algebra")
         return coords
 
-    def coords_sparse(self, t: TriElement) -> dict:
-        return {i: c for i, c in enumerate(self.coords(t)) if c.p or c.q}
-
     def theta_columns(self):
         """theta on the basis: column j holds the coordinates of theta(t_j)."""
-        return [self.coords_sparse(t.theta()) for t in self.basis]
+        return [self.coords(t.theta()) for t in self.basis]
 
 
 def tri_spans_by_pairs(ctx: TriContext) -> bool:
@@ -201,29 +198,28 @@ def tri_spans_by_pairs(ctx: TriContext) -> bool:
     return ech.rank == ctx.n
 
 
-def _bracket_breaks(d, rows, scaled, polar, a, b, x, y):
+def _bracket_breaks(d, rows, scaled, polar, P, a, b, x, y):
     """Does the quadruple (a, b, x, y) break the local triality relation?
-    The tables are those of triality_bracket_failures."""
+    The tables are those of triality_bracket_failures; each coordinate is a
+    sum of at most 2N + 4 products of two entries, zero exactly when 0 mod P."""
     acc: dict = {}
     for ta, tb, sign in ((rows[(a, b)], rows[(x, y)], 1),
                          (rows[(x, y)], rows[(a, b)], -1)):
         for r, row in ta.items():
-            for k, p1, q1 in row:
-                for c, p2, q2 in tb.get(r - r % d + k, ()):
-                    p, q = _pair_mul(p1, q1, p2, q2)
+            for k, n1 in row:
+                n1 *= sign
+                for c, n2 in tb.get(r - r % d + k, ()):
                     m = r * d + c
-                    cur = acc.get(m, (0, 0))
-                    acc[m] = (cur[0] + sign * p, cur[1] + sign * q)
+                    acc[m] = acc.get(m, 0) + n1 * n2
     for (u, v), (g, h), sign in (((a, x), (b, y), 1), ((b, x), (a, y), -1),
                                  ((a, y), (x, b), 1), ((b, y), (x, a), -1)):
-        n = polar.get((u, v))
-        if n is None:
+        n1 = polar.get((u, v))
+        if n1 is None:
             continue
-        for m, p2, q2 in scaled[g][h]:
-            p, q = _pair_mul(n[0], n[1], p2, q2)
-            cur = acc.get(m, (0, 0))
-            acc[m] = (cur[0] - sign * p, cur[1] - sign * q)
-    return any(p or q for p, q in acc.values())
+        n1 *= sign
+        for m, n2 in scaled[g][h]:
+            acc[m] = acc.get(m, 0) - n1 * n2
+    return any(n % P for n in acc.values())
 
 
 def triality_bracket_failures(S: Algebra):
@@ -235,39 +231,40 @@ def triality_bracket_failures(S: Algebra):
     t is bilinear, the right side is n(a,x)t_{b,y} - n(b,x)t_{a,y}
     + n(a,y)t_{x,b} - n(b,y)t_{x,a}.  One integer_table of the 64 triples
     (keys (a, b)) and polar rows (keys ("polar", i)) clears one denominator,
-    scaling both sides by its square: all sums are on integer pairs p + q*w.
+    scaling both sides by its square: all sums are on the table's int codes.
 
     If the scaled table has t_{b,a} = -t_{a,b} on all 64 pairs and the
     scaled polar form is symmetric, then F = left side - right side has
     F(b,a,x,y) = F(a,b,y,x) = F(x,y,a,b) = -F(a,b,x,y): each swap negates
     the bracket, and the two symmetries turn the four polar terms into the
-    negated four.  So F vanishes where a = b, x = y or (a,b) = (x,y), and
-    everywhere once it vanishes on the 378 quadruples with a < b, x < y and
-    (a,b) < (x,y).  If a check or one of them fails, all 4096 are scanned
-    in order.
+    negated four.  Both checks compare codes, which is exact, as distinct
+    entries have distinct codes.  So F vanishes where a = b, x = y or
+    (a,b) = (x,y), and everywhere once it vanishes on the 378 quadruples
+    with a < b, x < y and (a,b) < (x,y).  If a check or one of them fails,
+    all 4096 are scanned in order.
     """
     d = S.dim
     table = {(a, b): t_xy(S, {a: ONE}, {b: ONE}).entries
              for a in range(d) for b in range(d)}
     for (i, j), v in S.polar.items():
         table.setdefault(("polar", i), {})[j] = v
-    _, scaled, _ = integer_table(table)
-    polar = {(i, j): (p, q) for i, row in scaled.pop("polar", {}).items()
-             for j, p, q in row}
-    # per triple, entry (r, c) of d_i as (c, p, q) in row i*d + r
+    _, scaled, B = integer_table(table)
+    P = B * B + B + 1
+    polar = {(i, j): n for i, row in scaled.pop("polar", {}).items()
+             for j, n in row}
+    # per triple, entry (r, c) of d_i as (c, n) in row i*d + r
     rows = {}
     for a, sub in scaled.items():
         for b, entries in sub.items():
             rows[(a, b)] = by_row = {}
-            for k, p, q in entries:
-                by_row.setdefault(k // d, []).append((k % d, p, q))
+            for k, n in entries:
+                by_row.setdefault(k // d, []).append((k % d, n))
 
     def failures(quads):
-        return [q for q in quads if _bracket_breaks(d, rows, scaled, polar, *q)]
+        return [q for q in quads if _bracket_breaks(d, rows, scaled, polar, P, *q)]
 
     pairs = [(a, b) for a in range(d) for b in range(a + 1, d)]
-    if (all({k: (-p, -q) for k, p, q in scaled[a][b]}
-            == {k: (p, q) for k, p, q in scaled[b][a]}
+    if (all({k: -n for k, n in scaled[a][b]} == dict(scaled[b][a])
             for a in range(d) for b in range(d))
             and all(polar.get((j, i)) == n for (i, j), n in polar.items())
             and not failures(pairs[i] + xy for i in range(len(pairs))
@@ -341,7 +338,7 @@ def magic_g(S: Algebra, Sp: Algebra, tri_s: TriContext = None,
 
     def brackets(c):
         basis = c.basis
-        return [(r, s, c.coords_sparse(basis[r].commutator(basis[s])))
+        return [(r, s, c.coords(basis[r].commutator(basis[s])))
                 for r in range(len(basis)) for s in range(r + 1, len(basis))]
 
     # tri(S) and tri(S') internal brackets (componentwise commutators)
@@ -397,7 +394,7 @@ def magic_g(S: Algebra, Sp: Algebra, tri_s: TriContext = None,
             for b in range(n):
                 t = t_xy(A, {a: ONE}, {b: ONE})
                 for i in range(3):
-                    tab[i][a][b] = c.coords_sparse(t.theta(i))
+                    tab[i][a][b] = c.coords(t.theta(i))
         return tab
 
     tcoords = coord_table(S, ctx)
@@ -758,10 +755,9 @@ def lie_algebra_on_matrices(mats, name: str) -> Algebra:
     products = {}
     for i in range(n):
         for j in range(i + 1, n):
-            coords = span.coords(_flat(_commutator_cols(mats[i], mats[j])))
-            if coords is None:
+            vec = span.coords(_flat(_commutator_cols(mats[i], mats[j])))
+            if vec is None:
                 raise IncompatibleInputs("commutator outside the span")
-            vec = {kk: c for kk, c in enumerate(coords) if c.p or c.q}
             if vec:
                 products[(i, j)] = vec
                 products[(j, i)] = {kk: -c for kk, c in vec.items()}

@@ -4,7 +4,7 @@ No scenario, CLI command or checker in forge reaches these, so they live
 here rather than in the package.
 """
 
-from itertools import product
+from itertools import combinations, product
 from math import gcd
 
 from forge import magic
@@ -353,60 +353,20 @@ def sign_failure(A: Algebra, sign: int):
     return None
 
 
-def jacobi_triple_ok(T, rational, i, j, k) -> bool:
-    """Is [e_i,[e_j,e_k]] + [e_j,[e_k,e_i]] + [e_k,[e_i,e_j]] zero?  T is an
-    integer-pair table of algebra.integer_table, rational when every q is 0."""
-    if rational:
-        acc: dict = {}
-        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            tb = T.get(b)
-            if not tb:
-                continue
-            lst = tb.get(c)
-            if not lst:
-                continue
-            ta = T.get(a)
-            if not ta:
-                continue
-            for m, p1, _ in lst:
-                col = ta.get(m)
-                if col:
-                    for r, p2, _ in col:
-                        acc[r] = acc.get(r, 0) + p1 * p2
-        return not any(acc.values())
-    accp: dict = {}
-    accq: dict = {}
+def jacobi_triple_ok(L: Algebra, i, j, k) -> bool:
+    """Is [e_i,[e_j,e_k]] + [e_j,[e_k,e_i]] + [e_k,[e_i,e_j]] zero?  In
+    Scalar arithmetic on L.product."""
+    acc: dict = {}
     for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-        tb = T.get(b)
-        if not tb:
-            continue
-        lst = tb.get(c)
-        if not lst:
-            continue
-        ta = T.get(a)
-        if not ta:
-            continue
-        for m, p1, q1 in lst:
-            col = ta.get(m)
-            if col:
-                for r, p2, q2 in col:
-                    t = q1 * q2
-                    accp[r] = accp.get(r, 0) + p1 * p2 - t
-                    accq[r] = accq.get(r, 0) + p1 * q2 + q1 * p2 - t
-    return not any(accp.values()) and not any(accq.values())
+        vec_add_scaled(acc, ONE, L.multiply_sparse({a: ONE}, L.product(b, c)))
+    return not acc
 
 
 def first_jacobi_failure(L: Algebra):
     """First triple i < j < k, in lexicographic order, on which the Jacobi
     identity fails, or None."""
-    _, T, rational = L.int_table()
-    d = L.dim
-    for i in range(d):
-        for j in range(i + 1, d):
-            for k in range(j + 1, d):
-                if not jacobi_triple_ok(T, rational, i, j, k):
-                    return i, j, k
-    return None
+    return next((t for t in combinations(range(L.dim), 3)
+                 if not jacobi_triple_ok(L, *t)), None)
 
 
 def squarefree_euclid(p: Polynomial) -> bool:

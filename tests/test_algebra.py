@@ -129,14 +129,17 @@ def _first_jordan_defect(J):
 @pytest.mark.parametrize("k, pair", [(0, (0, 1)), (5, (1, 2)), (3, (3, 3)),
                                      (2, (4, 5)), (1, (0, 5))])
 def test_verify_jordan_witness_is_the_first_failing_quadruple(k, pair):
-    J = magic.albert(compose.s1()).jordan
-    assert J.dim == 6 and _first_jordan_defect(J) is None
-    bad = _corrupted(J, k, *{pair, pair[::-1]})   # still commutative
-    want = _first_jordan_defect(bad)
-    assert want is not None
-    rep = verify_jordan(bad)
-    assert not rep.passed and rep.details == {"identity": "jordan linearized"}
-    assert rep.witness == want
+    # over Q, and over Q(w): the 9-dimensional table has w in it
+    for S, dim in ((compose.s1(), 6), (compose.s2(OMEGA), 9)):
+        J = magic.albert(S).jordan
+        assert J.dim == dim and _first_jordan_defect(J) is None
+        assert any(c.q for vec in J.products.values() for c in vec.values()) == (dim == 9)
+        bad = _corrupted(J, k, *{pair, pair[::-1]})   # still commutative
+        want = _first_jordan_defect(bad)
+        assert want is not None
+        rep = verify_jordan(bad)
+        assert not rep.passed and rep.details == {"identity": "jordan linearized"}
+        assert rep.witness == want
 
 
 def test_derivation_dimensions():
@@ -324,6 +327,52 @@ def test_verify_lie_names_the_first_failing_triple(L, data):
             assert rep.details == {"identity": "jacobi"}
 
 
+def _plant(L, i, j, k, c):
+    """A copy of L with c added to [e_i, e_j] at e_k and -c to [e_j, e_i]."""
+    products = {ij: dict(vec) for ij, vec in L.products.items()}
+    for ij, shift in (((i, j), c), ((j, i), -c)):
+        vec = products.setdefault(ij, {})
+        vec[k] = vec.get(k, ZERO) + shift
+    return Algebra(L.dim, "planted", products)
+
+
+def test_verify_lie_on_a_table_rescaled_by_scalars_up_to_1e40():
+    L = _direct_sum(_direct_sum(_sl2(), _solvable()),
+                    magic.magic_g(compose.s1(), compose.s2(1)).lie)
+    d = L.dim
+    # f_i = s_i e_i, s_i a rational up to 1e40, times w at odd i
+    s = [Scalar(10 ** 40 - 7 * i, 0, 3 ** i + 1) * (OMEGA if i % 2 else ONE)
+         for i in range(d)]
+    big = Algebra(d, "rescaled", {(i, j): {k: c * s[i] * s[j] / s[k]
+                                           for k, c in vec.items()}
+                                  for (i, j), vec in L.products.items()})
+    assert algebra.integer_table(L.products)[2] < 2 ** 40
+    assert big.int_table()[2] > 2 ** 1000
+    rep = verify_lie(big)
+    assert rep.passed and rep.details["dim"] == d
+    bad = _plant(big, 2, 7, 9, ONE)
+    want = first_jacobi_failure(bad)
+    assert want is not None
+    rep = verify_lie(bad)
+    assert not rep.passed and rep.details == {"identity": "jacobi"}
+    assert rep.witness == want
+
+
+def test_verify_lie_names_the_first_triple_of_a_planted_w_in_f4():
+    f4 = magic.induced("f4_z3_3")[1].algebra
+    assert f4.dim == 52
+    assert any(c.q for vec in f4.products.values() for c in vec.values())
+    # planted in the last product, so verify_lie first passes 1,332 triples
+    # whose sums are nonzero ints that vanish mod P
+    (i, j), vec = max((ij, vec) for ij, vec in f4.products.items() if ij[0] < ij[1])
+    bad = _plant(f4, i, j, min(vec), OMEGA)
+    want = first_jacobi_failure(bad)
+    assert want is not None
+    rep = verify_lie(bad)
+    assert not rep.passed and rep.details == {"identity": "jacobi"}
+    assert rep.witness == want
+
+
 @pytest.mark.parametrize("sign", [1, -1])
 @pytest.mark.parametrize("defect", ["denominator", "key", "product"])
 def test_sign_failure_names_a_planted_defect(sign, defect):
@@ -406,7 +455,7 @@ def test_table_holds_one_scalar_object_per_value():
 
 
 def test_integer_table_of_e8_shares_its_entries_and_products():
-    _, T, rational = algebra.integer_table(e8_pair()[0].lie.products)
+    _, T, _ = algebra.integer_table(e8_pair()[0].lie.products)
     rows = [row for Ti in T.values() for row in Ti.values()]
     assert (len(rows), sum(map(len, rows))) == (44064, 49440)
     assert len({id(e) for row in rows for e in row}) == 976
@@ -468,12 +517,33 @@ def test_one_polar_line_costs_no_dense_form():
 @given(_sparse_algebras())
 def test_integer_table_matches_cleared_denominators(case):
     _, A = case
-    D, T, rational = algebra.integer_table(A.products)
+    D, T, B = algebra.integer_table(A.products)
     D_want, scaled = clear_denominators(A.products)
     assert D == D_want
-    assert {(i, j): list(row) for i, Ti in T.items() for j, row in Ti.items()} == \
-        {ij: [(m,) + pq for m, pq in vec.items()] for ij, vec in scaled.items()}
-    assert rational == all(q == 0 for vec in scaled.values() for _, q in vec.values())
+    # every code decodes to D * c, and over Q a code is p itself
+    assert {(i, j): [(m, algebra.decode(n, B)) for m, n in row]
+            for i, Ti in T.items() for j, row in Ti.items()} == \
+        {ij: list(vec.items()) for ij, vec in scaled.items()}
+    assert all(n == scaled[(i, j)][m][0] for i, Ti in T.items()
+               for j, row in Ti.items() for m, n in row if not scaled[(i, j)][m][1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 80), st.data())
+def test_decode_inverts_the_code_below_half_of_b(k, data):
+    B = 1 << k
+    half = st.integers(-(B // 2) + 1, B // 2 - 1)
+    p, q, t = data.draw(half), data.draw(half), data.draw(st.integers(-5, 5))
+    assert algebra.decode(p + q * B + t * (B * B + B + 1), B) == (p, q)
+
+
+def test_the_code_of_w_squared_plus_w_plus_one_counts_as_zero():
+    D, T, B = algebra.integer_table({(0, 0): {0: ONE, 1: OMEGA, 2: OMEGA * OMEGA}})
+    P = B * B + B + 1
+    (_, one), (_, w), (_, w2) = T[0][0]
+    assert (D, one, w) == (1, 1, B)
+    assert w * w + w + one and (w * w + w + one) % P == 0
+    assert (w * w - w2) % P == 0 and algebra.decode(w * w, B) == (-1, -1)
 
 
 @settings(max_examples=100, deadline=None)

@@ -170,9 +170,10 @@ def test_span_coords_match_a_dense_solve():
             if not c.is_zero():
                 vec_add_scaled(f, c, v)
         coords = span.coords(f)
-        assert coords == coeffs
-        assert coords == _dense_solve(columns, [f.get(r, ZERO) for r in range(ncols)])
-    assert span.coords({}) == [ZERO] * 4
+        assert coords == {i: c for i, c in enumerate(coeffs) if not c.is_zero()}
+        assert [coords.get(i, ZERO) for i in range(4)] == \
+            _dense_solve(columns, [f.get(r, ZERO) for r in range(ncols)])
+    assert span.coords({}) == {}
     outside = {4: ONE}
     assert _dense_solve(columns, [outside.get(r, ZERO) for r in range(ncols)]) is None
     assert span.coords(outside) is None

@@ -243,6 +243,26 @@ def test_no_module_above_linalg_binds_the_dense_api():
         assert not hasattr(Algebra, attr), attr
 
 
+def test_no_forge_module_imports_a_private_name_of_another():
+    # a _-prefixed name stays in its module, and Q(w) numbers in the exact
+    # kernels have one integer form, with no integer-pair product
+    import ast
+    import importlib
+    import pkgutil
+    import forge
+    names = [info.name for info in pkgutil.iter_modules(forge.__path__)]
+    for name in names:
+        module = importlib.import_module("forge." + name)
+        with open(module.__file__, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").split(".")[0] == "forge"):
+                private = [a.name for a in node.names if a.name.startswith("_")]
+                assert not private, (name, node.module, private)
+        assert "_pair_mul" not in vars(module), name
+
+
 def test_adjoint_minimal_polynomial_matches_dense():
     # on a Lie algebra the product is the bracket, so ad = left multiplication
     L = f4_mag().lie
